@@ -750,7 +750,9 @@ func BenchmarkFieldGeneratorSetup(b *testing.B) {
 }
 
 // BenchmarkFreqSolve measures one per-subsystem Freq-algorithm solve, the
-// inner loop of every adaptation.
+// inner loop of every adaptation. Freq solves are not memoized, so after
+// the first iteration builds the PE tables it reads, it times the pruned
+// grid scan over warm tables.
 func BenchmarkFreqSolve(b *testing.B) {
 	sim := newBenchSim(b)
 	app, err := workload.ByName("gcc")
@@ -772,10 +774,9 @@ func BenchmarkFreqSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkFreqSolveCold measures the full pruned grid scan with the solve
-// memo defeated (every iteration queries a fresh heat-sink temperature),
-// isolating the dense-PE-table and bound-pruning win from cross-phase
-// memoization.
+// BenchmarkFreqSolveCold measures the full pruned grid scan with every
+// iteration querying a fresh heat-sink temperature, so no two iterations
+// pose the same query.
 func BenchmarkFreqSolveCold(b *testing.B) {
 	sim := newBenchSim(b)
 	app, err := workload.ByName("gcc")

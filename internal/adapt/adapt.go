@@ -12,11 +12,14 @@
 //
 // # Ownership
 //
-// A Core carries unsynchronized Freq/Power solve-memoization maps, so an
-// individual Core must only be driven by one goroutine at a time. The
-// PE-fmax table store underneath is different: its lazy builds publish
-// through sync.Once-style atomic flags, so one store may back any number
-// of cores on any number of goroutines concurrently — tables are built at
+// A Core carries unsynchronized memo maps, so an individual Core must
+// only be driven by one goroutine at a time. It owns two, at two
+// granularities: the Evaluate memo (full SystemStates by exact
+// operating-point + profile key) and the AdaptSteady memo (whole
+// steady-state solves by exact profile + solver key). The PE-fmax table
+// store underneath is different: its lazy builds publish through
+// sync.Once-style atomic flags, so one store may back any number of
+// cores on any number of goroutines concurrently — tables are built at
 // most once and every reader observes a fully-built table. Two sharing
 // patterns follow:
 //
@@ -24,16 +27,18 @@
 //     environment cores of one chip) into one store; the cores may then be
 //     driven from different worker goroutines, as the (chip × environment)
 //     work queue of the experiment harness does.
-//   - WorkerView clones a core into a per-goroutine view with fresh memo
+//   - WorkerView clones a core into a per-goroutine view with empty memo
 //     maps over the shared read-only models and table store; the parallel
-//     fuzzy-training pipeline hands one view per worker slot.
+//     fuzzy-training pipeline hands one view per worker slot, and the
+//     fleet service one per (chip, environment, worker).
 //
 // Besides the memo maps, a Core privately owns a warm-started
 // thermal.Solver (its scratch buffers carry the previous converged state
-// between Evaluate calls) and an Evaluate-result memo whose cached
-// SystemStates alias one shared Subs slice per entry; both are
-// single-goroutine state, and WorkerView replaces both with fresh
-// instances so views never share mutable scratch.
+// between Evaluate calls) and the key, thermal-input, and stage-curve
+// scratch Evaluate reuses. Cached SystemStates alias one shared Subs
+// slice per entry. All of it is single-goroutine state, and WorkerView
+// replaces every piece with a fresh instance so views never share
+// mutable scratch.
 package adapt
 
 import (
@@ -103,15 +108,14 @@ type Core struct {
 	// zero-cost no-op.
 	Obs *obs.Registry
 
-	// DisablePruning switches FreqSolve/PowerSolve to the reference slow
-	// path: no bound-based pruning and no solve memoization. Results are
-	// identical either way (the equivalence tests assert it); the knob
-	// exists so the fast path can always be checked against the scan.
+	// DisablePruning switches FreqSolve to the reference slow path (no
+	// bound-based pruning) and bypasses the Evaluate and AdaptSteady
+	// memos. Results are identical either way (the equivalence tests
+	// assert it); the knob exists so the fast path can always be checked
+	// against the scan.
 	DisablePruning bool
 
-	pe        *peStore
-	freqMemo  map[freqMemoKey]FreqResult
-	powerMemo map[powerMemoKey]PowerResult
+	pe *peStore
 
 	// solver is the core's private warm-started thermal solver: Evaluate
 	// drives every CoreSteady through it so successive retune probes reuse
@@ -126,10 +130,17 @@ type Core struct {
 	evalMemo map[string]SystemState
 	evalKey  []byte
 	evalIns  []thermal.SubsystemInput
+	// evalRefused counts Evaluate results the memo declined to store
+	// because it was at its cap; AdaptSteady memoizes a solve only if
+	// this did not move while the solve ran.
+	evalRefused int
 	// evalCurve is the reused stage-curve scratch for evaluate's real
 	// error-rate pass — one Curve per Core instead of one per
 	// (subsystem, evaluation).
 	evalCurve vats.Curve
+	// steadyMemo caches whole AdaptSteady solves by exact profile +
+	// solver key (see AdaptSteady); nil bypasses it.
+	steadyMemo map[steadyKey]steadyEntry
 }
 
 // NewCore validates and assembles the optimization view.
@@ -156,17 +167,16 @@ func NewCore(subs []Subsystem, pw *power.Model, th *thermal.Model,
 		}
 	}
 	return &Core{
-		Subs:      subs,
-		Power:     pw,
-		Thermal:   th,
-		Checker:   chk,
-		Config:    cfg,
-		Limits:    lim,
-		pe:        newPEStore(len(subs)),
-		freqMemo:  make(map[freqMemoKey]FreqResult),
-		powerMemo: make(map[powerMemoKey]PowerResult),
-		solver:    thermal.NewSolver(th),
-		evalMemo:  make(map[string]SystemState),
+		Subs:       subs,
+		Power:      pw,
+		Thermal:    th,
+		Checker:    chk,
+		Config:     cfg,
+		Limits:     lim,
+		pe:         newPEStore(len(subs)),
+		solver:     thermal.NewSolver(th),
+		evalMemo:   make(map[string]SystemState),
+		steadyMemo: make(map[steadyKey]steadyEntry),
 	}, nil
 }
 
@@ -259,18 +269,19 @@ func (c *Core) ImportPETables(tabs []PETableSlot) int {
 
 // WorkerView returns a core that shares this core's immutable models
 // (stages, power, thermal, checker, limits) and its concurrency-safe
-// PE-table store, but owns fresh solve-memoization maps. Views are how a
-// worker pool divides one chip's solve work: each goroutine drives its own
-// view, warm tables are shared, and the unsynchronized memo maps are
-// never contended. Results are bitwise identical to the parent's.
+// PE-table store, but owns empty memo maps and fresh scratch. Views are
+// how a worker pool divides one chip's solve work: each goroutine drives
+// its own view, warm tables are shared, and the unsynchronized memo maps
+// and scratch buffers are never contended. Solve results are bitwise
+// identical to the parent's.
 func (c *Core) WorkerView() *Core {
 	v := *c
-	v.freqMemo = make(map[freqMemoKey]FreqResult)
-	v.powerMemo = make(map[powerMemoKey]PowerResult)
 	v.solver = thermal.NewSolver(c.Thermal)
 	v.evalMemo = make(map[string]SystemState)
 	v.evalKey = nil
 	v.evalIns = nil
+	v.evalCurve = vats.Curve{}
+	v.steadyMemo = make(map[steadyKey]steadyEntry)
 	return &v
 }
 
@@ -673,63 +684,17 @@ func (c *Core) comboFMaxRef(i int, q FreqQuery, ref *peRef, bq budgetQuery) floa
 	return f
 }
 
-// freqMemoKey identifies one FreqSolve invocation exactly: the float
-// inputs are keyed by their bit patterns (no quantization), so a memo hit
-// returns the very result the scan would have produced and summaries stay
-// bit-for-bit identical. Repeated phases, the Static conservative
-// profiles, and the retune ramps present identical queries constantly.
-type freqMemoKey struct {
-	sub                    int
-	thk, alpha, rho, pmult uint64
-	variant                vats.Variant
-}
-
-// powerMemoKey additionally pins the core frequency.
-type powerMemoKey struct {
-	freq  freqMemoKey
-	fcore uint64
-}
-
-// solveMemoCap bounds each memo map; once full, new entries are simply
-// not inserted (deterministic, unlike eviction).
-const solveMemoCap = 1 << 15
-
-func memoKeyFor(i int, q FreqQuery) freqMemoKey {
-	return freqMemoKey{
-		sub:     i,
-		thk:     math.Float64bits(q.THK),
-		alpha:   math.Float64bits(q.AlphaF),
-		rho:     math.Float64bits(q.Rho),
-		pmult:   math.Float64bits(q.PowerMult),
-		variant: q.Variant,
-	}
-}
-
 // FreqSolve runs the exhaustive Freq algorithm of §4.2 for subsystem i:
 // over all (Vdd, Vbb) levels, the highest frequency that violates neither
 // the temperature cap nor the stage's share of the error budget, with the
-// subsystem's delay evaluated at its own steady-state temperature.
-// Solutions are memoized per exact query (the level grids are fixed by
-// the core's configuration).
+// subsystem's delay evaluated at its own steady-state temperature, over
+// the core configuration's level grids.
 func (c *Core) FreqSolve(i int, q FreqQuery) FreqResult {
-	if c.DisablePruning {
-		return c.FreqSolveAt(i, q, c.Config.VddLevels(nominalVdd), c.Config.VbbLevels())
-	}
-	key := memoKeyFor(i, q)
-	if r, ok := c.freqMemo[key]; ok {
-		c.Obs.Counter("adapt.freq.memo_hits").Inc()
-		return r
-	}
-	r := c.FreqSolveAt(i, q, c.Config.VddLevels(nominalVdd), c.Config.VbbLevels())
-	if len(c.freqMemo) < solveMemoCap {
-		c.freqMemo[key] = r
-	}
-	return r
+	return c.FreqSolveAt(i, q, c.Config.VddLevels(nominalVdd), c.Config.VbbLevels())
 }
 
 // FreqSolveAt is FreqSolve restricted to explicit actuation-level lists —
-// used by ablations such as a single chip-wide ASV domain. Never memoized
-// (the level lists are caller state), but still pruned.
+// used by ablations such as a single chip-wide ASV domain.
 func (c *Core) FreqSolveAt(i int, q FreqQuery, vdds, vbbs []float64) FreqResult {
 	budget := c.stageBudget(q.Rho)
 	bq := budgetQueryFor(budget)
@@ -825,25 +790,7 @@ type PowerResult struct {
 // power while still meeting the frequency at the temperature and error
 // constraints. If no level pair meets fCore, the fastest pair is returned
 // with Feasible=false (retuning will pull the core frequency down).
-// Solutions are memoized per exact (query, fCore) pair.
 func (c *Core) PowerSolve(i int, fCore float64, q FreqQuery) PowerResult {
-	if c.DisablePruning {
-		return c.powerSolveScan(i, fCore, q)
-	}
-	key := powerMemoKey{freq: memoKeyFor(i, q), fcore: math.Float64bits(fCore)}
-	if r, ok := c.powerMemo[key]; ok {
-		c.Obs.Counter("adapt.power.memo_hits").Inc()
-		return r
-	}
-	r := c.powerSolveScan(i, fCore, q)
-	if len(c.powerMemo) < solveMemoCap {
-		c.powerMemo[key] = r
-	}
-	return r
-}
-
-// powerSolveScan is the uncached Power scan.
-func (c *Core) powerSolveScan(i int, fCore float64, q FreqQuery) PowerResult {
 	budget := c.stageBudget(q.Rho)
 	bq := budgetQueryFor(budget)
 	thq := tempQueryFor(q.THK)

@@ -349,6 +349,22 @@ func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// appendProfileKey encodes exactly (float bit patterns) the profile
+// fields adaptation reads: the class, the per-subsystem activity, and the
+// CPI and miss terms. The remaining fields (app name, phase index,
+// weight) are labels no solve reads, so they stay out of every memo key.
+func appendProfileKey(b []byte, prof pipeline.Profile) []byte {
+	b = append(b, byte(prof.Class))
+	for _, a := range prof.Activity {
+		b = appendF64(b, a)
+	}
+	b = appendF64(b, prof.CPICompFull)
+	b = appendF64(b, prof.CPICompSmall)
+	b = appendF64(b, prof.Mr)
+	b = appendF64(b, prof.MpNomCycles)
+	return appendF64(b, prof.MispredictsPerInstr)
+}
+
 // evalMemoKey encodes everything Evaluate's result depends on besides the
 // core's immutable models: the full operating point and the profile fields
 // Evaluate reads. The encoding is exact (float bit patterns), so a hit can
@@ -361,15 +377,8 @@ func (c *Core) evalMemoKey(op OperatingPoint, prof pipeline.Profile) []byte {
 		k = appendF64(k, op.VddV[i])
 		k = appendF64(k, op.VbbV[i])
 	}
-	k = append(k, byte(op.Queue), byte(op.FU), byte(prof.Class))
-	for _, a := range prof.Activity {
-		k = appendF64(k, a)
-	}
-	k = appendF64(k, prof.CPICompFull)
-	k = appendF64(k, prof.CPICompSmall)
-	k = appendF64(k, prof.Mr)
-	k = appendF64(k, prof.MpNomCycles)
-	k = appendF64(k, prof.MispredictsPerInstr)
+	k = append(k, byte(op.Queue), byte(op.FU))
+	k = appendProfileKey(k, prof)
 	c.evalKey = k
 	return k
 }
@@ -381,8 +390,9 @@ func (c *Core) evalMemoKey(op OperatingPoint, prof pipeline.Profile) []byte {
 // Results are memoized by exact key: retuning and the steady-state loop
 // re-probe the same (operating point, profile) pairs constantly, and
 // repeated phases across the environment sweep land on identical keys, so
-// repeats are table lookups ("core.memo.evaluate_hits"). DisablePruning
-// routes around the memo, like the Freq/Power solve memos.
+// repeats are table lookups ("core.memo.evaluate_hits"). Once the memo
+// holds evalMemoCap entries it stores nothing more and counts each
+// refusal. DisablePruning routes around the memo, like the steady memo.
 func (c *Core) Evaluate(op OperatingPoint, prof pipeline.Profile) (SystemState, error) {
 	memo := !c.DisablePruning && c.evalMemo != nil
 	var key []byte
@@ -395,8 +405,12 @@ func (c *Core) Evaluate(op OperatingPoint, prof pipeline.Profile) (SystemState, 
 		c.Obs.Counter("core.memo.evaluate_misses").Inc()
 	}
 	st := c.evaluate(op, prof)
-	if memo && len(c.evalMemo) < evalMemoCap {
-		c.evalMemo[string(key)] = st
+	if memo {
+		if len(c.evalMemo) < evalMemoCap {
+			c.evalMemo[string(key)] = st
+		} else {
+			c.evalRefused++
+		}
 	}
 	return st, nil
 }

@@ -35,10 +35,11 @@ func equivalenceQueries() []FreqQuery {
 }
 
 // TestFastPathEquivalence is the golden equivalence check of the fast
-// adaptation engine: with pruning, memoization, and the dense PE tables
-// on, FreqSolve and PowerSolve must return results identical to the
-// reference exhaustive scan (DisablePruning). Queries are solved twice on
-// the fast core — the second pass exercises the memo path.
+// adaptation engine: with pruning and the dense PE tables on, FreqSolve
+// and PowerSolve must return results identical to the reference
+// exhaustive scan (DisablePruning). Queries are solved twice on the fast
+// core — the first pass builds the PE tables it reads, the second
+// exercises the warm tables.
 func TestFastPathEquivalence(t *testing.T) {
 	for _, cfg := range []tech.Config{tsConfig, asvConfig, preferred, allConfig} {
 		fast := buildCore(t, 7, cfg)

@@ -9,8 +9,8 @@ import (
 )
 
 // fuzzSolveState lazily builds the pruned/unpruned core pair once per
-// fuzz process and serializes solve calls (FreqSolve mutates the memo
-// and the shared PE-table store).
+// fuzz process and serializes solve calls (FreqSolve builds into the
+// cores' PE-table stores).
 var fuzzSolveState struct {
 	once     sync.Once
 	mu       sync.Mutex
@@ -28,7 +28,7 @@ func clampFinite(x, lo, hi float64) float64 {
 }
 
 // FuzzFreqSolvePrunedVsUnpruned fuzzes the Freq algorithm's bound-based
-// combo pruning (and its memo) against the exhaustive reference scan:
+// combo pruning against the exhaustive reference scan:
 // for any on-range query, the pruned solve must return the exact same
 // (FMax, Vdd, Vbb) as the unpruned one. A pruning bound that is not a
 // true upper bound shows up here as a divergence.

@@ -334,9 +334,9 @@ func TrainFuzzySolver(cores []*Core, opts TrainOptions) (*FuzzySolver, error) {
 		}
 	}
 	// Stage 2: fan the labeling + fitting across the pool. Each worker
-	// slot gets its own core views (fresh solve memos, shared PE store);
-	// exact-key memoization makes a memo hit bitwise identical to a scan,
-	// so per-slot memos cannot perturb the labels.
+	// slot gets its own core views (private scratch, shared PE store);
+	// the Freq/Power scans are pure functions of the query and the
+	// tables, so which slot labels an example cannot perturb its label.
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1

@@ -22,8 +22,9 @@ func benchProfile(b *testing.B) pipeline.Profile {
 	return prof
 }
 
-// BenchmarkPowerSolveHot measures one per-subsystem Power-algorithm solve
-// with a warm PE cache — the dominant cost of fuzzy-controller training.
+// BenchmarkPowerSolveHot measures one per-subsystem Power-algorithm scan
+// over warm PE tables — the dominant cost of fuzzy-controller training.
+// Power solves are not memoized, so every iteration runs the full scan.
 func BenchmarkPowerSolveHot(b *testing.B) {
 	core := buildCore(b, 2, asvConfig)
 	prof := benchProfile(b)
@@ -35,7 +36,9 @@ func BenchmarkPowerSolveHot(b *testing.B) {
 	}
 }
 
-// BenchmarkFreqSolveHot measures one warm per-subsystem Freq solve.
+// BenchmarkFreqSolveHot measures one per-subsystem Freq-algorithm scan
+// over warm PE tables. Freq solves are not memoized, so every iteration
+// runs the pruned grid scan.
 func BenchmarkFreqSolveHot(b *testing.B) {
 	core := buildCore(b, 2, asvConfig)
 	prof := benchProfile(b)
@@ -48,7 +51,8 @@ func BenchmarkFreqSolveHot(b *testing.B) {
 }
 
 // BenchmarkPropose measures a full controller invocation (15 Freq solves,
-// the structure decisions, 15 Power solves, the PMAX check).
+// the structure decisions, 15 Power solves, the PMAX check) over warm PE
+// tables.
 func BenchmarkPropose(b *testing.B) {
 	core := buildCore(b, 2, preferred)
 	prof := benchProfile(b)

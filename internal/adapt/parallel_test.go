@@ -29,9 +29,8 @@ func TestTrainFuzzySolverWorkerDeterminism(t *testing.T) {
 		t.Skip("fuzzy training")
 	}
 	train := func(workers int) []byte {
-		// Fresh cores per run: solve memos and PE tables warm up
-		// differently at different worker counts, and results must not
-		// depend on either.
+		// Fresh cores per run: PE tables warm up differently at
+		// different worker counts, and results must not depend on it.
 		cores := []*Core{buildCore(t, 21, preferred), buildCore(t, 22, preferred)}
 		opts := trainOptsForTest(120)
 		opts.Workers = workers
@@ -54,7 +53,8 @@ func TestTrainFuzzySolverWorkerDeterminism(t *testing.T) {
 }
 
 // TestWorkerViewSolvesMatchParent: a view must answer Freq/Power queries
-// bitwise identically to its parent, with and without warm memos.
+// bitwise identically to its parent, on tables the parent built and on
+// tables it has already read itself.
 func TestWorkerViewSolvesMatchParent(t *testing.T) {
 	core := buildCore(t, 23, preferred)
 	view := core.WorkerView()
@@ -74,9 +74,9 @@ func TestWorkerViewSolvesMatchParent(t *testing.T) {
 		if pw != pv {
 			t.Errorf("sub %d: view PowerSolve %+v != parent %+v", i, pv, pw)
 		}
-		// Repeat hits the view's own memo; must stay identical.
+		// A repeat scans the same warm tables; must stay identical.
 		if again := view.FreqSolve(i, q); again != want {
-			t.Errorf("sub %d: view memo hit %+v != parent %+v", i, again, want)
+			t.Errorf("sub %d: view repeat solve %+v != parent %+v", i, again, want)
 		}
 	}
 }

@@ -34,7 +34,9 @@
 // replays and cold solves, and results flow back through the submission
 // batch. Each chip builds one base core per environment, shared across
 // the pool; workers solve on private WorkerViews of it, so adding
-// workers never multiplies core construction.
+// workers never multiplies core construction. The views live on the
+// chip's membership entry, one slot per worker, so a chip that leaves
+// takes them with it once its units drain.
 //
 // # Ordering and determinism contract
 //

@@ -123,7 +123,15 @@ type chipEntry struct {
 	err    error
 
 	cores sync.Map // core.Environment -> *coreSlot
+
+	// views holds each worker's private WorkerViews of the base cores:
+	// one slot per worker, read and written only by that worker. Living
+	// on the entry, a departed chip's views are freed with it.
+	views []envViews
 }
+
+// envViews is one worker's views of a chip, by environment.
+type envViews [core.NumEnvironments]*adapt.Core
 
 // coreSlot is one (chip, environment) shared base core.
 type coreSlot struct {
@@ -437,7 +445,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			f.timedLock(&sh.mu)
 			_, dup := sh.m[ev.Chip]
 			if !dup {
-				sh.m[ev.Chip] = &chipEntry{seed: ev.Chip}
+				sh.m[ev.Chip] = &chipEntry{seed: ev.Chip, views: make([]envViews, f.cfg.Workers)}
 			}
 			sh.mu.Unlock()
 			if dup {

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/artifact"
@@ -386,6 +388,72 @@ func TestFleetConcurrentSoak(t *testing.T) {
 	f.Close()
 	if err := f.SubmitBatch([]Event{{Kind: KindJoin, Chip: 1}}, nil); err == nil {
 		t.Fatal("submit after close succeeded")
+	}
+}
+
+// TestDepartedChipsAreFreed: each worker's views of a chip live on the
+// chip's entry, so once a chip leaves and its units drain, nothing in
+// the still-running fleet keeps the entry — maps, stage models, cores,
+// and views — alive. Chips churn through a two-worker round-robin
+// fleet, one run per task, so both workers build views of every chip.
+func TestDepartedChipsAreFreed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	sim := testSim(t, "")
+	f, err := New(sim, Config{Workers: 2, Routing: RoundRobin, MaxBatch: 1, Apps: testApps(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	submit := func(events ...Event) {
+		t.Helper()
+		if err := f.SubmitBatch(events, func(r Result) {
+			if r.Status != StatusOK {
+				t.Errorf("%s chip %d: %s", r.Kind, r.Chip, r.Err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// watch finalizes the chip's entry into freed and checks that every
+	// worker built a view; the entry pointer does not outlive the call.
+	const chips = 3
+	freed := make(chan int64, chips)
+	watch := func(chip int64) {
+		sh := f.shardFor(chip)
+		sh.mu.RLock()
+		entry := sh.m[chip]
+		sh.mu.RUnlock()
+		for w, views := range entry.views {
+			if views[core.TSASV] == nil {
+				t.Fatalf("chip %d: worker %d built no view", chip, w)
+			}
+		}
+		runtime.SetFinalizer(entry, func(e *chipEntry) { freed <- e.seed })
+	}
+	for c := int64(0); c < chips; c++ {
+		chip := 700 + c
+		submit(Event{At: c, Kind: KindJoin, Chip: chip})
+		for ph := 0; ph < 2; ph++ {
+			submit(Event{At: c, Kind: KindRun, Chip: chip, Env: "TS+ASV", Mode: ModeExh, App: "gcc", Phase: intp(ph)},
+				Event{At: c, Kind: KindRun, Chip: chip, Env: "TS+ASV", Mode: ModeExh, App: "swim", Phase: intp(ph)})
+		}
+		watch(chip)
+		submit(Event{At: c, Kind: KindLeave, Chip: chip})
+	}
+	f.bg.Wait() // every leave has released its handle
+	deadline := time.Now().Add(10 * time.Second)
+	for got := 0; got < chips; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d departed chips still reachable after leave, drain, and GC", chips-got, chips)
+			}
+		}
 	}
 }
 

@@ -7,22 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// coreKey identifies a worker's cached view of a chip core. Keyed on the
-// entry pointer, not the seed, so a chip that leaves and rejoins gets a
-// fresh core generation.
-type coreKey struct {
-	entry *chipEntry
-	env   core.Environment
-}
-
-// workerScratch is one worker's reusable task state. The views map
-// caches per-(chip, env) WorkerViews of the entry's shared base core:
-// the expensive core build happens once per chip per environment across
-// the whole pool, and each worker derives a cheap private view (shared
-// immutable models and PE store, fresh memo maps) so solves never
-// contend.
+// workerScratch is one worker's reusable task state.
 type workerScratch struct {
-	views  map[coreKey]*adapt.Core
 	groups []group
 	units  []core.FleetUnit
 }
@@ -32,7 +18,7 @@ type workerScratch struct {
 // out to every event in the group.
 func (f *Fleet) worker(w int) {
 	defer f.wg.Done()
-	sc := &workerScratch{views: make(map[coreKey]*adapt.Core)}
+	sc := &workerScratch{}
 	for t := range f.queues[w] {
 		sched := time.Since(t.enq)
 		t0 := f.mon.TaskStart()
@@ -85,7 +71,7 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 		sc.groups[gi].refs = append(sc.groups[gi].refs, i)
 	}
 
-	f.solveGroups(t, sc)
+	f.solveGroups(w, t, sc)
 
 	total := time.Since(t.enq)
 	for gi := range sc.groups {
@@ -121,8 +107,12 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 	}
 }
 
-// solveGroups fills each scratch group's payload (or error message).
-func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
+// solveGroups fills each scratch group's payload (or error message). The
+// expensive core build happens once per chip per environment across the
+// whole pool; worker w solves on its own cheap view of it (shared
+// immutable models and PE store, private memos and scratch), so solves
+// never contend.
+func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
 	groups := sc.groups
 	handle, err := t.entry.ensure(f.sim)
 	if err != nil {
@@ -141,8 +131,8 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	// apps and phases resolve.
 	env, _ := core.ParseEnvironment(t.env)
 	mode, _ := core.ParseMode(t.mode)
-	ck := coreKey{entry: t.entry, env: env}
-	cpu := sc.views[ck]
+	view := &t.entry.views[w][env]
+	cpu := *view
 	if cpu == nil {
 		base, cerr := t.entry.baseCore(f.sim, env)
 		if cerr != nil {
@@ -152,7 +142,7 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 			return
 		}
 		cpu = base.WorkerView()
-		sc.views[ck] = cpu
+		*view = cpu
 	}
 	var solver adapt.Solver
 	solverFP := ""
