@@ -801,8 +801,8 @@ func BenchmarkFreqSolveCold(b *testing.B) {
 }
 
 // BenchmarkPEFMaxBatch measures the error-budget inversion at the heart
-// of every dense PE-table column build, in its two forms: the shared
-// dyadic bisection over the whole ascending budget grid (what the slab
+// of every dense PE-table column build, in its two forms: the
+// certified-bracket replay over the whole budget grid (what the slab
 // builder uses) and the equivalent independent per-budget bisections.
 func BenchmarkPEFMaxBatch(b *testing.B) {
 	vp := varius.DefaultParams()

@@ -23,10 +23,11 @@
 // most once and every reader observes a fully-built table. Two sharing
 // patterns follow:
 //
-//   - SharePETables joins cores modeling the same chip (e.g. the six
-//     environment cores of one chip) into one store; the cores may then be
-//     driven from different worker goroutines, as the (chip × environment)
-//     work queue of the experiment harness does.
+//   - WithConfig derives a core for another technique configuration over
+//     the same chip and store (e.g. the six environment cores of one
+//     chip); the cores may then be driven from different worker
+//     goroutines, as the (chip × environment) work queue of the experiment
+//     harness does.
 //   - WorkerView clones a core into a per-goroutine view with empty memo
 //     maps over the shared read-only models and table store; the parallel
 //     fuzzy-training pipeline hands one view per worker slot, and the
@@ -183,27 +184,21 @@ func NewCore(subs []Subsystem, pw *power.Model, th *thermal.Model,
 // N returns the number of subsystems.
 func (c *Core) N() int { return len(c.Subs) }
 
-// SharePETables makes c reuse donor's PE-fmax tables. The tables depend
-// only on the stage models — not on the technique configuration — so the
-// cores built for one chip's six environments can share one store and
-// amortize the vats.Curve evaluations. The donor must model the same chip
-// (same stage models, in order). The store is safe for concurrent use, so
-// the sharing cores may run on different goroutines; each individual core
-// still belongs to one goroutine (see the package comment).
-func (c *Core) SharePETables(donor *Core) error {
-	if donor == nil || donor.pe == nil {
-		return fmt.Errorf("adapt: nil donor")
+// WithConfig returns a core for technique configuration cfg over this
+// core's subsystems, models, limits, and PE-table store, with empty memos
+// and fresh scratch as WorkerView gives. The tables depend only on the
+// stage models, not on the configuration, so the cores one chip's
+// environments get this way share one store and amortize the vats.Curve
+// evaluations. The store is safe for concurrent use, so those cores may
+// run on different goroutines; each individual core still belongs to one
+// goroutine (see the package comment).
+func (c *Core) WithConfig(cfg tech.Config) (*Core, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if len(c.Subs) != len(donor.Subs) {
-		return fmt.Errorf("adapt: subsystem count mismatch: %d vs %d", len(c.Subs), len(donor.Subs))
-	}
-	for i := range c.Subs {
-		if c.Subs[i].Stage != donor.Subs[i].Stage {
-			return fmt.Errorf("adapt: subsystem %d has a different stage model", i)
-		}
-	}
-	c.pe = donor.pe
-	return nil
+	v := c.WorkerView()
+	v.Config = cfg
+	return v, nil
 }
 
 // PETableSlot is one built dense PE-fmax table in serializable form: the

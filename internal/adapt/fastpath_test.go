@@ -95,36 +95,28 @@ func TestFastPathEquivalenceOffGrid(t *testing.T) {
 	}
 }
 
-// TestSharePETables checks donor validation and that a sharing core
-// produces the same solutions as a self-sufficient one.
+// TestSharePETables checks that a core derived by WithConfig shares its
+// donor's PE-table store and produces the same solutions as a
+// self-sufficient core, and that WithConfig validates the configuration.
 func TestSharePETables(t *testing.T) {
 	donor := buildCore(t, 11, asvConfig)
-	sharer := buildCore(t, 11, allConfig)
-	// Both cores model the same chip but were assembled independently, so
-	// their Stage pointers differ and sharing must be refused.
-	if err := sharer.SharePETables(donor); err == nil {
-		t.Fatal("SharePETables accepted cores with different stage models")
-	}
-	// Rebuild the sharer on the donor's assembly, the way core.runChip
-	// shares one build across environments.
-	rebuilt, err := NewCore(donor.Subs, donor.Power, donor.Thermal,
-		donor.Checker, allConfig, donor.Limits)
+	sharer, err := donor.WithConfig(allConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuilt.SharePETables(donor); err != nil {
-		t.Fatal(err)
+	if sharer.pe != donor.pe || sharer.Config != allConfig || &sharer.Subs[0] != &donor.Subs[0] {
+		t.Fatal("WithConfig did not share the donor's subsystems and table store")
 	}
 	solo := buildCore(t, 11, allConfig)
 	q := FreqQuery{THK: 62 + 273.15, AlphaF: 0.6, Rho: 1.1,
 		Variant: vats.IdentityVariant(), PowerMult: 1}
 	// Warm the donor first so the sharer hits donor-built tables.
 	donor.FreqSolve(2, q)
-	if got, want := rebuilt.FreqSolve(2, q), solo.FreqSolve(2, q); got != want {
+	if got, want := sharer.FreqSolve(2, q), solo.FreqSolve(2, q); got != want {
 		t.Fatalf("shared-table solve %+v != solo %+v", got, want)
 	}
-	if err := sharer.SharePETables(nil); err == nil {
-		t.Fatal("SharePETables accepted a nil donor")
+	if _, err := donor.WithConfig(tech.Config{ASV: true}); err == nil {
+		t.Fatal("WithConfig accepted an invalid configuration")
 	}
 }
 

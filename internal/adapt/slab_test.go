@@ -9,7 +9,7 @@ import (
 
 // TestDenseColumnsMatchReferenceBuilder is the equivalence check of the
 // batched PE-table path: every budget column the slab/lazy dense builders
-// produced (shared curve scratch, joint FMaxForPESet bisection) must be
+// produced (shared curve scratch, the FMaxForPESet batch kernel) must be
 // bit-identical to buildTable's independent per-budget bisections over a
 // freshly frozen curve. Slots are decoded straight from the export, so the
 // check covers exactly what real solves built.

@@ -269,10 +269,9 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 type chipShared struct {
 	once sync.Once
 	err  error
-	subs []adapt.Subsystem
-	// donor exists only to hold the chip's shared PE-table store; the
-	// tables depend on the stage models alone, so its technique
-	// configuration is irrelevant.
+	// donor holds the chip's stage-model assembly and shared PE-table
+	// store; every environment's core derives from it by WithConfig, so
+	// its own technique configuration is irrelevant.
 	donor *adapt.Core
 	// petables counts the PE-fmax tables seeded into the donor from the
 	// artifact cache, so the reduction only writes the entry back when the
@@ -293,7 +292,6 @@ func (sh *chipShared) init(s *Simulator, apps []workload.App, noVarPerf map[stri
 		sh.err = err
 		return
 	}
-	sh.subs = subs
 	if sh.donor, err = s.coreFromSubsystems(subs, tech.Config{TimingSpec: true}); err != nil {
 		sh.err = err
 		return
@@ -304,8 +302,11 @@ func (sh *chipShared) init(s *Simulator, apps []workload.App, noVarPerf map[stri
 		return
 	}
 	baseSpan := span.Child("baseline")
+	// RunBaseline per app would recompute the chip's fvar (15 FVar
+	// bisections) and Vt0 extraction every time; both are per-chip.
+	vt0 := s.chipVt0Effs(chip)
 	for _, app := range apps {
-		r, err := s.RunBaseline(chip, app)
+		r, err := s.runFixed(app, sh.baseF, Baseline, vt0)
 		if err != nil {
 			sh.err = err
 			return
@@ -446,11 +447,8 @@ func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
 	if !cfg0.TimingSpec {
 		cfg0 = tech.Config{TimingSpec: true}
 	}
-	core, err := s.coreFromSubsystems(sh.subs, cfg0)
+	core, err := sh.donor.WithConfig(cfg0)
 	if err != nil {
-		return nil, err
-	}
-	if err := core.SharePETables(sh.donor); err != nil {
 		return nil, err
 	}
 	// Per-chip fuzzy training: the manufacturer populates this chip's

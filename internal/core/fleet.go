@@ -29,7 +29,6 @@ import (
 type ChipHandle struct {
 	seed     int64
 	chip     *varius.ChipMaps
-	subs     []adapt.Subsystem
 	donor    *adapt.Core
 	imported int
 	fvar     float64
@@ -65,14 +64,14 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 		fps:     make(map[tech.Config]string),
 		statics: make(map[staticKey]adapt.OperatingPoint),
 	}
-	var err error
-	if h.subs, err = s.buildSubsystems(h.chip); err != nil {
+	subs, err := s.buildSubsystems(h.chip)
+	if err != nil {
 		return nil, err
 	}
-	// The donor exists only to hold the chip's shared PE-table store; the
-	// tables depend on the stage models alone, so its configuration is
-	// irrelevant.
-	if h.donor, err = s.coreFromSubsystems(h.subs, tech.Config{TimingSpec: true}); err != nil {
+	// The donor holds the chip's stage-model assembly and shared PE-table
+	// store; every environment's core derives from it by WithConfig, so
+	// its own configuration is irrelevant.
+	if h.donor, err = s.coreFromSubsystems(subs, tech.Config{TimingSpec: true}); err != nil {
 		return nil, err
 	}
 	h.imported = s.loadPETables(h.donor, seed)
@@ -100,14 +99,7 @@ func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, err
 	if !cfg.TimingSpec {
 		cfg = tech.Config{TimingSpec: true}
 	}
-	core, err := s.coreFromSubsystems(h.subs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.SharePETables(h.donor); err != nil {
-		return nil, err
-	}
-	return core, nil
+	return h.donor.WithConfig(cfg)
 }
 
 // HandleSolver returns the chip's trained fuzzy controllers for cpu's

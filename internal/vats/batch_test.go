@@ -2,6 +2,7 @@ package vats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mathx"
@@ -97,18 +98,22 @@ func TestPEExceedsTauMatchesPEExceeds(t *testing.T) {
 	}
 }
 
-// TestFMaxForPESetMatchesFMaxForPE: the shared-tree batched bisection must
-// be bit-identical to independent per-budget bisections, for full budget
-// sets, singletons, duplicates, and unsorted orders.
+// TestFMaxForPESetMatchesFMaxForPE: the certified-bracket kernel must be
+// bit-identical to independent per-budget bisections, for full budget
+// sets, singletons, duplicates, unsorted orders, and a budget equal to the
+// curve's mean at one of the bisection's midpoints, which no probe can
+// certify, so the replay must decide it with peExceedsTau.
 func TestFMaxForPESetMatchesFMaxForPE(t *testing.T) {
 	sets := [][]float64{
 		{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2}, // the dense-table grid
-		{1e-4},                  // singleton: pure early-exit path
+		{1e-4},                  // singleton
 		{1e-2, 1e-9, 1e-6},      // unsorted
 		{1e-6, 1e-6, 1e-12, 10}, // duplicates + both bracket clamps
 	}
 	for ci, cv := range batchCurves(t) {
-		for si, budgets := range sets {
+		// FMaxForPE returns its last lower bound, a midpoint it visited.
+		atMid := cv.PE(cv.FMaxForPE(1e-6))
+		for si, budgets := range append(sets, []float64{atMid, 1e-6}) {
 			out := make([]float64, len(budgets))
 			cv.FMaxForPESet(budgets, out)
 			for j, b := range budgets {
@@ -121,6 +126,25 @@ func TestFMaxForPESetMatchesFMaxForPE(t *testing.T) {
 	}
 	// Empty set is a no-op.
 	new(Curve).FMaxForPESet(nil, nil)
+}
+
+// TestFMaxForPESetRandomCurves sweeps the fuzz target's synthetic curves
+// and budgets beyond its seed corpus.
+func TestFMaxForPESetRandomCurves(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		paths := []float64{1, 2.5, 4, 256, 2048}[i%5]
+		cv := fuzzCurve(rng.Int63(), 1+rng.Intn(64), paths, uint8(i%8))
+		budgets := fuzzBudgets(rng, cv, 1+rng.Intn(8))
+		out := make([]float64, len(budgets))
+		cv.FMaxForPESet(budgets, out)
+		for j, b := range budgets {
+			if want := cv.FMaxForPE(b); math.Float64bits(out[j]) != math.Float64bits(want) {
+				t.Fatalf("curve %d (n=%d paths=%v) budget %g: set %v != reference %v",
+					i, len(cv.m), paths, b, out[j], want)
+			}
+		}
+	}
 }
 
 // TestEvalIntoReusesAndMatchesEval: EvalInto must reuse the scratch

@@ -323,21 +323,20 @@ func (cv *Curve) peExceeds(fRel, budget float64) bool {
 }
 
 // FMaxForPE returns the highest relative frequency at which the stage's
-// per-access error probability stays at or below budget. The search
-// bracket [loF, hiF] covers all frequencies the adaptation layer ever
-// considers. Comparisons go through peExceeds, which short-circuits the
-// per-cell scan once the budget is provably blown but takes the exact same
-// branch PE-then-compare would.
+// per-access error probability stays at or below budget, by bisection of
+// [fmaxLoF, fmaxHiF]. Comparisons go through peExceeds, which
+// short-circuits the per-cell scan once the budget is provably blown but
+// takes the exact same branch PE-then-compare would. It is the reference
+// FMaxForPESet reproduces bit for bit.
 func (cv *Curve) FMaxForPE(budget float64) float64 {
-	const loF, hiF = 0.2, 3.0
-	if !cv.peExceeds(hiF, budget) {
-		return hiF
+	if !cv.peExceeds(fmaxHiF, budget) {
+		return fmaxHiF
 	}
-	if cv.peExceeds(loF, budget) {
-		return loF
+	if cv.peExceeds(fmaxLoF, budget) {
+		return fmaxLoF
 	}
-	lo, hi := loF, hiF // invariant: PE(lo) <= budget < PE(hi)
-	for i := 0; i < 48; i++ {
+	lo, hi := fmaxLoF, fmaxHiF // invariant: PE(lo) <= budget < PE(hi)
+	for i := 0; i < fmaxSteps; i++ {
 		mid := 0.5 * (lo + hi)
 		if !cv.peExceeds(mid, budget) {
 			lo = mid
@@ -417,87 +416,6 @@ func (cv *Curve) peExceedsTau(tau, budget float64) bool {
 		}
 	}
 	return sum/n > budget
-}
-
-// FMaxForPESet computes FMaxForPE for every budget in budgets at once,
-// sharing curve evaluations. All budgets' bisections walk the same dyadic
-// frequency tree rooted at [0.2, 3.0], so one full PE evaluation at a
-// shared probe point answers the exceeds question for every budget whose
-// bracket still contains that point; once a subtree serves a single
-// budget, the remaining probes fall back to the early-exit scan. Results
-// are bit-identical to calling FMaxForPE(budgets[i]) one at a time: every
-// budget sees the same sequence of bracket midpoints, and each exceeds
-// decision compares the same rounded mean against the budget (the
-// documented peExceeds invariant). out[i] receives the result for
-// budgets[i]; budgets need not be sorted.
-func (cv *Curve) FMaxForPESet(budgets, out []float64) {
-	if len(budgets) == 0 {
-		return
-	}
-	const loF, hiF = 0.2, 3.0
-	n := float64(len(cv.m))
-	// Bracket checks, shared: one evaluation at each end serves all
-	// budgets.
-	pend := make([]int, 0, len(budgets))
-	meanHi := cv.peTermSum(1/hiF) / n
-	meanLo := -1.0 // only needed if some budget passes the hiF check
-	lodone := false
-	for j := range budgets {
-		if !(meanHi > budgets[j]) {
-			out[j] = hiF
-			continue
-		}
-		if !lodone {
-			meanLo = cv.peTermSum(1/loF) / n
-			lodone = true
-		}
-		if meanLo > budgets[j] {
-			out[j] = loF
-			continue
-		}
-		pend = append(pend, j)
-	}
-	var rec func(lo, hi float64, pend []int, depth int)
-	rec = func(lo, hi float64, pend []int, depth int) {
-		if len(pend) == 0 {
-			return
-		}
-		if len(pend) == 1 {
-			// Single budget left in this subtree: finish its bisection
-			// with the early-exit scan, exactly as FMaxForPE would.
-			b := budgets[pend[0]]
-			for d := depth; d < 48; d++ {
-				mid := 0.5 * (lo + hi)
-				if !cv.peExceedsTau(1/mid, b) {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			out[pend[0]] = lo
-			return
-		}
-		if depth == 48 {
-			for _, j := range pend {
-				out[j] = lo
-			}
-			return
-		}
-		mid := 0.5 * (lo + hi)
-		mean := cv.peTermSum(1/mid) / n
-		// Partition in place: budgets the midpoint exceeds move left
-		// (hi = mid), the rest move right (lo = mid).
-		k := 0
-		for i := 0; i < len(pend); i++ {
-			if mean > budgets[pend[i]] {
-				pend[k], pend[i] = pend[i], pend[k]
-				k++
-			}
-		}
-		rec(lo, mid, pend[:k], depth+1)
-		rec(mid, hi, pend[k:], depth+1)
-	}
-	rec(loF, hiF, pend, 0)
 }
 
 // Wall returns the slowest effective critical-path delay (in nominal
