@@ -1,10 +1,13 @@
 package adapt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/fuzzy"
 	"repro/internal/mathx"
@@ -38,6 +41,10 @@ type FuzzySolver struct {
 	// invocation ends as a LowFreq retune instead of the paper's
 	// Figure 13 mix.
 	minBiasComp float64
+
+	// fpOnce guards fp, the Fingerprint computed on first use.
+	fpOnce sync.Once
+	fp     string
 }
 
 // Name implements Solver.
@@ -379,6 +386,20 @@ func TrainFuzzySolver(cores []*Core, opts TrainOptions) (*FuzzySolver, error) {
 		s.freqBias[key] = r.freqBias
 	}
 	return s, nil
+}
+
+// Fingerprint returns the solver's content identity: the hex SHA-256 of
+// its MarshalBinary encoding, or "" if it cannot be encoded. A solver is
+// never modified once trained or decoded, so the digest is computed on
+// the first call and every later call returns it.
+func (s *FuzzySolver) Fingerprint() string {
+	s.fpOnce.Do(func() {
+		if b, err := s.MarshalBinary(); err == nil {
+			sum := sha256.Sum256(b)
+			s.fp = hex.EncodeToString(sum[:])
+		}
+	})
+	return s.fp
 }
 
 // ControllerCount reports how many fuzzy controllers the solver holds.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"math/bits"
 
@@ -111,7 +109,7 @@ func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.
 	seed := profileSeed(app.Name+app.Trace, ph.Index)
 	build := func() (pipeline.Profile, error) {
 		defer s.obs.Timer("core.profile.build").Start().Stop()
-		return pipeline.BuildProfileSim(app, ph, s.opts.TraceLen, seed, s.memoSim(ph.Mix, seed))
+		return pipeline.BuildProfile(app, ph, s.opts.TraceLen, seed)
 	}
 	if s.store == nil {
 		return build()
@@ -242,22 +240,17 @@ type appRunParams struct {
 
 // solverFingerprint is the content identity a dynamic solver contributes
 // to apprun keys: the SHA-256 hex of the trained weights for a fuzzy
-// solver, a fixed tag for the (stateless) exhaustive algorithm. An empty
-// return disables apprun caching for the calling unit.
+// solver (computed once per solver, see FuzzySolver.Fingerprint), a fixed
+// tag for the (stateless) exhaustive algorithm. An empty return disables
+// apprun caching for the calling unit.
 func solverFingerprint(solver adapt.Solver) string {
-	fs, ok := solver.(*adapt.FuzzySolver)
-	if !ok {
-		if _, ok := solver.(adapt.Exhaustive); ok {
-			return "exh"
-		}
-		return ""
+	switch sv := solver.(type) {
+	case *adapt.FuzzySolver:
+		return sv.Fingerprint()
+	case adapt.Exhaustive:
+		return "exh"
 	}
-	b, err := fs.MarshalBinary()
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return ""
 }
 
 // appRunKey derives the apprun artifact key for one (chip, environment,

@@ -94,6 +94,17 @@ func (e Environment) Config() tech.Config {
 	}
 }
 
+// coreConfig is the technique configuration an environment's core is
+// built with: Baseline and NoVar, which have no checker, are modeled with
+// a plain TS config for machinery purposes (their run functions never
+// exploit error tolerance).
+func (e Environment) coreConfig() tech.Config {
+	if cfg := e.Config(); cfg.TimingSpec {
+		return cfg
+	}
+	return tech.Config{TimingSpec: true}
+}
+
 // Adaptive reports whether the environment supports dynamic adaptation.
 func (e Environment) Adaptive() bool {
 	return e != Baseline && e != NoVar
@@ -175,7 +186,6 @@ type Simulator struct {
 
 	mu       sync.Mutex
 	profiles map[profileKey]pipeline.Profile
-	simMemo  map[simMemoKey]pipeline.Result
 	// prefetched holds chips built ahead of an experiment pool (see
 	// prefetch.go); Chip consumes each entry once, so the stash never
 	// outlives the handoff from prefetch to first use.
@@ -187,23 +197,6 @@ type profileKey struct {
 	trace string
 	phase int
 }
-
-// simMemoKey identifies one exact pipeline.Simulate invocation at the
-// Simulator layer: the trace identity — GenerateTrace is fully determined
-// by (mix, length, seed) — plus the effective machine configuration.
-// SquashL2Misses is normalized to false for traces containing no L2 miss
-// (the flag then cannot affect a single cycle-level decision), so such a
-// phase's squashed run is a table lookup of its full-queue run.
-type simMemoKey struct {
-	seed int64
-	n    int
-	mix  workload.Mix
-	cfg  pipeline.Config
-}
-
-// simMemoCap bounds the memo; the full suite needs ~26 apps × phases × 3
-// configs, far below it.
-const simMemoCap = 1 << 12
 
 // NewSimulator validates the options and builds the shared models.
 func NewSimulator(opts Options) (*Simulator, error) {
@@ -239,51 +232,7 @@ func NewSimulator(opts Options) (*Simulator, error) {
 		pw:       pw,
 		th:       th,
 		profiles: make(map[profileKey]pipeline.Profile),
-		simMemo:  make(map[simMemoKey]pipeline.Result),
 	}, nil
-}
-
-// memoSim wraps pipeline.Simulate in the Simulator's exact-key result
-// memo for the trace identified by (mix, seed). Hits and misses appear as
-// core.memo.simulate_* counters. The memo returns byte-identical Results:
-// keys are exact inputs, and the squash normalization (see simMemoKey)
-// only merges configurations that are behaviorally indistinguishable on
-// the given trace.
-func (s *Simulator) memoSim(mix workload.Mix, seed int64) pipeline.SimFunc {
-	return func(trace []pipeline.Instr, cfg pipeline.Config) (pipeline.Result, error) {
-		eff := cfg
-		if eff.SquashL2Misses && !traceHasL2Miss(trace) {
-			eff.SquashL2Misses = false
-		}
-		key := simMemoKey{seed: seed, n: len(trace), mix: mix, cfg: eff}
-		s.mu.Lock()
-		r, ok := s.simMemo[key]
-		s.mu.Unlock()
-		if ok {
-			s.obs.Counter("core.memo.simulate_hits").Inc()
-			return r, nil
-		}
-		s.obs.Counter("core.memo.simulate_misses").Inc()
-		r, err := pipeline.Simulate(trace, eff)
-		if err != nil {
-			return r, err
-		}
-		s.mu.Lock()
-		if len(s.simMemo) < simMemoCap {
-			s.simMemo[key] = r
-		}
-		s.mu.Unlock()
-		return r, nil
-	}
-}
-
-func traceHasL2Miss(trace []pipeline.Instr) bool {
-	for i := range trace {
-		if trace[i].L2Miss {
-			return true
-		}
-	}
-	return false
 }
 
 // Options returns the simulator's configuration.
@@ -337,25 +286,10 @@ func (s *Simulator) Chip(seed int64) *varius.ChipMaps {
 }
 
 // BuildCore assembles the adaptation view of one chip under an
-// environment's technique configuration. Baseline/NoVar (which have no
-// checker) are modeled with a plain TS config for machinery purposes; their
-// run functions never exploit error tolerance.
+// environment's technique configuration (see coreConfig for Baseline and
+// NoVar): per-subsystem stage models and leakage-effective Vt0 constants
+// over the shared power and thermal models.
 func (s *Simulator) BuildCore(chip *varius.ChipMaps, env Environment) (*adapt.Core, error) {
-	cfg := env.Config()
-	if !cfg.TimingSpec {
-		cfg = tech.Config{TimingSpec: true}
-	}
-	subs, err := s.buildSubsystems(chip)
-	if err != nil {
-		return nil, err
-	}
-	return s.coreFromSubsystems(subs, cfg)
-}
-
-// buildSubsystems assembles one chip's per-subsystem stage models and
-// leakage-effective Vt0 constants. The result is configuration-independent,
-// so one assembly can back the cores of every environment of a chip.
-func (s *Simulator) buildSubsystems(chip *varius.ChipMaps) ([]adapt.Subsystem, error) {
 	subs := make([]adapt.Subsystem, s.fp.N())
 	for i, sub := range s.fp.Subsystems {
 		stage, err := vats.NewStage(sub, chip, s.opts.Varius)
@@ -365,12 +299,7 @@ func (s *Simulator) buildSubsystems(chip *varius.ChipMaps) ([]adapt.Subsystem, e
 		_, _, leakEff := chip.RegionVtStats(sub.Rect, s.opts.Varius)
 		subs[i] = adapt.Subsystem{Index: i, Sub: sub, Stage: stage, Vt0EffV: leakEff}
 	}
-	return subs, nil
-}
-
-// coreFromSubsystems wraps a subsystem assembly into a core for cfg.
-func (s *Simulator) coreFromSubsystems(subs []adapt.Subsystem, cfg tech.Config) (*adapt.Core, error) {
-	core, err := adapt.NewCore(subs, s.pw, s.th, s.opts.Checker, cfg, s.opts.Limits)
+	core, err := adapt.NewCore(subs, s.pw, s.th, s.opts.Checker, env.coreConfig(), s.opts.Limits)
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/adapt"
 	"repro/internal/floorplan"
 	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/tech"
-	"repro/internal/varius"
 	"repro/internal/vats"
 	"repro/internal/workload"
 )
@@ -167,19 +166,14 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	noVarPower /= float64(len(apps))
 	novarSW.Stop()
 
-	needFuzzy := false
-	for _, m := range cfg.Modes {
-		if m == FuzzyDyn {
-			needFuzzy = true
-		}
-	}
+	needFuzzy := slices.Contains(cfg.Modes, FuzzyDyn)
 
 	// The work queue holds (chip × environment) units: at small chip
 	// counts a per-chip fan-out leaves workers idle while the last chip
 	// grinds through all six environments, whereas units keep the pool
-	// busy to the tail. Per-chip state (stage models, PE-table donor,
-	// Baseline anchors) builds once under the chip's sync.Once and is
-	// then shared read-only by that chip's units.
+	// busy to the tail. A chip's first unit acquires its handle (stage
+	// models, PE-table donor, trained controllers and static points by
+	// configuration), which the chip's units then share.
 	nEnvs := len(cfg.Envs)
 	nUnits := cfg.Chips * nEnvs
 	var prog *obs.Progress
@@ -188,7 +182,8 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 		defer prog.Stop()
 	}
 
-	shared := make([]chipShared, cfg.Chips)
+	chips := s.newExperimentChips(cfg)
+	anchors := make([]baselineAnchors, cfg.Chips)
 	type unitResult struct {
 		cells *cellMap
 		err   error
@@ -196,50 +191,48 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	results := make([]unitResult, nUnits)
 	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
 		ci, ei := u/nEnvs, u%nEnvs
-		seed := cfg.SeedBase + int64(ci)
 		env := cfg.Envs[ei]
-		prog.SetWorker(slot, fmt.Sprintf("chip %d %v", seed, env))
-		sh := &shared[ci]
-		sh.once.Do(func() {
-			defer s.obs.Timer("core.chip_prep").Start().Stop()
-			sh.init(s, apps, noVarPerf, seed)
-		})
-		if sh.err == nil {
+		prog.SetWorker(slot, fmt.Sprintf("chip %d %v", cfg.SeedBase+int64(ci), env))
+		h, err := chips.acquire(ci)
+		if err == nil {
 			unitSW := s.obs.Timer("core.unit").Start()
-			cells, err := s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, sh, env, seed)
+			// The chip's first environment unit also runs its Baseline
+			// anchors, so no other unit waits on them.
+			if ei == 0 {
+				anchors[ci], err = s.chipBaseline(h, apps, noVarPerf)
+			}
+			if err == nil {
+				results[u].cells, err = s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, h, env)
+			}
 			unitSW.Stop()
-			results[u] = unitResult{cells: cells, err: err}
 		}
+		results[u].err = err
 		prog.SetWorker(slot, "idle")
 		prog.Step(1)
 	})
+	// Every unit is done, so each donor's table store is quiescent:
+	// persist any tables this run built beyond the imported entry.
+	chips.release()
 
 	sum := &Summary{Chips: cfg.Chips, NoVarPowerW: noVarPower}
 	for _, a := range apps {
 		sum.Apps = append(sum.Apps, a.Name)
 	}
-	// Index-ordered reduction: baselines fold chips-ascending and cells
-	// fold (chip, env)-ascending, so every float accumulates in the same
-	// order regardless of how the pool scheduled the units.
-	agg := make(map[cellKey]*cellAccum)
-	for ci := range shared {
-		if shared[ci].err != nil {
-			return nil, shared[ci].err
-		}
-		// All units are done, so the donor's table store is quiescent:
-		// persist any tables this run built beyond the imported entry.
-		s.storePETables(shared[ci].donor, cfg.SeedBase+int64(ci), shared[ci].petables)
-		sum.BaselineFRel += shared[ci].baseF / float64(cfg.Chips)
-		sum.BaselinePerfR += shared[ci].basePerfR / float64(cfg.Chips)
-		sum.BaselinePowerW += shared[ci].basePower / float64(cfg.Chips)
-	}
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.cells == nil {
-			continue
-		}
+	}
+	// Index-ordered reduction: baselines fold chips-ascending and cells
+	// fold (chip, env)-ascending, so every float accumulates in the same
+	// order regardless of how the pool scheduled the units.
+	for _, a := range anchors {
+		sum.BaselineFRel += a.f / float64(cfg.Chips)
+		sum.BaselinePerfR += a.perfR / float64(cfg.Chips)
+		sum.BaselinePowerW += a.power / float64(cfg.Chips)
+	}
+	agg := make(map[cellKey]*cellAccum)
+	for _, r := range results {
 		for _, k := range r.cells.keys {
 			if agg[k] == nil {
 				agg[k] = &cellAccum{}
@@ -260,61 +253,63 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	return sum, nil
 }
 
-// chipShared is the per-chip state shared by that chip's (chip × env)
-// work units: the stage-model assembly, the PE-fmax-table donor core, and
-// the Baseline anchors. The first unit to touch the chip builds all of it
-// under the chip's sync.Once; afterwards the units read it concurrently —
-// the stage models are immutable and the donor's table store publishes
-// lazy builds atomically (see the adapt package comment).
-type chipShared struct {
-	once sync.Once
-	err  error
-	// donor holds the chip's stage-model assembly and shared PE-table
-	// store; every environment's core derives from it by WithConfig, so
-	// its own technique configuration is irrelevant.
-	donor *adapt.Core
-	// petables counts the PE-fmax tables seeded into the donor from the
-	// artifact cache, so the reduction only writes the entry back when the
-	// run built tables beyond it.
-	petables                    int
-	baseF, basePerfR, basePower float64
+// experimentChips holds one experiment's chip handles: the first unit to
+// touch a chip acquires its handle (the chip's other units wait on the
+// same once), and release returns every handle in chip order after the
+// pool has drained.
+type experimentChips struct {
+	s       *Simulator
+	seed    int64
+	handles []onceEntry[*ChipHandle]
 }
 
-func (sh *chipShared) init(s *Simulator, apps []workload.App, noVarPerf map[string]float64, seed int64) {
-	var span *obs.Span
-	if s.tracer != nil {
-		span = s.tracer.Start(fmt.Sprintf("chip %d prep", seed))
-		defer span.End()
-	}
-	chip := s.Chip(seed)
-	subs, err := s.buildSubsystems(chip)
-	if err != nil {
-		sh.err = err
-		return
-	}
-	if sh.donor, err = s.coreFromSubsystems(subs, tech.Config{TimingSpec: true}); err != nil {
-		sh.err = err
-		return
-	}
-	sh.petables = s.loadPETables(sh.donor, seed)
-	if sh.baseF, err = s.ChipFVar(chip); err != nil {
-		sh.err = err
-		return
-	}
-	baseSpan := span.Child("baseline")
-	// RunBaseline per app would recompute the chip's fvar (15 FVar
-	// bisections) and Vt0 extraction every time; both are per-chip.
-	vt0 := s.chipVt0Effs(chip)
-	for _, app := range apps {
-		r, err := s.runFixed(app, sh.baseF, Baseline, vt0)
-		if err != nil {
-			sh.err = err
-			return
+func (s *Simulator) newExperimentChips(cfg ExperimentConfig) *experimentChips {
+	return &experimentChips{s: s, seed: cfg.SeedBase, handles: make([]onceEntry[*ChipHandle], cfg.Chips)}
+}
+
+// acquire returns chip ci's handle, acquiring it on first use.
+func (c *experimentChips) acquire(ci int) (*ChipHandle, error) {
+	return c.handles[ci].get(func() (*ChipHandle, error) {
+		seed := c.seed + int64(ci)
+		if c.s.tracer != nil {
+			defer c.s.tracer.Start(fmt.Sprintf("chip %d prep", seed)).End()
 		}
-		sh.basePerfR += r.Perf / noVarPerf[app.Name] / float64(len(apps))
-		sh.basePower += r.PowerW / float64(len(apps))
+		return c.s.AcquireChip(seed)
+	})
+}
+
+// release persists every acquired handle's PE tables, in chip order. No
+// unit may still be running.
+func (c *experimentChips) release() {
+	for i := range c.handles {
+		c.s.ReleaseChip(c.handles[i].val)
 	}
-	baseSpan.End()
+}
+
+// baselineAnchors are one chip's Baseline figures: its worst-case-safe
+// clock and the app-mean performance (relative to NoVar) and power there.
+type baselineAnchors struct {
+	f, perfR, power float64
+}
+
+// chipBaseline runs every app on the Baseline environment at the chip's
+// fvar. RunBaseline per app would recompute the fvar (15 FVar bisections)
+// and the Vt0 extraction every time; both are per-chip.
+func (s *Simulator) chipBaseline(h *ChipHandle, apps []workload.App, noVarPerf map[string]float64) (baselineAnchors, error) {
+	if s.tracer != nil {
+		defer s.tracer.Start(fmt.Sprintf("chip %d baseline", h.seed)).End()
+	}
+	a := baselineAnchors{f: h.fvar}
+	vt0 := s.chipVt0Effs(h.chip)
+	for _, app := range apps {
+		r, err := s.runFixed(app, h.fvar, Baseline, vt0)
+		if err != nil {
+			return baselineAnchors{}, err
+		}
+		a.perfR += r.Perf / noVarPerf[app.Name] / float64(len(apps))
+		a.power += r.PowerW / float64(len(apps))
+	}
+	return a, nil
 }
 
 // cellMap is an insertion-ordered map of cell accumulators: iteration
@@ -429,71 +424,54 @@ func (a *cellAccum) cell(env Environment, mode Mode) Cell {
 	return c
 }
 
-// runChipEnv executes one (chip × environment) work unit: builds the
-// environment's core over the chip's shared stage models and PE-table
-// store, trains this chip's controllers if the Fuzzy-Dyn mode needs them,
-// and runs every mode × app of the cell. The chip's cores run on whatever
-// worker goroutine the unit lands on; only the concurrency-safe table
-// store is shared between units.
+// runChipEnv executes one (chip × environment) work unit: derives the
+// environment's core from the chip's handle, takes this chip's trained
+// controllers from the handle if the Fuzzy-Dyn mode needs them, and runs
+// every mode × app of the cell through UnitAppRun. The core runs on
+// whatever worker goroutine the unit lands on; only the handle's
+// concurrency-safe table store and memos are shared between units.
 func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
-	noVarPerf map[string]float64, needFuzzy bool,
-	sh *chipShared, env Environment, seed int64) (*cellMap, error) {
+	noVarPerf map[string]float64, needFuzzy bool, h *ChipHandle, env Environment) (*cellMap, error) {
 	var envSpan *obs.Span
 	if s.tracer != nil {
-		envSpan = s.tracer.Start(fmt.Sprintf("chip %d %v", seed, env))
+		envSpan = s.tracer.Start(fmt.Sprintf("chip %d %v", h.seed, env))
 		defer envSpan.End()
 	}
-	cfg0 := env.Config()
-	if !cfg0.TimingSpec {
-		cfg0 = tech.Config{TimingSpec: true}
-	}
-	core, err := sh.donor.WithConfig(cfg0)
+	cpu, err := s.HandleCore(h, env)
 	if err != nil {
 		return nil, err
 	}
 	// Per-chip fuzzy training: the manufacturer populates this chip's
 	// controllers by running the Exhaustive algorithm on a software
 	// model of *this* chip (§4.3.1).
-	var solver *adapt.FuzzySolver
-	fuzzyFP := ""
+	var fuzzy adapt.Solver
 	if needFuzzy {
 		trainSpan := envSpan.Child("train solver")
 		trainSW := s.obs.Timer("core.fuzzy_train").Start()
-		if solver, err = s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training); err != nil {
-			return nil, err
-		}
+		sv, _, err := s.HandleSolver(h, cpu, cfg.Training)
 		trainSW.Stop()
 		trainSpan.End()
-		fuzzyFP = solverFingerprint(solver)
-	}
-	// Static points per class, chosen once per chip — only for classes the
-	// app set actually contains, so single-class workload sets (a common
-	// shape for generated scenarios) run Static without error.
-	var staticInt, staticFP adapt.OperatingPoint
-	hasStatic := false
-	for _, m := range cfg.Modes {
-		if m == Static {
-			hasStatic = true
+		if err != nil {
+			return nil, err
 		}
+		fuzzy = sv
 	}
-	if hasStatic {
-		hasInt, hasFP := false, false
-		for _, a := range apps {
-			if a.Class == workload.FP {
-				hasFP = true
-			} else {
-				hasInt = true
+	// Static points per class, chosen before any app runs and Int before
+	// FP: choosing one drives cpu, whose warm-started thermal solver
+	// carries its state into the runs. Only classes the app set contains
+	// get one, so single-class app sets (a common shape for generated
+	// scenarios) run Static without error.
+	statics := make(map[workload.Class]*adapt.OperatingPoint)
+	if slices.Contains(cfg.Modes, Static) {
+		for _, class := range []workload.Class{workload.Int, workload.FP} {
+			if !slices.ContainsFunc(apps, func(a workload.App) bool { return a.Class == class }) {
+				continue
 			}
-		}
-		if hasInt {
-			if staticInt, err = s.cachedStaticPoint(core, workload.Int, apps, seed); err != nil {
+			pt, err := s.HandleStaticPoint(h, cpu, class, apps)
+			if err != nil {
 				return nil, err
 			}
-		}
-		if hasFP {
-			if staticFP, err = s.cachedStaticPoint(core, workload.FP, apps, seed); err != nil {
-				return nil, err
-			}
+			statics[class] = &pt
 		}
 	}
 	cells := newCellMap()
@@ -504,28 +482,19 @@ func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
 		for _, app := range apps {
 			appSpan := modeSpan.Child(app.Name)
 			appSW := s.obs.Timer("core.app_run").Start()
-			var run AppRun
+			unit := FleetUnit{App: app, Phase: -1}
+			solver := fuzzy
 			switch mode {
 			case Static:
-				point := staticInt
-				if app.Class == workload.FP {
-					point = staticFP
-				}
-				run, err = s.cachedAppRun(seed, core, app, Static, "", &point, -1,
-					func() (AppRun, error) { return s.RunStatic(core, app, point) })
-			case FuzzyDyn:
-				run, err = s.cachedAppRun(seed, core, app, FuzzyDyn, fuzzyFP, nil, -1,
-					func() (AppRun, error) { return s.RunDynamic(core, app, FuzzyDyn, solver) })
+				unit.Static = statics[app.Class]
 			case ExhDyn:
-				run, err = s.cachedAppRun(seed, core, app, ExhDyn, "exh", nil, -1,
-					func() (AppRun, error) { return s.RunDynamic(core, app, ExhDyn, adapt.Exhaustive{}) })
-			default:
-				err = fmt.Errorf("core: unknown mode %v", mode)
+				solver = adapt.Exhaustive{}
 			}
+			run, err := s.UnitAppRun(h.seed, cpu, mode, solver, unit)
 			appSW.Stop()
 			appSpan.End()
 			if err != nil {
-				return nil, fmt.Errorf("chip %d %v/%v: %w", seed, env, mode, err)
+				return nil, fmt.Errorf("chip %d %v/%v: %w", h.seed, env, mode, err)
 			}
 			acc.add(run, noVarPerf[app.Name])
 		}
@@ -595,8 +564,9 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 	defer s.obs.Timer("core.run_outcomes").Start().Stop()
 	s.prefetchArtifacts(cfg, apps)
 	cells := Figure13Configs()
-	// (config × chip) units over the shared pool. Each unit builds and
-	// trains its own core, so units share nothing mutable; per-unit
+	// (config × chip) units over the shared pool. A chip's first unit
+	// acquires its handle; each unit derives its configuration's core from
+	// it, so a chip's 16 configurations share one PE-table store. Per-unit
 	// outcome counts reduce config-major, chips-ascending, which keeps
 	// every float sum in the serial loop's order.
 	nUnits := len(cells) * cfg.Chips
@@ -605,60 +575,19 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 		prog = obs.NewProgress(s.progressW, "config×chip", nUnits, min(cfg.Workers, nUnits))
 		defer prog.Stop()
 	}
-	type outcomeUnit struct {
-		counts [adapt.NumOutcomes]float64
-		total  float64
-		err    error
-	}
-	results := make([]outcomeUnit, nUnits)
+	chips := s.newExperimentChips(cfg)
+	results := make([]struct {
+		p   outcomePayload
+		err error
+	}, nUnits)
 	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
 		idx, ci := u/cfg.Chips, u%cfg.Chips
 		prog.SetWorker(slot, cells[idx].Label)
-		defer s.obs.Timer("core.unit").Start().Stop()
-		r := &results[u]
-		seed := cfg.SeedBase + int64(ci)
-		chip := s.Chip(seed)
-		core, err := s.BuildCoreWithConfig(chip, cells[idx].Config)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// Per-chip controller training (§4.3.1).
-		solver, err := s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// The whole unit — one chip's AdaptSteady sweep across every app
-		// phase — caches as one outcomes artifact; a warm invocation
-		// replays the counts without re-running the controller.
-		p, err := s.cachedOutcomeUnit(seed, core, solverFingerprint(solver), apps,
-			func() (outcomePayload, error) {
-				var p outcomePayload
-				for _, app := range apps {
-					for _, ph := range app.Phases {
-						prof, err := s.Profile(app, ph)
-						if err != nil {
-							return outcomePayload{}, err
-						}
-						res, err := core.AdaptSteady(prof, solver)
-						if err != nil {
-							return outcomePayload{}, err
-						}
-						p.Counts[res.Outcome]++
-						p.Total++
-					}
-				}
-				return p, nil
-			})
-		if err != nil {
-			r.err = err
-			return
-		}
-		r.counts, r.total = p.Counts, p.Total
+		results[u].p, results[u].err = s.outcomeUnit(chips, ci, cells[idx].Config, apps, cfg.Training)
 		prog.SetWorker(slot, "idle")
 		prog.Step(1)
 	})
+	chips.release()
 	for idx := range cells {
 		var counts [adapt.NumOutcomes]float64
 		total := 0.0
@@ -668,9 +597,9 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 				return nil, r.err
 			}
 			for o := range counts {
-				counts[o] += r.counts[o]
+				counts[o] += r.p.Counts[o]
 			}
-			total += r.total
+			total += r.p.Total
 		}
 		if total > 0 {
 			for o := range counts {
@@ -682,13 +611,43 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 	return cells, nil
 }
 
-// BuildCoreWithConfig is BuildCore for an arbitrary technique configuration.
-func (s *Simulator) BuildCoreWithConfig(chip *varius.ChipMaps, cfg tech.Config) (*adapt.Core, error) {
-	subs, err := s.buildSubsystems(chip)
+// outcomeUnit runs one Figure 13 (config × chip) unit: the chip's
+// controllers for cfg (§4.3.1) sweep AdaptSteady across every app phase.
+// The whole unit caches as one outcomes artifact; a warm invocation
+// replays the counts without re-running the controller.
+func (s *Simulator) outcomeUnit(chips *experimentChips, ci int, cfg tech.Config,
+	apps []workload.App, opts adapt.TrainOptions) (outcomePayload, error) {
+	h, err := chips.acquire(ci)
 	if err != nil {
-		return nil, err
+		return outcomePayload{}, err
 	}
-	return s.coreFromSubsystems(subs, cfg)
+	defer s.obs.Timer("core.unit").Start().Stop()
+	cpu, err := h.core(cfg)
+	if err != nil {
+		return outcomePayload{}, err
+	}
+	solver, fp, err := s.HandleSolver(h, cpu, opts)
+	if err != nil {
+		return outcomePayload{}, err
+	}
+	return s.cachedOutcomeUnit(h.seed, cpu, fp, apps, func() (outcomePayload, error) {
+		var p outcomePayload
+		for _, app := range apps {
+			for _, ph := range app.Phases {
+				prof, err := s.Profile(app, ph)
+				if err != nil {
+					return outcomePayload{}, err
+				}
+				res, err := cpu.AdaptSteady(prof, solver)
+				if err != nil {
+					return outcomePayload{}, err
+				}
+				p.Counts[res.Outcome]++
+				p.Total++
+			}
+		}
+		return p, nil
+	})
 }
 
 // Table2Row is one row of Table 2: the mean |fuzzy - exhaustive| for one
@@ -716,7 +675,6 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 	}
 	defer s.obs.Timer("core.run_table2").Start().Stop()
 	s.prefetchArtifacts(cfg, nil) // chips only; Table 2 reads no profiles
-	const nomFreqMHz = 4000.0
 	const nomVddMV = 1000.0
 	envs := []struct {
 		name string
@@ -734,14 +692,13 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 	// frequency backoff, whose value never depended on the solve between
 	// them. With the streams drained up front, the (env × chip) units are
 	// pure and fan across the pool.
-	const queriesPerSub = 6
 	nSubs := s.fp.N()
 	nUnits := len(envs) * cfg.Chips
 	draws := make([][]t2Query, nUnits)
 	for ei := range envs {
 		rng := mathx.NewRNG(cfg.SeedBase + 77)
 		for ci := 0; ci < cfg.Chips; ci++ {
-			qs := make([]t2Query, nSubs*queriesPerSub)
+			qs := make([]t2Query, nSubs*t2QueriesPerSub)
 			for qi := range qs {
 				qs[qi] = t2Query{
 					TH:      rng.Uniform(48+273.15, 68+273.15),
@@ -753,68 +710,16 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 			draws[ei*cfg.Chips+ci] = qs
 		}
 	}
-	type t2acc struct {
-		fErr, vddErr, vbbErr map[floorplan.Kind][]float64
-		err                  error
-	}
-	results := make([]t2acc, nUnits)
+	chips := s.newExperimentChips(cfg)
+	results := make([]struct {
+		p   table2Payload
+		err error
+	}, nUnits)
 	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
 		ei, ci := u/cfg.Chips, u%cfg.Chips
-		defer s.obs.Timer("core.unit").Start().Stop()
-		r := &results[u]
-		seed := cfg.SeedBase + int64(ci)
-		chip := s.Chip(seed)
-		core, err := s.BuildCoreWithConfig(chip, envs[ei].cfg)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// Per-chip controller training (§4.3.1): accuracy is measured
-		// on the chip whose model populated the controllers, at
-		// operating situations the training never saw.
-		solver, err := s.TrainFuzzyCached([]*adapt.Core{core}, []int64{seed}, cfg.Training)
-		if err != nil {
-			r.err = err
-			return
-		}
-		// The whole unit — every solve across the pre-drawn query stream —
-		// caches as one table2 artifact keyed on the stream itself.
-		p, err := s.cachedTable2Unit(seed, core, solverFingerprint(solver), draws[u],
-			func() (table2Payload, error) {
-				p := table2Payload{
-					FErr:   make(map[floorplan.Kind][]float64),
-					VddErr: make(map[floorplan.Kind][]float64),
-					VbbErr: make(map[floorplan.Kind][]float64),
-				}
-				for i := 0; i < core.N(); i++ {
-					kind := core.Subs[i].Sub.Kind
-					for q := 0; q < queriesPerSub; q++ {
-						d := draws[u][i*queriesPerSub+q]
-						query := adapt.FreqQuery{
-							THK:       d.TH,
-							AlphaF:    d.Alpha,
-							Rho:       d.Alpha * d.RhoMult,
-							Variant:   vats.IdentityVariant(),
-							PowerMult: 1,
-						}
-						fx := core.FreqSolve(i, query).FMax
-						ff := solver.FreqMax(core, i, query)
-						p.FErr[kind] = append(p.FErr[kind], math.Abs(fx-ff)*nomFreqMHz)
-						fCore := tech.SnapFRelDown(fx * d.FMult)
-						pxV, pxB := (adapt.Exhaustive{}).PowerLevels(core, i, fCore, query)
-						pfV, pfB := solver.PowerLevels(core, i, fCore, query)
-						p.VddErr[kind] = append(p.VddErr[kind], math.Abs(pxV-pfV)*1000)
-						p.VbbErr[kind] = append(p.VbbErr[kind], math.Abs(pxB-pfB)*1000)
-					}
-				}
-				return p, nil
-			})
-		if err != nil {
-			r.err = err
-			return
-		}
-		r.fErr, r.vddErr, r.vbbErr = p.FErr, p.VddErr, p.VbbErr
+		results[u].p, results[u].err = s.table2Unit(chips, ci, envs[ei].cfg, draws[u], cfg.Training)
 	})
+	chips.release()
 	var rows []Table2Row
 	for ei, env := range envs {
 		type acc struct {
@@ -832,16 +737,16 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 				return nil, r.err
 			}
 			for k, a := range byKind {
-				a.fErr = append(a.fErr, r.fErr[k]...)
-				a.vddErr = append(a.vddErr, r.vddErr[k]...)
-				a.vbbErr = append(a.vbbErr, r.vbbErr[k]...)
+				a.fErr = append(a.fErr, r.p.FErr[k]...)
+				a.vddErr = append(a.vddErr, r.p.VddErr[k]...)
+				a.vbbErr = append(a.vbbErr, r.p.VbbErr[k]...)
 			}
 		}
 		freqRow := Table2Row{Param: "Freq (MHz)", Env: env.name,
 			AbsErr: map[floorplan.Kind]float64{}, PctErr: map[floorplan.Kind]float64{}}
 		for k, a := range byKind {
 			freqRow.AbsErr[k] = mathx.Mean(a.fErr)
-			freqRow.PctErr[k] = mathx.Mean(a.fErr) / nomFreqMHz * 100
+			freqRow.PctErr[k] = mathx.Mean(a.fErr) / t2NomFreqMHz * 100
 		}
 		rows = append(rows, freqRow)
 		if env.cfg.ASV {
@@ -863,4 +768,62 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// Table 2 draws t2QueriesPerSub accuracy queries per subsystem and
+// reports frequency errors in MHz at the paper's 4 GHz nominal.
+const (
+	t2QueriesPerSub = 6
+	t2NomFreqMHz    = 4000.0
+)
+
+// table2Unit runs one Table 2 (env × chip) unit. Accuracy is measured on
+// the chip whose model populated the controllers (§4.3.1), at operating
+// situations the training never saw. The whole unit — every solve across
+// the pre-drawn query stream — caches as one table2 artifact keyed on the
+// stream itself.
+func (s *Simulator) table2Unit(chips *experimentChips, ci int, cfg tech.Config,
+	queries []t2Query, opts adapt.TrainOptions) (table2Payload, error) {
+	h, err := chips.acquire(ci)
+	if err != nil {
+		return table2Payload{}, err
+	}
+	defer s.obs.Timer("core.unit").Start().Stop()
+	cpu, err := h.core(cfg)
+	if err != nil {
+		return table2Payload{}, err
+	}
+	solver, fp, err := s.HandleSolver(h, cpu, opts)
+	if err != nil {
+		return table2Payload{}, err
+	}
+	return s.cachedTable2Unit(h.seed, cpu, fp, queries, func() (table2Payload, error) {
+		p := table2Payload{
+			FErr:   make(map[floorplan.Kind][]float64),
+			VddErr: make(map[floorplan.Kind][]float64),
+			VbbErr: make(map[floorplan.Kind][]float64),
+		}
+		for i := 0; i < cpu.N(); i++ {
+			kind := cpu.Subs[i].Sub.Kind
+			for q := 0; q < t2QueriesPerSub; q++ {
+				d := queries[i*t2QueriesPerSub+q]
+				query := adapt.FreqQuery{
+					THK:       d.TH,
+					AlphaF:    d.Alpha,
+					Rho:       d.Alpha * d.RhoMult,
+					Variant:   vats.IdentityVariant(),
+					PowerMult: 1,
+				}
+				fx := cpu.FreqSolve(i, query).FMax
+				ff := solver.FreqMax(cpu, i, query)
+				p.FErr[kind] = append(p.FErr[kind], math.Abs(fx-ff)*t2NomFreqMHz)
+				fCore := tech.SnapFRelDown(fx * d.FMult)
+				pxV, pxB := (adapt.Exhaustive{}).PowerLevels(cpu, i, fCore, query)
+				pfV, pfB := solver.PowerLevels(cpu, i, fCore, query)
+				p.VddErr[kind] = append(p.VddErr[kind], math.Abs(pxV-pfV)*1000)
+				p.VbbErr[kind] = append(p.VbbErr[kind], math.Abs(pxB-pfB)*1000)
+			}
+		}
+		return p, nil
+	})
 }

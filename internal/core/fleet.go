@@ -11,21 +11,21 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the Simulator's fleet surface: the handle-per-chip API the
-// internal/fleet event loop schedules over. A ChipHandle owns the
-// expensive per-die state (variation maps, stage models, the shared
-// PE-table donor) exactly the way RunSummary's chipShared does, but with
-// an explicit acquire/release lifetime instead of a pool-scoped
-// sync.Once, so a long-running service can admit and retire chips as
-// join/leave events arrive. Everything derived per (environment, class)
-// — cores, trained fuzzy controllers, static operating points — is
-// memoized on the handle under its own lock.
+// This file holds ChipHandle, the one owner of a die's per-chip state:
+// variation maps, stage models, and the shared PE-table donor, behind an
+// explicit acquire/release lifetime. The fleet service acquires and
+// releases handles as join/leave events arrive; each experiment
+// (RunSummary, RunOutcomes, RunTable2) acquires one per chip on the
+// chip's first unit and releases them all after its pool. Everything
+// derived per (technique configuration, class) — trained fuzzy
+// controllers and static operating points — is memoized on the handle
+// and built once per key.
 
 // ChipHandle is one admitted chip's shared state. The immutable parts
 // (maps, stage models, FVar) are built once by AcquireChip and then read
-// concurrently; the memo maps are guarded by mu; the donor's PE-table
-// store is concurrency-safe by construction (see the adapt package
-// comment).
+// concurrently; mu guards only the memo maps, never a build (see
+// onceEntry); the donor's PE-table store is concurrency-safe by
+// construction (see the adapt package comment).
 type ChipHandle struct {
 	seed     int64
 	chip     *varius.ChipMaps
@@ -34,14 +34,40 @@ type ChipHandle struct {
 	fvar     float64
 
 	mu      sync.Mutex
-	solvers map[tech.Config]*adapt.FuzzySolver
-	fps     map[tech.Config]string
-	statics map[staticKey]adapt.OperatingPoint
+	solvers map[tech.Config]*onceEntry[*adapt.FuzzySolver]
+	statics map[staticKey]*onceEntry[adapt.OperatingPoint]
 }
 
 type staticKey struct {
 	cfg   tech.Config
 	class workload.Class
+}
+
+// onceEntry is one lazily built value: the first caller of get builds it
+// and every other caller waits on the entry's sync.Once, so entries of
+// different keys build concurrently. A build error is kept like a value.
+type onceEntry[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+func (e *onceEntry[T]) get(build func() (T, error)) (T, error) {
+	e.once.Do(func() { e.val, e.err = build() })
+	return e.val, e.err
+}
+
+// entryFor returns m's entry for k, adding an empty one under mu; the
+// lock covers the map only, never the entry's build.
+func entryFor[K comparable, T any](mu *sync.Mutex, m map[K]*onceEntry[T], k K) *onceEntry[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	e := m[k]
+	if e == nil {
+		e = new(onceEntry[T])
+		m[k] = e
+	}
+	return e
 }
 
 // Seed returns the handle's generator seed.
@@ -51,7 +77,7 @@ func (h *ChipHandle) Seed() int64 { return h.seed }
 // Baseline environment's clock.
 func (h *ChipHandle) FVar() float64 { return h.fvar }
 
-// AcquireChip builds (or loads) one chip's fleet handle: variation maps,
+// AcquireChip builds (or loads) one chip's handle: variation maps,
 // stage-model assembly, PE-table donor seeded from the artifact cache,
 // and the worst-case-safe frequency. Release with ReleaseChip to write
 // accumulated PE tables back.
@@ -60,18 +86,14 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	h := &ChipHandle{
 		seed:    seed,
 		chip:    s.Chip(seed),
-		solvers: make(map[tech.Config]*adapt.FuzzySolver),
-		fps:     make(map[tech.Config]string),
-		statics: make(map[staticKey]adapt.OperatingPoint),
-	}
-	subs, err := s.buildSubsystems(h.chip)
-	if err != nil {
-		return nil, err
+		solvers: make(map[tech.Config]*onceEntry[*adapt.FuzzySolver]),
+		statics: make(map[staticKey]*onceEntry[adapt.OperatingPoint]),
 	}
 	// The donor holds the chip's stage-model assembly and shared PE-table
-	// store; every environment's core derives from it by WithConfig, so
-	// its own configuration is irrelevant.
-	if h.donor, err = s.coreFromSubsystems(subs, tech.Config{TimingSpec: true}); err != nil {
+	// store; every configuration's core derives from it (see core), so its
+	// own configuration is irrelevant.
+	var err error
+	if h.donor, err = s.BuildCore(h.chip, TS); err != nil {
 		return nil, err
 	}
 	h.imported = s.loadPETables(h.donor, seed)
@@ -91,53 +113,44 @@ func (s *Simulator) ReleaseChip(h *ChipHandle) {
 	s.storePETables(h.donor, h.seed, h.imported)
 }
 
+// core derives a core for cfg over the handle's stage models and PE-table
+// store, with memos and scratch of its own. cfg may lie outside Table 1
+// (the Figure 13 and Table 2 grids).
+func (h *ChipHandle) core(cfg tech.Config) (*adapt.Core, error) {
+	return h.donor.WithConfig(cfg)
+}
+
 // HandleCore assembles the environment's core over the handle's shared
 // stage models and PE-table store. Cores are cheap relative to the
 // handle; callers may cache them per worker.
 func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, error) {
-	cfg := env.Config()
-	if !cfg.TimingSpec {
-		cfg = tech.Config{TimingSpec: true}
-	}
-	return h.donor.WithConfig(cfg)
+	return h.core(env.coreConfig())
 }
 
 // HandleSolver returns the chip's trained fuzzy controllers for cpu's
-// technique configuration, training (through the artifact cache) on
-// first use and memoizing per configuration afterwards. The memo assumes
-// one TrainOptions per handle lifetime — the fleet service trains with
-// one fixed option set.
+// technique configuration and their fingerprint, training (through the
+// artifact cache) on first use and memoizing per configuration
+// afterwards. The memo assumes one TrainOptions per handle lifetime — the
+// fleet service and each experiment train with one fixed option set.
 func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.TrainOptions) (*adapt.FuzzySolver, string, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sv, ok := h.solvers[cpu.Config]; ok {
-		return sv, h.fps[cpu.Config], nil
-	}
-	sv, err := s.TrainFuzzyCached([]*adapt.Core{cpu}, []int64{h.seed}, opts)
+	sv, err := entryFor(&h.mu, h.solvers, cpu.Config).get(func() (*adapt.FuzzySolver, error) {
+		return s.TrainFuzzyCached([]*adapt.Core{cpu}, []int64{h.seed}, opts)
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	h.solvers[cpu.Config] = sv
-	h.fps[cpu.Config] = solverFingerprint(sv)
-	return sv, h.fps[cpu.Config], nil
+	return sv, sv.Fingerprint(), nil
 }
 
 // HandleStaticPoint returns the chip's conservative static operating
 // point for cpu's configuration and the app's class, choosing it
-// (through the artifact cache) on first use.
+// (through the artifact cache) on first use. Like HandleSolver's, the
+// memo assumes one app set per handle lifetime.
 func (s *Simulator) HandleStaticPoint(h *ChipHandle, cpu *adapt.Core, class workload.Class, apps []workload.App) (adapt.OperatingPoint, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := staticKey{cfg: cpu.Config, class: class}
-	if pt, ok := h.statics[k]; ok {
-		return pt, nil
-	}
-	pt, err := s.cachedStaticPoint(cpu, class, apps, h.seed)
-	if err != nil {
-		return adapt.OperatingPoint{}, err
-	}
-	h.statics[k] = pt
-	return pt, nil
+	e := entryFor(&h.mu, h.statics, staticKey{cfg: cpu.Config, class: class})
+	return e.get(func() (adapt.OperatingPoint, error) {
+		return s.cachedStaticPoint(cpu, class, apps, h.seed)
+	})
 }
 
 // FleetUnit is one schedulable simulation unit: an application, and

@@ -14,7 +14,7 @@ import (
 // cache either way. The units fan out over the run's worker budget, so
 // store misses build concurrently with each other and overlap the store's
 // background flusher, instead of serializing at first use inside the
-// experiment pool's per-chip sync.Once sections.
+// experiment pool, where a chip's units wait on its handle acquisition.
 //
 // Every unit is a pure function of (parameters, seed), so warming in any
 // order — or not at all — cannot change a result; failures are left for

@@ -55,21 +55,11 @@ func (p Profile) CPIComp(q tech.QueueSize) float64 {
 // DefaultTraceLen is the per-phase profiling trace length.
 const DefaultTraceLen = 60000
 
-// SimFunc is a Simulate-compatible kernel. BuildProfileSim takes one so
-// callers can interpose caching or instrumentation around the three
-// simulation runs; the func must return exactly what Simulate would.
-type SimFunc func(trace []Instr, cfg Config) (Result, error)
-
 // BuildProfile measures one phase of one application by simulating the
 // same synthetic trace through three machine configurations: full queues,
 // class-side queue at 3/4, and full queues with L2 misses squashed (to
 // isolate CPIcomp).
 func BuildProfile(app workload.App, ph workload.Phase, nInstr int, seed int64) (Profile, error) {
-	return BuildProfileSim(app, ph, nInstr, seed, Simulate)
-}
-
-// BuildProfileSim is BuildProfile with a pluggable simulation kernel.
-func BuildProfileSim(app workload.App, ph workload.Phase, nInstr int, seed int64, sim SimFunc) (Profile, error) {
 	if nInstr <= 0 {
 		nInstr = DefaultTraceLen
 	}
@@ -86,15 +76,15 @@ func BuildProfileSim(app workload.App, ph workload.Phase, nInstr int, seed int64
 	squash := full
 	squash.SquashL2Misses = true
 
-	rFull, err := sim(trace, full)
+	rFull, err := Simulate(trace, full)
 	if err != nil {
 		return Profile{}, fmt.Errorf("pipeline: full-queue run: %w", err)
 	}
-	rSmall, err := sim(trace, small)
+	rSmall, err := Simulate(trace, small)
 	if err != nil {
 		return Profile{}, fmt.Errorf("pipeline: small-queue run: %w", err)
 	}
-	rComp, err := sim(trace, squash)
+	rComp, err := Simulate(trace, squash)
 	if err != nil {
 		return Profile{}, fmt.Errorf("pipeline: squashed run: %w", err)
 	}
