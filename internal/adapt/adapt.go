@@ -27,11 +27,11 @@
 //     the same chip and store (e.g. the six environment cores of one
 //     chip); the cores may then be driven from different worker
 //     goroutines, as the (chip × environment) work queue of the experiment
-//     harness does.
+//     harness does, and the fleet service with one core per (chip,
+//     environment, worker).
 //   - WorkerView clones a core into a per-goroutine view with empty memo
 //     maps over the shared read-only models and table store; the parallel
-//     fuzzy-training pipeline hands one view per worker slot, and the
-//     fleet service one per (chip, environment, worker).
+//     fuzzy-training pipeline hands one view per worker slot.
 //
 // Besides the memo maps, a Core privately owns a warm-started
 // thermal.Solver (its scratch buffers carry the previous converged state
@@ -218,9 +218,8 @@ type PETableSlot struct {
 // ExportPETables snapshots every dense PE-fmax table with at least one
 // built budget column. Safe to call concurrently with readers and
 // builders: the store mutex is held across the snapshot so no
-// half-written column is observed. The overflow map (off-grid figure
-// sweeps) is deliberately excluded — it is not on the experiment warm
-// path.
+// half-written column is observed. Off-grid queries keep no tables (see
+// tableRef), so there is nothing else to export.
 func (c *Core) ExportPETables() []PETableSlot {
 	var out []PETableSlot
 	c.pe.mu.Lock()
@@ -280,22 +279,10 @@ func (c *Core) WorkerView() *Core {
 	return &v
 }
 
-// peKey identifies a cached PE-fmax table on the overflow (slow) path:
-// the PE-limited fmax at a given device temperature depends only on the
-// subsystem, the structural variant, the (Vdd, Vbb) point, and the
-// temperature — not on TH or activity — so tables are computed once per
-// chip and reused across every controller invocation.
-type peKey struct {
-	sub                int
-	variant            vats.Variant
-	vddMilli, vbbMilli int
-	tIdx               int
-}
-
 // The structural variants the techniques of §3.3 can request. Only three
 // exist in the system — identity, the 3/4-queue Shift, and the LowSlope
 // Tilt — so the dense PE store enumerates them; anything else (figure
-// generators sweep synthetic variants) goes to the overflow map.
+// generators sweep synthetic variants) builds an uncached table.
 const peNumVariants = 3
 
 // variantIndex maps a variant to its dense-store index.
@@ -313,9 +300,11 @@ func variantIndex(v vats.Variant) (int, bool) {
 
 // peStore holds one chip's PE-fmax tables: a flat preallocated array
 // indexed by (subsystem, variant, vddIdx, vbbIdx, tempIdx) for queries on
-// the discrete actuation grids — no hashing, no pointer chasing — plus an
-// overflow map for off-grid levels and exotic variants. Tables build on
-// first touch.
+// the discrete actuation grids — no hashing, no pointer chasing. The
+// PE-limited fmax at a device temperature depends only on the subsystem,
+// the structural variant, the (Vdd, Vbb) point and the temperature — not
+// on TH or activity — so each table builds on first touch and serves
+// every later controller invocation on the chip.
 //
 // The store is safe for concurrent use by the cores that share it. Dense
 // slots build one budget *column* at a time and publish through per-slot
@@ -327,25 +316,22 @@ func variantIndex(v vats.Variant) (int, bool) {
 // laziness matters because a query touches at most two of the eight
 // budget columns and the solver paths only ever probe a narrow budget
 // band, so building whole tables eagerly wastes most of the
-// erfc-dominated bisection work. The overflow map is guarded by the same
-// mutex end to end, and scratch is the mutex-guarded curve arena every
-// dense build reuses.
+// erfc-dominated bisection work. scratch is the mutex-guarded curve
+// arena every dense build reuses.
 type peStore struct {
-	nSubs    int
-	dense    []peTable
-	built    []atomic.Uint32
-	mu       sync.Mutex
-	overflow map[peKey]*peTable
-	scratch  vats.Curve
+	nSubs   int
+	dense   []peTable
+	built   []atomic.Uint32
+	mu      sync.Mutex
+	scratch vats.Curve
 }
 
 func newPEStore(nSubs int) *peStore {
 	n := nSubs * peNumVariants * tech.NumVddLevels * tech.NumVbbLevels * len(peTempsC)
 	return &peStore{
-		nSubs:    nSubs,
-		dense:    make([]peTable, n),
-		built:    make([]atomic.Uint32, n),
-		overflow: make(map[peKey]*peTable),
+		nSubs: nSubs,
+		dense: make([]peTable, n),
+		built: make([]atomic.Uint32, n),
 	}
 }
 
@@ -390,7 +376,7 @@ type peRef struct {
 }
 
 // peRefFor resolves the coordinate; off-grid levels and exotic variants
-// yield a non-dense ref that routes to the overflow map.
+// yield a non-dense ref, whose tables tableRef builds afresh.
 func (c *Core) peRefFor(sub int, v vats.Variant, vddV, vbbV float64) peRef {
 	r := peRef{sub: sub, v: v, vddV: vddV, vbbV: vbbV}
 	if vi, ok := variantIndex(v); ok {
@@ -462,13 +448,15 @@ func tempQueryFor(tK float64) tempQuery {
 
 // tableRef returns (building the needed columns if necessary) the ref's
 // inverse table at temperature grid index tIdx. Dense refs hit the flat
-// store by index arithmetic alone; everything else falls back to the
-// overflow map, which always builds all columns (it is the rare
-// figure-sweep path and the reference the equivalence tests compare
-// against).
+// store by index arithmetic alone. A non-dense ref — an off-grid level
+// or an exotic variant, which no experiment queries — gets a fresh
+// table from the reference builder on every call; it touches no shared
+// state, so it needs no lock.
 func (c *Core) tableRef(ref *peRef, tIdx int, need uint32) *peTable {
 	if !ref.dense {
-		return c.overflowTable(ref, tIdx)
+		tab := new(peTable)
+		c.buildTable(tab, ref.sub, ref.v, ref.vddV, ref.vbbV, tIdx)
+		return tab
 	}
 	slot := ref.slot(tIdx)
 	if c.pe.built[slot].Load()&need != need {
@@ -507,31 +495,10 @@ func (c *Core) buildColsLocked(slot int, ref *peRef, tIdx int, need uint32) {
 	c.pe.built[slot].Store(cur | miss)
 }
 
-// overflowTable returns (building if needed) the overflow-map table for
-// an off-grid or exotic-variant coordinate.
-func (c *Core) overflowTable(ref *peRef, tIdx int) *peTable {
-	key := peKey{
-		sub:      ref.sub,
-		variant:  ref.v,
-		vddMilli: int(math.Round(ref.vddV * 1000)),
-		vbbMilli: int(math.Round(ref.vbbV * 1000)),
-		tIdx:     tIdx,
-	}
-	c.pe.mu.Lock()
-	tab, ok := c.pe.overflow[key]
-	if !ok {
-		tab = &peTable{}
-		c.buildTable(tab, ref.sub, ref.v, ref.vddV, ref.vbbV, tIdx)
-		c.pe.overflow[key] = tab
-	}
-	c.pe.mu.Unlock()
-	return tab
-}
-
 // buildTable fills one inverse table from the stage's error curve, one
 // independent FMaxForPE bisection per budget column — the reference
-// builder the batched dense path is tested against (and the overflow
-// path's builder).
+// builder the batched dense path is tested against, and the builder of
+// every off-grid table.
 func (c *Core) buildTable(tab *peTable, sub int, v vats.Variant, vddV, vbbV float64, tIdx int) {
 	tK := peTempsC[tIdx] + 273.15
 	curve := c.Subs[sub].Stage.Eval(vats.Cond{VddV: vddV, VbbV: vbbV, TK: tK}, v)
@@ -740,7 +707,7 @@ func (c *Core) FreqSolveAt(i int, q FreqQuery, vdds, vbbs []float64) FreqResult 
 // This is the grid-wide batched kernel behind FreqSolveAt — per-cell lazy
 // builds would re-derive the same setup (level indices, curve arena,
 // bracket probes) hundreds of times per scan. Off-grid levels are left to
-// the overflow path.
+// tableRef, which builds them uncached.
 func (c *Core) buildSlab(sub int, v vats.Variant, vdds, vbbs []float64, tq tempQuery, need uint32) {
 	vi, ok := variantIndex(v)
 	if !ok {

@@ -73,7 +73,8 @@ func TestFastPathEquivalence(t *testing.T) {
 
 // TestFastPathEquivalenceOffGrid drives FreqSolveAt with level lists off
 // the Figure 7(a) grids (a VddNom ablation and a synthetic variant), which
-// must take the overflow-table path and still match the reference scan.
+// must take the uncached off-grid table path and still match the
+// reference scan.
 func TestFastPathEquivalenceOffGrid(t *testing.T) {
 	fast := buildCore(t, 9, allConfig)
 	ref := buildCore(t, 9, allConfig)

@@ -83,9 +83,9 @@ func TestWorkerViewSolvesMatchParent(t *testing.T) {
 
 // TestConcurrentSharedPEStore drives many WorkerViews of one core from
 // concurrent goroutines over an initially cold shared PE-table store, so
-// `go test -race` exercises the store's atomic publication (dense slots)
-// and mutexed overflow path while lazy builds race. Every goroutine must
-// see the same solve results as a serial reference core.
+// `go test -race` exercises the store's atomic publication of dense slots
+// while lazy builds race. Every goroutine must see the same solve results
+// as a serial reference core.
 func TestConcurrentSharedPEStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent solve sweep")

@@ -10,7 +10,8 @@ import (
 )
 
 // solverBinVersion is the solver payload's binary format version,
-// independent of the artifact kind version (decoders sniff the format).
+// independent of the artifact kind version: the artifact store keeps
+// solvers in this form only, and UnmarshalBinary rejects any other.
 const solverBinVersion = 1
 
 // MarshalBinary serializes the solver's controllers in the artifact

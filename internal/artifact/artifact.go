@@ -16,17 +16,15 @@ import (
 )
 
 // SchemaVersion is the store's on-disk layout version: 2 is the packed
-// binary layout (sharded packfiles + persistent index). Version-1 stores
-// (one JSON envelope file per artifact) are still readable — entries
-// migrate into packfiles as they are hit — so bumping this constant
-// tracks layout generations without invalidating caches. The CI cache
-// key embeds it.
+// binary layout (sharded packfiles + persistent index). The index file
+// records it, and Open rebuilds an index of any other version by
+// scanning the packfiles; the CI cache key embeds it. A directory in the
+// older one-file-per-artifact layout opens as an empty store.
 const SchemaVersion = 2
 
 // keySchema versions the key pre-image, not the storage layout. It has
 // never been bumped — producers version their output through
-// Kind.Version — and holding it fixed is what lets a v2 store compute
-// the key of (and so migrate) an entry a v1 store wrote.
+// Kind.Version — and bumping it would re-key every stored entry.
 const keySchema = 1
 
 // Kind names one artifact producer and its version. The version is part
@@ -46,13 +44,6 @@ type Options struct {
 	// Obs receives cache counters; nil (the default) disables metrics
 	// at zero cost.
 	Obs *obs.Registry
-	// SyncWrites appends every record on the writer's goroutine before
-	// returning. By default writes are handed to a background flusher so
-	// the building goroutine overlaps the next build with the disk I/O;
-	// the in-memory pending set keeps reads-after-writes exact either
-	// way. Use SyncWrites when the process cannot call Close/Flush before
-	// another process reads the directory.
-	SyncWrites bool
 }
 
 // DefaultMaxBytes caps the store at 2 GiB unless Options says otherwise —
@@ -81,22 +72,18 @@ const compactMinGarbage = 256 << 10
 // compact index (key → segment, offset, length). It is safe for
 // concurrent use by multiple goroutines. Concurrent processes may share
 // a directory read-only, but the packed layout assumes a single writing
-// process at a time (the v1 one-file-per-entry layout allowed concurrent
-// writers; see doc.go for the migration story). All methods are safe on
-// a nil *Store, where every lookup builds directly — a disabled cache
-// costs one nil check.
+// process at a time. All methods are safe on a nil *Store, where every
+// lookup builds directly — a disabled cache costs one nil check.
 //
-// Writes are asynchronous by default (see Options.SyncWrites): Put and
-// GetOrBuild enqueue the entry and return, a single background flusher
-// appends records to the lock-striped segments, and reads consult the
-// pending set first so a store always observes its own writes. Call
-// Flush (or Close, which also stops the flusher) before handing the
-// directory to another process.
+// Writes are asynchronous: Put and GetOrBuild enqueue the entry and
+// return, a single background flusher appends records to the
+// lock-striped segments, and reads consult the pending set first so a
+// store always observes its own writes. Call Flush (or Close, which also
+// stops the flusher) before handing the directory to another process.
 type Store struct {
 	dir      string
 	maxBytes int64
 	obs      *obs.Registry
-	syncW    bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on queue/pending/closed changes
@@ -116,11 +103,10 @@ type Store struct {
 
 	// sweepMu serializes settles (LRU sweep, compaction, index save) and
 	// the disk-byte accounting they publish: the flusher, Flush callers,
-	// and SyncWrites writers may all reach the settle, and interleaved
+	// and writes after Close may all reach the settle, and interleaved
 	// runs would tear the artifact.cache.disk_bytes gauge.
 	sweepMu    sync.Mutex
 	dirtyBytes int64 // bytes written since the last settle; under sweepMu
-	legacySeen bool  // v1 entry files may remain under dir; under sweepMu
 }
 
 // writeReq is one queued persistence job.
@@ -168,12 +154,12 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt.MaxBytes = DefaultMaxBytes
 	}
 	s := &Store{
-		dir:      dir,
-		maxBytes: opt.MaxBytes,
-		obs:      opt.Obs,
-		syncW:    opt.SyncWrites,
-		flights:  make(map[string]*flight),
-		pending:  make(map[string]pendingWrite),
+		dir:         dir,
+		maxBytes:    opt.MaxBytes,
+		obs:         opt.Obs,
+		flights:     make(map[string]*flight),
+		pending:     make(map[string]pendingWrite),
+		flusherDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	index, sizes, garbage, rebuilt := loadIndex(dir, time.Now().UnixNano())
@@ -190,20 +176,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		s.obs.Counter("artifact.cache.index_rebuilds").Inc()
 	}
 	s.obs.Gauge("artifact.cache.segments").Set(float64(segments))
-	// A v1 store keeps entries in per-kind subdirectories; remember
-	// whether any exist so the read path knows to try migration.
-	if des, err := os.ReadDir(dir); err == nil {
-		for _, de := range des {
-			if de.IsDir() {
-				s.legacySeen = true
-				break
-			}
-		}
-	}
-	if !s.syncW {
-		s.flusherDone = make(chan struct{})
-		go s.flusher()
-	}
+	go s.flusher()
 	return s, nil
 }
 
@@ -233,13 +206,6 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// hasLegacy reports whether v1 entry files may remain under the store.
-func (s *Store) hasLegacy() bool {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	return s.legacySeen
-}
-
 // Flush blocks until every write enqueued before the call is appended to
 // its segment, then settles the store: LRU sweep, compaction of
 // garbage-heavy segments, and an index save. After Flush returns, a
@@ -249,14 +215,12 @@ func (s *Store) Flush() {
 	if s == nil {
 		return
 	}
-	if !s.syncW {
-		s.mu.Lock()
-		target := s.nextSeq
-		for s.doneSeq < target {
-			s.cond.Wait()
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	target := s.nextSeq
+	for s.doneSeq < target {
+		s.cond.Wait()
 	}
+	s.mu.Unlock()
 	s.settle(true)
 }
 
@@ -267,13 +231,6 @@ func (s *Store) Flush() {
 // can never lose or corrupt data.
 func (s *Store) Close() {
 	if s == nil {
-		return
-	}
-	if s.syncW {
-		s.settle(true)
-		for si := range s.shards {
-			s.shards[si].closeHandles()
-		}
 		return
 	}
 	s.mu.Lock()
@@ -345,9 +302,7 @@ type keyEnvelope struct {
 // Key derives the content address of (kind, params, seed): the SHA-256
 // of the canonical JSON key envelope. params must JSON-marshal
 // deterministically (plain structs and slices do; maps do not belong in
-// key parameter structs). Keys are layout-independent: a v2 store
-// computes the same key a v1 store did, which is what makes read-through
-// migration possible.
+// key parameter structs).
 func Key(kind Kind, params any, seed int64) (string, error) {
 	blob, err := json.Marshal(keyEnvelope{
 		Schema:  keySchema,
@@ -361,47 +316,6 @@ func Key(kind Kind, params any, seed int64) (string, error) {
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// legacyEnvelope is the v1 on-disk entry format, retained read-only for
-// migration.
-type legacyEnvelope struct {
-	Schema  int             `json:"schema"`
-	Kind    string          `json:"kind"`
-	Key     string          `json:"key"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// legacySchemaVersion is the v1 envelope schema those files carry.
-const legacySchemaVersion = 1
-
-// legacyPath is where a v1 store kept (kind, key)'s envelope file.
-func legacyPath(dir string, kind Kind, key string) string {
-	return filepath.Join(dir, kind.Name, key[:2], key+".json")
-}
-
-// WriteLegacyEntry writes one v1-format JSON envelope entry under dir —
-// the layout version-1 stores produced. It exists for migration tests
-// and fixtures; new code writes through a Store, which uses the packed
-// layout.
-func WriteLegacyEntry(dir string, kind Kind, key string, payload []byte) error {
-	sum := sha256.Sum256(payload)
-	blob, err := json.Marshal(legacyEnvelope{
-		Schema:  legacySchemaVersion,
-		Kind:    kind.Name,
-		Key:     key,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
-	if err != nil {
-		return err
-	}
-	path := legacyPath(dir, kind, key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, blob, 0o644)
 }
 
 // GetOrBuild returns the artifact for key, building it at most once per
@@ -507,49 +421,29 @@ func (s *Store) Put(kind Kind, key string, payload []byte) {
 
 // ContainsBatch reports, in one indexed pass, which of keys currently
 // have a record of kind: the pending set and the packfile index are
-// consulted under a single lock acquisition, and — for stores still
-// carrying v1 entry files — a stat of the legacy path covers the
-// remaining misses. It proves presence, not integrity (a corrupt record
-// still degrades to a rebuild at Get/GetOrBuild time), bumps no counters,
-// and leaves LRU recency untouched, so probing is free of side effects.
-// Callers batching compatible work units use it to split a batch into
-// replay-hits and cold builds without paying one locked lookup per key.
-// Empty keys report false. Nil-safe: a nil store reports all-false.
+// consulted under a single lock acquisition. It proves presence, not
+// integrity (a corrupt record still degrades to a rebuild at
+// Get/GetOrBuild time), bumps no counters, and leaves LRU recency
+// untouched, so probing is free of side effects. Callers batching
+// compatible work units use it to split a batch into replay-hits and
+// cold builds without paying one locked lookup per key. Empty keys
+// report false. Nil-safe: a nil store reports all-false.
 func (s *Store) ContainsBatch(kind Kind, keys []string) []bool {
 	out := make([]bool, len(keys))
 	if s == nil {
 		return out
 	}
-	missing := 0
 	s.mu.Lock()
 	for i, key := range keys {
 		if key == "" {
 			continue
 		}
 		fkey := fkeyOf(kind.Name, key)
-		if !s.syncW {
-			if _, ok := s.pending[fkey]; ok {
-				out[i] = true
-				continue
-			}
-		}
-		if _, ok := s.index[fkey]; ok {
-			out[i] = true
-			continue
-		}
-		missing++
+		_, pending := s.pending[fkey]
+		_, indexed := s.index[fkey]
+		out[i] = pending || indexed
 	}
 	s.mu.Unlock()
-	if missing > 0 && s.hasLegacy() {
-		for i, key := range keys {
-			if out[i] || key == "" {
-				continue
-			}
-			if _, err := os.Stat(legacyPath(s.dir, kind, key)); err == nil {
-				out[i] = true
-			}
-		}
-	}
 	return out
 }
 
@@ -558,19 +452,15 @@ func (s *Store) ContainsBatch(kind Kind, keys []string) []bool {
 func noRelease() {}
 
 // read resolves (kind, key) to its payload: the pending set first
-// (read-your-writes), then the packfile index, then — for stores carrying
-// v1 entry files — the legacy read-through, which rewrites the entry
-// into a packfile and deletes the old file. ok=false means a clean miss;
+// (read-your-writes), then the packfile index. ok=false means a miss;
 // damage is counted as corrupt. The returned release must be called
 // once the payload has been consumed.
 func (s *Store) read(kind Kind, key string) (payload []byte, release func(), ok bool) {
 	fkey := fkeyOf(kind.Name, key)
 	s.mu.Lock()
-	if !s.syncW {
-		if p, ok := s.pending[fkey]; ok {
-			s.mu.Unlock()
-			return p.payload, noRelease, true
-		}
+	if p, ok := s.pending[fkey]; ok {
+		s.mu.Unlock()
+		return p.payload, noRelease, true
 	}
 	e, found := s.index[fkey]
 	if found {
@@ -579,26 +469,21 @@ func (s *Store) read(kind Kind, key string) (payload []byte, release func(), ok 
 	}
 	s.mu.Unlock()
 
-	if found {
-		if payload, release, ok := s.readPack(kind, fkey, e); ok {
-			return payload, release, true
-		}
-		// Index/segment mismatch or a damaged record: drop the entry (if
-		// it has not been remapped meanwhile) and fall through to the
-		// legacy path / miss.
-		s.count(kind, "corrupt")
-		s.mu.Lock()
-		if cur, still := s.index[fkey]; still && cur.shard == e.shard && cur.off == e.off {
-			delete(s.index, fkey)
-			s.garbage[e.shard] += e.size
-		}
-		s.mu.Unlock()
+	if !found {
+		return nil, nil, false
 	}
-	if s.hasLegacy() {
-		if payload, ok := s.readLegacy(kind, key); ok {
-			return payload, noRelease, true
-		}
+	if payload, release, ok := s.readPack(kind, fkey, e); ok {
+		return payload, release, true
 	}
+	// Index/segment mismatch or a damaged record: drop the entry (if it
+	// has not been remapped meanwhile) and report a miss.
+	s.count(kind, "corrupt")
+	s.mu.Lock()
+	if cur, still := s.index[fkey]; still && cur.shard == e.shard && cur.off == e.off {
+		delete(s.index, fkey)
+		s.garbage[e.shard] += e.size
+	}
+	s.mu.Unlock()
 	return nil, nil, false
 }
 
@@ -623,52 +508,11 @@ func (s *Store) readPack(kind Kind, fkey string, e idxEntry) (payload []byte, re
 	return rec.payload, func() { bufPool.Put(buf) }, true
 }
 
-// readLegacy attempts the v1 read-through: load and verify a version-1
-// JSON envelope file, rewrite its payload into the packed store, and
-// delete the file. Damaged legacy files are counted corrupt and removed
-// (they could never be repaired in place — v2 writes go to packfiles).
-func (s *Store) readLegacy(kind Kind, key string) ([]byte, bool) {
-	path := legacyPath(s.dir, kind, key)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.count(kind, "corrupt")
-		}
-		return nil, false
-	}
-	var env legacyEnvelope
-	if err := json.Unmarshal(blob, &env); err != nil {
-		s.count(kind, "corrupt")
-		os.Remove(path)
-		return nil, false
-	}
-	if env.Schema != legacySchemaVersion || env.Kind != kind.Name || env.Key != key {
-		s.count(kind, "corrupt")
-		os.Remove(path)
-		return nil, false
-	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		s.count(kind, "corrupt")
-		os.Remove(path)
-		return nil, false
-	}
-	s.count(kind, "migrated")
-	s.write(kind, key, env.Payload)
-	os.Remove(path)
-	return env.Payload, true
-}
-
-// write records one logical entry write: either persisted in place
-// (SyncWrites, or a closed store) or queued for the background flusher
-// with the payload entered into the pending set.
+// write records one logical entry write: queued for the background
+// flusher with the payload entered into the pending set, or persisted in
+// place once Close has stopped the flusher.
 func (s *Store) write(kind Kind, key string, payload []byte) {
 	fkey := fkeyOf(kind.Name, key)
-	if s.syncW {
-		s.persist(kind, key, fkey, payload)
-		s.settle(false)
-		return
-	}
 	s.mu.Lock()
 	for len(s.queue) >= maxQueuedWrites && !s.closed {
 		s.cond.Wait()
@@ -757,7 +601,7 @@ func (s *Store) Hits() int64 {
 
 // settle runs the store's maintenance pass — LRU eviction, segment
 // compaction, index save, disk accounting — under sweepMu. Routine
-// callers (the flusher, SyncWrites writers) pass force=false and only
+// callers (the flusher, writes after Close) pass force=false and only
 // settle once sweepIntervalBytes have accumulated; Flush and Close
 // force it.
 func (s *Store) settle(force bool) {
@@ -768,13 +612,6 @@ func (s *Store) settle(force bool) {
 	}
 	s.dirtyBytes = 0
 	s.settleLocked()
-}
-
-// legacyFile is one v1 entry file considered for eviction.
-type legacyFile struct {
-	path  string
-	size  int64
-	mtime time.Time
 }
 
 // settleLocked performs the maintenance pass. Caller holds sweepMu.
@@ -794,85 +631,27 @@ func (s *Store) settleLocked() {
 	garbage := s.garbage
 	s.mu.Unlock()
 
-	// Walk any v1 remains: legacy entry files plus crashed-writer temp
-	// debris (ours or a v1 store's).
-	var legacy []legacyFile
-	var legacyBytes int64
-	if s.legacySeen {
-		_ = filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return nil
-			}
-			if filepath.Dir(path) == s.dir {
-				return nil // packfiles, index, root-level temp files
-			}
-			info, err := d.Info()
-			if err != nil {
-				return nil
-			}
-			if filepath.Ext(path) != ".json" {
-				if time.Since(info.ModTime()) > time.Minute {
-					os.Remove(path)
-				}
-				return nil
-			}
-			legacy = append(legacy, legacyFile{path: path, size: info.Size(), mtime: info.ModTime()})
-			legacyBytes += info.Size()
-			return nil
-		})
-		if len(legacy) == 0 {
-			s.legacySeen = false
-		}
-	}
-
 	if s.maxBytes >= 0 {
 		// Eviction: the packed layout reclaims pack bytes at compaction,
 		// so the budget compares the post-compaction footprint (live
-		// records + remaining legacy files + a small index overhead)
-		// against the cap, and evicts least-recently-used items across
-		// both generations until it fits.
+		// records plus a small index overhead) against the cap, and
+		// evicts least-recently-used records until it fits.
 		// Approximate index cost: ~50 encoded bytes per entry plus the
 		// header. Slightly high is fine; wildly high would over-evict.
 		indexOverhead := int64(56)*int64(len(live)) + 128
-		if liveBytes+legacyBytes+indexOverhead > s.maxBytes {
-			type victim struct {
-				fkey   string // "" for a legacy file
-				legacy int    // index into legacy, -1 otherwise
-				at     int64
-				size   int64
-			}
-			victims := make([]victim, 0, len(live)+len(legacy))
+		if excess := liveBytes + indexOverhead - s.maxBytes; excess > 0 {
+			sort.Slice(live, func(i, j int) bool { return live[i].e.atime < live[j].e.atime })
 			for _, le := range live {
-				victims = append(victims, victim{fkey: le.fkey, legacy: -1, at: le.e.atime, size: le.e.size})
-			}
-			for i, lf := range legacy {
-				victims = append(victims, victim{legacy: i, at: lf.mtime.UnixNano(), size: lf.size})
-			}
-			sort.Slice(victims, func(i, j int) bool { return victims[i].at < victims[j].at })
-			excess := liveBytes + legacyBytes + indexOverhead - s.maxBytes
-			for _, v := range victims {
 				if excess <= 0 {
 					break
 				}
-				if v.legacy >= 0 {
-					if os.Remove(legacy[v.legacy].path) == nil {
-						legacy[v.legacy].size = 0
-						legacyBytes -= v.size
-						excess -= v.size
-						s.obs.Counter("artifact.cache.evictions").Inc()
-					}
-					continue
-				}
 				s.mu.Lock()
-				if e, ok := s.index[v.fkey]; ok {
-					delete(s.index, v.fkey)
+				if e, ok := s.index[le.fkey]; ok {
+					delete(s.index, le.fkey)
 					s.garbage[e.shard] += e.size
 					garbage[e.shard] += e.size
-					s.mu.Unlock()
-					liveBytes -= v.size
-					excess -= v.size
+					excess -= le.e.size
 					s.obs.Counter("artifact.cache.evictions").Inc()
-					continue
 				}
 				s.mu.Unlock()
 			}
@@ -890,7 +669,7 @@ func (s *Store) settleLocked() {
 			s.shards[si].mu.Unlock()
 			packBytes += sizes[si]
 		}
-		overCap := packBytes+legacyBytes+indexOverhead > s.maxBytes
+		overCap := packBytes+indexOverhead > s.maxBytes
 		for si := range s.shards {
 			if garbage[si] == 0 {
 				continue
@@ -928,9 +707,6 @@ func (s *Store) settleLocked() {
 	}
 	if info, err := os.Stat(filepath.Join(s.dir, indexName)); err == nil {
 		total += info.Size()
-	}
-	for _, lf := range legacy {
-		total += lf.size
 	}
 	s.obs.Gauge("artifact.cache.disk_bytes").Set(float64(total))
 	s.refreshSegmentsGauge()

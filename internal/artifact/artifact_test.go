@@ -433,63 +433,20 @@ func TestLRUSweep(t *testing.T) {
 	}
 }
 
-// TestLegacyMigrationReadThrough: a v1 JSON envelope entry is read
-// through — verified, served, rewritten into a packfile, and its file
-// deleted — and the migrated record hits from the packed layout alone.
-func TestLegacyMigrationReadThrough(t *testing.T) {
+// TestV1DirectoryOpensEmpty: a directory in the older layout (one JSON
+// envelope file per entry under <kind>/<key[:2]>/<key>.json) opens as an
+// empty store. Its entry is neither served nor counted corrupt, and the
+// store leaves the file in place.
+func TestV1DirectoryOpensEmpty(t *testing.T) {
 	dir := t.TempDir()
-	key, _ := Key(testKind, "legacy", 1)
+	key, _ := Key(testKind, "v1", 1)
+	path := filepath.Join(dir, testKind.Name, key[:2], key+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	blob, _ := buildPayload(31)()
-	if err := WriteLegacyEntry(dir, testKind, key, blob); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	st, err := Open(dir, Options{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := get(t, st, key, 99); p.Value != 31 {
-		t.Fatalf("migration returned %+v, want the v1 value 31", p)
-	}
-	if m := counter(reg, "artifact.cache.migrated"); m != 1 {
-		t.Errorf("migrated = %d, want 1", m)
-	}
-	if h := counter(reg, "artifact.cache.hits"); h != 1 {
-		t.Errorf("hits = %d, want 1 (migration is a hit)", h)
-	}
-	st.Close()
-	if _, err := os.Stat(legacyPath(dir, testKind, key)); !os.IsNotExist(err) {
-		t.Fatalf("legacy file survived migration: %v", err)
-	}
-
-	// A fresh store must serve the key from the packfiles.
-	reg2 := obs.NewRegistry()
-	st2, err := Open(dir, Options{Obs: reg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st2.Close)
-	if p := get(t, st2, key, 99); p.Value != 31 {
-		t.Fatalf("migrated record lost: %+v", p)
-	}
-	if m := counter(reg2, "artifact.cache.migrated"); m != 0 {
-		t.Errorf("second store migrated again: %d", m)
-	}
-}
-
-// TestLegacyCorruptEntry: a damaged v1 file is counted, removed, and
-// treated as a miss.
-func TestLegacyCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	key, _ := Key(testKind, "legacy-bad", 1)
-	blob, _ := buildPayload(5)()
-	if err := WriteLegacyEntry(dir, testKind, key, blob); err != nil {
-		t.Fatal(err)
-	}
-	path := legacyPath(dir, testKind, key)
-	raw, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	envelope := fmt.Sprintf(`{"schema":1,"kind":%q,"key":%q,"payload":%s}`, testKind.Name, key, blob)
+	if err := os.WriteFile(path, []byte(envelope), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -501,13 +458,14 @@ func TestLegacyCorruptEntry(t *testing.T) {
 	t.Cleanup(st.Close)
 	var p payload
 	if st.Get(testKind, key, p.decode) {
-		t.Fatal("corrupt legacy entry served as a hit")
+		t.Fatalf("v1 entry served as a hit: %+v", p)
 	}
-	if c := counter(reg, "artifact.cache.corrupt"); c != 1 {
-		t.Errorf("corrupt = %d, want 1", c)
+	if c := counter(reg, "artifact.cache.corrupt"); c != 0 {
+		t.Errorf("corrupt = %d, want 0", c)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt legacy file not removed: %v", err)
+	st.Close()
+	if got, err := os.ReadFile(path); err != nil || string(got) != envelope {
+		t.Fatalf("v1 file changed or removed: %v", err)
 	}
 }
 
@@ -695,15 +653,17 @@ func TestResolve(t *testing.T) {
 }
 
 // TestContainsBatch: the indexed existence probe answers from pending
-// writes, the index, and unmigrated legacy entries, and skips empty keys
+// writes and from the index an earlier store saved, and skips empty keys
 // (uncacheable items probe as absent).
 func TestContainsBatch(t *testing.T) {
 	dir := t.TempDir()
-	legacyKey, _ := Key(testKind, "cb-legacy", 1)
-	blob, _ := buildPayload(7)()
-	if err := WriteLegacyEntry(dir, testKind, legacyKey, blob); err != nil {
+	indexedKey, _ := Key(testKind, "cb-indexed", 1)
+	earlier, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	get(t, earlier, indexedKey, 7)
+	earlier.Close()
 
 	st, err := Open(dir, Options{})
 	if err != nil {
@@ -715,7 +675,7 @@ func TestContainsBatch(t *testing.T) {
 	get(t, st, pendingKey, 11) // async write: pending or indexed, either way present
 	missKey, _ := Key(testKind, "cb-miss", 1)
 
-	keys := []string{pendingKey, "", legacyKey, missKey}
+	keys := []string{pendingKey, "", indexedKey, missKey}
 	want := []bool{true, false, true, false}
 	got := st.ContainsBatch(testKind, keys)
 	if len(got) != len(keys) {

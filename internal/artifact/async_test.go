@@ -106,14 +106,6 @@ func TestFlushCloseIdempotentNilSafe(t *testing.T) {
 	if v := readBack(t, st, key); v != 3 {
 		t.Fatalf("entry lost across flush/close churn: got %d", v)
 	}
-
-	syncStore, err := Open(t.TempDir(), Options{SyncWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncStore.Flush()
-	syncStore.Close()
-	syncStore.Close()
 }
 
 // TestWriteAfterCloseIsSynchronous: a closed store keeps working — writes
@@ -132,25 +124,6 @@ func TestWriteAfterCloseIsSynchronous(t *testing.T) {
 	}
 	if v := durable(t, dir, key); v != 8 {
 		t.Fatalf("post-close write not durable: got %d", v)
-	}
-}
-
-// TestSyncWritesMode: with Options.SyncWrites every write is durable the
-// moment Put returns, with no Flush needed — the pre-async behavior.
-func TestSyncWritesMode(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SyncWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
-	key, _ := Key(testKind, "sync", 1)
-	put(t, st, key, 5)
-	if v := readBack(t, st, key); v != 5 {
-		t.Fatalf("sync write unreadable: got %d", v)
-	}
-	if v := durable(t, dir, key); v != 5 {
-		t.Fatalf("sync write not durable before Flush: got %d", v)
 	}
 }
 
@@ -233,8 +206,8 @@ func TestDiskBytesAccountingUnderConcurrency(t *testing.T) {
 }
 
 // TestCrashDebrisRecovery: leftover temp files from a crashed settle (a
-// failed index save or abandoned compaction) and v1-era temp debris must
-// neither corrupt reads nor survive a settle once stale.
+// failed index save or abandoned compaction) must neither corrupt reads
+// nor survive a settle once stale.
 func TestCrashDebrisRecovery(t *testing.T) {
 	dir := t.TempDir()
 	old := time.Now().Add(-2 * time.Minute)
@@ -250,18 +223,6 @@ func TestCrashDebrisRecovery(t *testing.T) {
 		if err := os.Chtimes(p, old, old); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Subdirectory debris from a crashed v1 writer.
-	legacyDir := filepath.Join(dir, "test", "ab")
-	if err := os.MkdirAll(legacyDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	v1Debris := filepath.Join(legacyDir, ".entry.json.tmp-crashed")
-	if err := os.WriteFile(v1Debris, []byte(`{"partial":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(v1Debris, old, old); err != nil {
-		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
@@ -282,7 +243,7 @@ func TestCrashDebrisRecovery(t *testing.T) {
 		t.Fatalf("debris counted as corruption: %d", c)
 	}
 	// The settle cleared the stale debris.
-	for _, p := range append(rootDebris, v1Debris) {
+	for _, p := range rootDebris {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale debris %s survived the settle: %v", p, err)
 		}

@@ -7,12 +7,10 @@ import (
 	"math"
 )
 
-// BinaryTag is the first byte of every binary artifact payload. JSON
-// payloads begin with '{', so one byte distinguishes the two formats and
-// payload decoders accept both: v1 entries migrated into packfiles keep
-// their JSON bytes and decode through the legacy path, while fresh builds
-// write the columnar binary form. 0xB2 is not valid UTF-8 leading a JSON
-// document, so the sniff cannot misfire.
+// BinaryTag is the first byte of every binary artifact payload. Dec.Tag
+// rejects anything else, so a payload in another format — a JSON
+// document begins with '{' — fails its decoder and is rebuilt as a
+// corrupt record.
 const BinaryTag = 0xB2
 
 // Enc is an append-only binary encoder for artifact payloads: varints for
@@ -236,11 +234,4 @@ func (d *Dec) Done() error {
 		return fmt.Errorf("binary payload has %d trailing bytes", len(d.b)-d.off)
 	}
 	return nil
-}
-
-// IsBinary reports whether payload carries the binary tag — the format
-// sniff payload codecs use to accept both migrated v1 JSON and v2
-// columnar bytes.
-func IsBinary(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == BinaryTag
 }

@@ -32,10 +32,10 @@
 // version bump therefore misses cleanly; there is no in-place migration
 // of a stale payload, only rebuild-and-overwrite.
 //
-// The pre-image "schema" is keySchema, pinned at 1 forever; it is NOT
-// SchemaVersion, which versions the storage layout below. Keeping the
-// key function fixed across layout generations is what lets a v2 store
-// recompute — and so migrate — the keys a v1 store wrote.
+// The pre-image "schema" is keySchema, pinned at 1; it is NOT
+// SchemaVersion, which versions the storage layout below. Bumping it
+// would re-key every stored entry, so producers version their output
+// through Kind.Version instead.
 //
 // Two kinds carry workload-trace identity (see WORKLOADS.md):
 //
@@ -57,8 +57,7 @@
 //	index.bin                    persistent index, atomically replaced
 //
 // Entries stripe across segments by the leading hex nibble of their key
-// (shardOf), so concurrent synchronous writers contend on different
-// stripe locks and compaction rewrites 1/8 of the store at a time.
+// (shardOf), so compaction rewrites 1/8 of the store at a time.
 //
 // Each segment is a concatenation of framed records:
 //
@@ -70,10 +69,10 @@
 //
 // Records are immutable once appended; rewriting a key appends a new
 // record and repoints the index, leaving the old record as garbage for
-// the next compaction. CRC-32C (Castagnoli, hardware-accelerated)
-// replaces v1's per-entry SHA-256 — a cache record needs corruption
-// detection, not collision resistance, and the CRC is an order of
-// magnitude cheaper on the warm path.
+// the next compaction. The checksum is CRC-32C (Castagnoli,
+// hardware-accelerated): a cache record needs corruption detection, not
+// collision resistance, and the CRC is an order of magnitude cheaper
+// than SHA-256 on the warm path.
 //
 // The index file maps key → (segment, offset, length, atime):
 //
@@ -90,17 +89,26 @@
 // index describes; Open scans each segment's bytes beyond them (the
 // tail scan) to recover records appended after the last index save.
 //
+// The store reads and writes this layout only. A directory in the older
+// layout (one JSON envelope file per entry under dir/<kind>/<key[:2]>/)
+// opens as an empty store: its files are neither read, counted, evicted
+// nor removed, and every lookup misses and rebuilds into packfiles.
+// Delete such a directory (make cache-clean) to reclaim its space.
+//
 // # Payload encodings
 //
-// A payload is either the producer's JSON codec output (first byte '{')
-// or the v2 columnar binary form (first byte BinaryTag, 0xB2, followed
-// by a kind-specific format version). Payload decoders sniff the first
-// byte and accept both, so producer Kind versions did not bump for the
-// layout change and migrated v1 payload bytes rewrite verbatim into
-// packfiles. The binary form (Enc/Dec) writes small integers as
-// varints and dense float64 columns — chip grids, controller weight
-// matrices, PE tables — as contiguous little-endian IEEE-754 blocks:
-// bit-exact round-trips with no number formatting or parsing.
+// The store treats a payload as opaque bytes, and each kind's producer
+// owns its codec. The chip, profile, solver, petables, apprun and
+// staticpt kinds use the columnar binary form: the BinaryTag byte
+// (0xB2), a kind-specific format version, then the fields. The binary
+// form (Enc/Dec) writes small integers as varints and dense float64
+// columns — chip grids, controller weight matrices, PE tables — as
+// contiguous little-endian IEEE-754 blocks: bit-exact round-trips with
+// no number formatting or parsing. Their decoders accept nothing else,
+// so a record of one of these kinds holding other bytes (a JSON
+// document, say) fails to decode and is rebuilt like any corrupt
+// record. (The trace, outcomes and table2 kinds store JSON documents,
+// which only their own decoders parse.)
 //
 // # Recovery
 //
@@ -114,25 +122,6 @@
 // loses at most unflushed writes — clean misses on the next run, never
 // corruption, since every read re-verifies the record checksum.
 //
-// # Migration from v1
-//
-// Version-1 stores kept one JSON envelope file per entry under
-// dir/<kind>/<key[:2]>/<key>.json. A v2 store reads these through: on
-// an index miss it checks the legacy path, verifies the envelope
-// (schema, kind, key, payload SHA-256), counts artifact.cache.migrated,
-// rewrites the payload into a packfile via the normal write path, and
-// deletes the legacy file. Existing CI caches therefore migrate
-// incrementally as they are hit; untouched legacy entries still count
-// against MaxBytes and age out through the LRU sweep.
-//
-// One v1 property is narrowed: v1's atomic per-entry renames allowed
-// concurrent *writing* processes on one directory. The packed layout
-// assumes a single writing process at a time (in-process concurrency is
-// unrestricted). Concurrent readers of a directory another process is
-// writing remain safe — the index is replaced atomically and segment
-// tails are re-scanned — and duplicate work across processes was always
-// harmless (identical content either way).
-//
 // # Failure semantics
 //
 // The cache can never fail a run or change a result. A missing entry is
@@ -142,18 +131,17 @@
 // record. Write failures (read-only disk, ENOSPC) are counted and
 // swallowed; the freshly built artifact is still returned. Loaded
 // artifacts are byte-exact reproductions of what the producer built
-// (both payload encodings round-trip float64 exactly), so cold, warm,
-// and migrated runs of an experiment are byte-identical at a fixed
-// seed.
+// (payload codecs round-trip float64 exactly), so cold and warm runs of
+// an experiment are byte-identical at a fixed seed.
 //
 // # Asynchronous persistence
 //
-// By default writes are decoupled from the builder: Put and GetOrBuild
-// enqueue the payload on a bounded queue (writers block once
-// maxQueuedWrites jobs are outstanding, so a slow disk applies
-// backpressure) and return, while a single background flusher frames
-// records and appends them to the segments. This overlaps cold-path
-// disk I/O with the next artifact's build. The ordering contract:
+// Writes are decoupled from the builder: Put and GetOrBuild enqueue the
+// payload on a bounded queue (writers block once maxQueuedWrites jobs
+// are outstanding, so a slow disk applies backpressure) and return,
+// while a single background flusher frames records and appends them to
+// the segments. This overlaps cold-path disk I/O with the next
+// artifact's build. The ordering contract:
 //
 //   - Read-your-writes: within one Store, a write is visible to reads
 //     the moment Put/GetOrBuild returns — reads consult the in-memory
@@ -172,10 +160,13 @@
 //     same directory sees an entry only after the writer flushes (the
 //     saved index plus tail scan covers everything appended).
 //
-// Options.SyncWrites restores persist-before-return for callers that
-// cannot interpose a Flush before handing the directory off.
-//
 // # Concurrency and bounds
+//
+// The packed layout assumes a single writing process at a time
+// (in-process concurrency is unrestricted). Concurrent readers of a
+// directory another process is writing remain safe — the index is
+// replaced atomically and segment tails are re-scanned — and duplicate
+// work across processes is harmless (identical content either way).
 //
 // In-process, GetOrBuild deduplicates concurrent builds of the same key
 // (single-flight): one goroutine builds, the rest wait and decode the
@@ -183,20 +174,19 @@
 // compaction atomically renames the rewritten segment into place and
 // retires the old read descriptor, so in-flight reads finish against
 // the old inode. A bounded-size LRU sweep (Options.MaxBytes) evicts the
-// least-recently-used entries — across both packed records and legacy
-// v1 files — once enough written bytes accumulate (and always at
-// Flush/Close); hits bump an entry's atime. Eviction marks record bytes
-// as garbage; compaction rewrites a segment without them when its
-// garbage passes compactMinGarbage and half the segment, or whenever
-// the store is over its cap. The settle pass and the disk-byte
+// least-recently-used records once enough written bytes accumulate (and
+// always at Flush/Close); hits bump an entry's atime. Eviction marks
+// record bytes as garbage; compaction rewrites a segment without them
+// when its garbage passes compactMinGarbage and half the segment, or
+// whenever the store is over its cap. The settle pass and the disk-byte
 // accounting it publishes are serialized under a dedicated mutex.
 //
 // # Metrics
 //
 // With a non-nil obs.Registry the store records artifact.cache.{hits,
-// misses,corrupt,migrated,bytes,write_errors,evictions,compactions,
+// misses,corrupt,bytes,write_errors,evictions,compactions,
 // index_rebuilds} counters plus per-kind variants
-// (artifact.cache.<kind>.{hits,misses,corrupt,migrated}), the
+// (artifact.cache.<kind>.{hits,misses,corrupt}), the
 // artifact.cache.{encode_ns,decode_ns} timers around record framing and
 // record reads, an artifact.cache.segments gauge (live packfile count),
 // and an artifact.cache.disk_bytes gauge after each settle.

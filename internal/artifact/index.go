@@ -26,8 +26,7 @@ type idxEntry struct {
 }
 
 // fkeyOf is the index map key: the kind-qualified hex entry key (two
-// kinds may in principle collide on a key; qualifying keeps them apart,
-// matching v1's per-kind directories).
+// kinds may in principle collide on a key; qualifying keeps them apart).
 func fkeyOf(kind, key string) string {
 	return kind + "/" + key
 }

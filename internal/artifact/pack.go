@@ -11,8 +11,8 @@ import (
 )
 
 // numShards is the packfile count. Writes stripe by the key's leading
-// byte, so concurrent SyncWrites writers contend on different files and
-// compaction rewrites 1/numShards of the store at a time.
+// byte, so a compaction rewrites — and blocks appends to — 1/numShards
+// of the store at a time.
 const numShards = 8
 
 // recordMagic opens every pack record; a scan that does not find it at an
@@ -20,9 +20,9 @@ const numShards = 8
 var recordMagic = [4]byte{'E', 'V', 'R', '2'}
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64) —
-// the per-record checksum. SHA-256 guarded v1's payloads; a packfile
-// record only needs corruption detection, not collision resistance, and
-// CRC-32C is an order of magnitude cheaper on the warm path.
+// the per-record checksum. A packfile record only needs corruption
+// detection, not collision resistance, and CRC-32C is an order of
+// magnitude cheaper than SHA-256 on the warm path.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // rawKeyLen is the decoded length of the hex entry keys (SHA-256).

@@ -73,13 +73,7 @@ func (s *Simulator) cachedChip(seed int64) *varius.ChipMaps {
 		return nil
 	}
 	chip := new(varius.ChipMaps)
-	err = s.store.GetOrBuild(chipKind, key,
-		func(payload []byte) error {
-			if artifact.IsBinary(payload) {
-				return chip.UnmarshalBinary(payload)
-			}
-			return chip.UnmarshalJSON(payload)
-		},
+	err = s.store.GetOrBuild(chipKind, key, chip.UnmarshalBinary,
 		func() ([]byte, error) {
 			chip = s.gen.Chip(seed)
 			return chip.MarshalBinary()
@@ -121,12 +115,7 @@ func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.
 	}
 	var p pipeline.Profile
 	err = s.store.GetOrBuild(profileKind, key,
-		func(payload []byte) error {
-			if artifact.IsBinary(payload) {
-				return decodeProfile(payload, &p)
-			}
-			return json.Unmarshal(payload, &p)
-		},
+		func(payload []byte) error { return decodeProfile(payload, &p) },
 		func() ([]byte, error) {
 			var berr error
 			if p, berr = build(); berr != nil {
@@ -140,18 +129,6 @@ func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.
 	return p, nil
 }
 
-// petablePayload is the petables artifact: every dense PE-fmax table one
-// run built for one chip. Unlike the other kinds there is no single build
-// call site to wrap — tables accumulate lazily as controller invocations
-// touch grid points — so the store's raw Get/Put surface is used instead
-// of GetOrBuild: load seeds the store after the donor core is assembled,
-// and the run's accumulated tables are written back at the end. Table
-// values are exact float64 round-trips, so a warm run's solves are
-// byte-identical to a cold run's.
-type petablePayload struct {
-	Tables []adapt.PETableSlot `json:"tables"`
-}
-
 // petableKey derives the petables artifact key: the tables are fully
 // determined by the chip's stage models, i.e. by (varius params, seed).
 func (s *Simulator) petableKey(seed int64) (string, bool) {
@@ -161,7 +138,14 @@ func (s *Simulator) petableKey(seed int64) (string, bool) {
 
 // loadPETables seeds cpu's dense PE-fmax store from the artifact cache,
 // returning how many table columns were imported (0 with no store or no
-// entry).
+// entry). The petables artifact holds every dense PE-fmax table one run
+// built for one chip. Unlike the other kinds there is no single build
+// call site to wrap — tables accumulate lazily as controller invocations
+// touch grid points — so the store's raw Get/Put surface is used instead
+// of GetOrBuild: AcquireChip loads the tables into the donor core, and
+// ReleaseChip writes the run's accumulated tables back. Table values are
+// exact float64 round-trips, so a warm run's solves are byte-identical
+// to a cold run's.
 func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
 	if s.store == nil {
 		return 0
@@ -170,18 +154,15 @@ func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
 	if !ok {
 		return 0
 	}
-	var p petablePayload
+	var tabs []adapt.PETableSlot
 	if !s.store.Get(petableKind, key, func(payload []byte) error {
-		if artifact.IsBinary(payload) {
-			var derr error
-			p.Tables, derr = decodePETables(payload)
-			return derr
-		}
-		return json.Unmarshal(payload, &p)
+		var derr error
+		tabs, derr = decodePETables(payload)
+		return derr
 	}) {
 		return 0
 	}
-	return cpu.ImportPETables(p.Tables)
+	return cpu.ImportPETables(tabs)
 }
 
 // storePETables writes cpu's built PE-fmax tables back to the artifact
@@ -458,11 +439,7 @@ func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opt
 	err = s.store.GetOrBuild(solverKind, key,
 		func(payload []byte) error {
 			sv := new(adapt.FuzzySolver)
-			uerr := sv.UnmarshalJSON
-			if artifact.IsBinary(payload) {
-				uerr = sv.UnmarshalBinary
-			}
-			if derr := uerr(payload); derr != nil {
+			if derr := sv.UnmarshalBinary(payload); derr != nil {
 				return derr
 			}
 			solver = sv

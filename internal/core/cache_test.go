@@ -75,9 +75,9 @@ func TestArtifactCacheColdWarmGolden(t *testing.T) {
 	if coldReg.Counter("artifact.cache.misses").Value() == 0 {
 		t.Fatal("cold run reported no misses; the store is not being consulted")
 	}
-	// The prefetch pass builds each chip once (a miss) and the experiment
-	// pool then loads it back (a hit), so a cold run hits at most once per
-	// chip; anything beyond that means the cache was not actually empty.
+	// A cold run builds every artifact it reads, so it should not hit; the
+	// bound tolerates one hit per chip, and anything beyond that means the
+	// cache was not actually empty.
 	if _, cfg := cacheTestConfig(); coldHits > int64(cfg.Chips) {
 		t.Fatalf("cold run reported %d hits from an empty cache", coldHits)
 	}
@@ -97,20 +97,22 @@ func TestArtifactCacheColdWarmGolden(t *testing.T) {
 	}
 }
 
-// TestArtifactCacheMigratedGolden is the v1 read-through contract at
-// experiment level: a store seeded with legacy one-file-per-artifact JSON
-// entries must serve them (migrating each into the packed layout), produce
-// a byte-identical summary, and leave a store that serves the next run
-// from packfiles alone.
-func TestArtifactCacheMigratedGolden(t *testing.T) {
+// TestArtifactCacheJSONChipRebuilt: a packed store whose chip records
+// hold JSON payloads, as the older layout's read-through wrote them,
+// rebuilds each chip through the corrupt-record path. The summary is
+// byte-identical to an uncached run, every chip counts corrupt once, and
+// the rebuilt records serve the next run without a miss.
+func TestArtifactCacheJSONChipRebuilt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
 	}
 	opts, cfg := cacheTestConfig()
 	dir := t.TempDir()
-	// Seed a v1-layout store: every evaluation chip as a legacy JSON entry,
-	// exactly what a pre-packfile cache directory held.
 	fresh, err := NewSimulator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := artifact.Open(dir, artifact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,31 +126,24 @@ func TestArtifactCacheMigratedGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := artifact.WriteLegacyEntry(dir, chipKind, key, payload); err != nil {
-			t.Fatal(err)
-		}
+		store.Put(chipKind, key, payload)
 	}
-	migrated, reg := runSummaryWithCache(t, dir)
-	if n := reg.Counter("artifact.cache.migrated").Value(); n != int64(cfg.Chips) {
-		t.Fatalf("migrated %d legacy entries, want %d", n, cfg.Chips)
-	}
-	if n := reg.Counter("artifact.cache.chip.hits").Value(); n < int64(cfg.Chips) {
-		t.Fatalf("chip hits %d; legacy entries were rebuilt instead of read through", n)
+	store.Close()
+
+	rebuilt, reg := runSummaryWithCache(t, dir)
+	if n := reg.Counter("artifact.cache.chip.corrupt").Value(); n != int64(cfg.Chips) {
+		t.Fatalf("chip corrupt = %d, want %d", n, cfg.Chips)
 	}
 	uncached, _ := runSummaryWithCache(t, "")
-	if !bytes.Equal(migrated, uncached) {
-		t.Fatalf("migrated and uncached summaries differ:\n migrated %s\n uncached %s", migrated, uncached)
+	if !bytes.Equal(rebuilt, uncached) {
+		t.Fatalf("rebuilt and uncached summaries differ:\n rebuilt  %s\n uncached %s", rebuilt, uncached)
 	}
-	// The rewrite is durable: a second run hits without migrating again.
 	warm, warmReg := runSummaryWithCache(t, dir)
-	if n := warmReg.Counter("artifact.cache.migrated").Value(); n != 0 {
-		t.Fatalf("second run migrated %d entries again", n)
-	}
 	if n := warmReg.Counter("artifact.cache.misses").Value(); n != 0 {
-		t.Fatalf("second run rebuilt %d artifacts", n)
+		t.Fatalf("next run rebuilt %d artifacts", n)
 	}
-	if !bytes.Equal(migrated, warm) {
-		t.Fatal("migrated-store summary changed between runs")
+	if !bytes.Equal(rebuilt, warm) {
+		t.Fatal("summary changed between the rebuilding run and the next")
 	}
 }
 

@@ -186,10 +186,6 @@ type Simulator struct {
 
 	mu       sync.Mutex
 	profiles map[profileKey]pipeline.Profile
-	// prefetched holds chips built ahead of an experiment pool (see
-	// prefetch.go); Chip consumes each entry once, so the stash never
-	// outlives the handoff from prefetch to first use.
-	prefetched map[int64]*varius.ChipMaps
 }
 
 type profileKey struct {
@@ -268,17 +264,6 @@ func (s *Simulator) Chip(seed int64) *varius.ChipMaps {
 	if seed < 0 {
 		return s.gen.NoVarChip()
 	}
-	// A prefetched chip is handed over exactly once: the experiment pool's
-	// first use takes it without a second store decode, and later calls
-	// (if any) go through the store as usual. Chips are immutable after
-	// generation, so sharing the pointer is safe.
-	s.mu.Lock()
-	if chip, ok := s.prefetched[seed]; ok {
-		delete(s.prefetched, seed)
-		s.mu.Unlock()
-		return chip
-	}
-	s.mu.Unlock()
 	if chip := s.cachedChip(seed); chip != nil {
 		return chip
 	}

@@ -166,7 +166,7 @@ func TestRunDynamicBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.RunDynamic(core, app, ExhDyn, adapt.Exhaustive{})
+	run, err := s.UnitAppRun(5, core, ExhDyn, adapt.Exhaustive{}, FleetUnit{App: app, Phase: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,8 @@ func TestRunDynamicBeatsBaseline(t *testing.T) {
 	if run.PE > s.opts.Limits.PEMax*1.01 {
 		t.Errorf("adapted PE %g above budget", run.PE)
 	}
-	if _, err := s.RunDynamic(core, app, Static, adapt.Exhaustive{}); err == nil {
-		t.Error("RunDynamic must reject Static mode")
+	if _, err := s.UnitAppRun(5, core, Static, adapt.Exhaustive{}, FleetUnit{App: app, Phase: -1}); err == nil {
+		t.Error("a Static unit without an operating point must be rejected")
 	}
 }
 
@@ -208,11 +208,11 @@ func TestStaticConservativeAndBelowDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcc := apps[0]
-	st, err := s.RunStatic(core, gcc, point)
+	st, err := s.UnitAppRun(7, core, Static, nil, FleetUnit{App: gcc, Phase: -1, Static: &point})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := s.RunDynamic(core, gcc, ExhDyn, adapt.Exhaustive{})
+	dyn, err := s.UnitAppRun(7, core, ExhDyn, adapt.Exhaustive{}, FleetUnit{App: gcc, Phase: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 		cfg.Training.Obs = s.obs
 	}
 	defer s.obs.Timer("core.run_summary").Start().Stop()
-	s.prefetchArtifacts(cfg, apps)
+	s.prefetchProfiles(cfg, apps)
 
 	// NoVar reference per app.
 	novarSW := s.obs.Timer("core.novar_refs").Start()
@@ -562,7 +562,7 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 		cfg.Training.Obs = s.obs
 	}
 	defer s.obs.Timer("core.run_outcomes").Start().Stop()
-	s.prefetchArtifacts(cfg, apps)
+	s.prefetchProfiles(cfg, apps)
 	cells := Figure13Configs()
 	// (config × chip) units over the shared pool. A chip's first unit
 	// acquires its handle; each unit derives its configuration's core from
@@ -674,7 +674,6 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 		cfg.Training.Obs = s.obs
 	}
 	defer s.obs.Timer("core.run_table2").Start().Stop()
-	s.prefetchArtifacts(cfg, nil) // chips only; Table 2 reads no profiles
 	const nomVddMV = 1000.0
 	envs := []struct {
 		name string

@@ -184,43 +184,47 @@ func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver ad
 		return AppRun{}, fmt.Errorf("core: %q has no phase %d", u.App.Name, u.Phase)
 	}
 	return s.cachedAppRun(seed, cpu, u.App, mode, fp, u.Static, u.Phase, func() (AppRun, error) {
-		if u.Phase < 0 {
-			switch mode {
-			case Static:
-				return s.RunStatic(cpu, u.App, *u.Static)
-			default:
-				return s.RunDynamic(cpu, u.App, mode, solver)
-			}
-		}
-		return s.runPhase(cpu, u.App, u.App.Phases[u.Phase], mode, solver, u.Static)
+		return s.runUnit(cpu, mode, solver, u)
 	})
 }
 
-// runPhase runs one phase as its own unit, weighted as a whole app
-// (weight 1): the fleet's phase-change event granularity.
-func (s *Simulator) runPhase(cpu *adapt.Core, app workload.App, ph workload.Phase,
-	mode Mode, solver adapt.Solver, static *adapt.OperatingPoint) (AppRun, error) {
+// runUnit adapts the unit's phases on cpu in order and folds them into
+// one run: every phase of the app at its own weight, or only the named
+// phase at weight 1 (the fleet's phase-change event granularity).
+// Dynamic modes solve each phase with solver; Static mode retunes around
+// u.Static.
+func (s *Simulator) runUnit(cpu *adapt.Core, mode Mode, solver adapt.Solver, u FleetUnit) (AppRun, error) {
 	env, err := envOfConfig(cpu.Config)
 	if err != nil {
 		return AppRun{}, err
 	}
-	prof, err := s.Profile(app, ph)
-	if err != nil {
-		return AppRun{}, err
+	phases := u.App.Phases
+	if u.Phase >= 0 {
+		phases = phases[u.Phase : u.Phase+1]
 	}
-	phaseSW := s.obs.Timer("core.phase.adapt").Start()
-	var res adapt.RetuneResult
-	if mode == Static {
-		res, err = staticRetune(cpu, *static, prof)
-	} else {
-		res, err = cpu.AdaptSteady(prof, solver)
+	run := AppRun{App: u.App.Name, Env: env, Mode: mode}
+	for _, ph := range phases {
+		prof, err := s.Profile(u.App, ph)
+		if err != nil {
+			return AppRun{}, err
+		}
+		phaseSW := s.obs.Timer("core.phase.adapt").Start()
+		var res adapt.RetuneResult
+		if mode == Static {
+			res, err = staticRetune(cpu, *u.Static, prof)
+		} else {
+			res, err = cpu.AdaptSteady(prof, solver)
+		}
+		phaseSW.Stop()
+		if err != nil {
+			return AppRun{}, fmt.Errorf("core: %s %s phase %d: %w", env, u.App.Name, ph.Index, err)
+		}
+		weight := ph.Weight
+		if u.Phase >= 0 {
+			weight = 1
+		}
+		accumulate(&run, weight, res)
 	}
-	phaseSW.Stop()
-	if err != nil {
-		return AppRun{}, fmt.Errorf("core: %s %s phase %d: %w", env, app.Name, ph.Index, err)
-	}
-	run := AppRun{App: app.Name, Env: env, Mode: mode}
-	accumulate(&run, 1, res)
 	return run, nil
 }
 

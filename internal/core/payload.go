@@ -13,9 +13,9 @@ import (
 
 // Binary payload format versions for the artifact kinds whose structs
 // live in (or are assembled by) this package. Independent of the kind
-// versions in cache.go: decoders sniff the payload's first byte, so a
-// store can hold JSON (migrated v1) and binary records of one kind side
-// by side.
+// versions in cache.go: bumping a kind version re-keys its entries,
+// while bumping a format version keeps the keys and makes the decoder
+// reject older records, which then rebuild as corrupt.
 const (
 	profileBinVersion  = 1
 	petablesBinVersion = 1

@@ -131,32 +131,6 @@ func (s *Simulator) RunBaseline(chip *varius.ChipMaps, app workload.App) (AppRun
 	return s.runFixed(app, fvar, Baseline, s.chipVt0Effs(chip))
 }
 
-// RunDynamic runs one application with per-phase dynamic adaptation.
-func (s *Simulator) RunDynamic(core *adapt.Core, app workload.App, mode Mode, solver adapt.Solver) (AppRun, error) {
-	if mode != FuzzyDyn && mode != ExhDyn {
-		return AppRun{}, fmt.Errorf("core: RunDynamic requires a dynamic mode, got %v", mode)
-	}
-	env, err := envOfConfig(core.Config)
-	if err != nil {
-		return AppRun{}, err
-	}
-	run := AppRun{App: app.Name, Env: env, Mode: mode}
-	for _, ph := range app.Phases {
-		prof, err := s.Profile(app, ph)
-		if err != nil {
-			return AppRun{}, err
-		}
-		phaseSW := s.obs.Timer("core.phase.adapt").Start()
-		res, err := core.AdaptSteady(prof, solver)
-		phaseSW.Stop()
-		if err != nil {
-			return AppRun{}, fmt.Errorf("core: %s %s phase %d: %w", env, app.Name, ph.Index, err)
-		}
-		accumulate(&run, ph.Weight, res)
-	}
-	return run, nil
-}
-
 // StaticPoint chooses the one conservative configuration a Static chip uses
 // for a workload class: the controller is run once, at test time, against a
 // worst-case profile (per-subsystem peak activity and CPI across the class
@@ -213,31 +187,6 @@ func (s *Simulator) conservativeProfile(class workload.Class, apps []workload.Ap
 		return pipeline.Profile{}, fmt.Errorf("core: no %v applications for static profile", class)
 	}
 	return worst, nil
-}
-
-// RunStatic runs one application at a chip's fixed static operating point.
-// The hardware's protective retuning still acts if a phase manages to
-// violate a constraint (it should not, given the conservative choice).
-func (s *Simulator) RunStatic(core *adapt.Core, app workload.App, point adapt.OperatingPoint) (AppRun, error) {
-	env, err := envOfConfig(core.Config)
-	if err != nil {
-		return AppRun{}, err
-	}
-	run := AppRun{App: app.Name, Env: env, Mode: Static}
-	for _, ph := range app.Phases {
-		prof, err := s.Profile(app, ph)
-		if err != nil {
-			return AppRun{}, err
-		}
-		phaseSW := s.obs.Timer("core.phase.adapt").Start()
-		res, err := staticRetune(core, point, prof)
-		phaseSW.Stop()
-		if err != nil {
-			return AppRun{}, fmt.Errorf("core: static %s %s: %w", env, app.Name, err)
-		}
-		accumulate(&run, ph.Weight, res)
-	}
-	return run, nil
 }
 
 // staticRetune evaluates one phase at a chip's static operating point.

@@ -60,7 +60,8 @@ func TestSharedCoreWorkerPath(t *testing.T) {
 }
 
 // TestRunDynamicRejectsNonTableConfig: a core configured outside the
-// Table 1 set must be refused by the environment-labeled run paths.
+// Table 1 set must be refused by UnitAppRun, whose runs carry an
+// environment label, in dynamic and Static modes alike.
 func TestRunDynamicRejectsNonTableConfig(t *testing.T) {
 	s := newSim(t)
 	donor, err := s.BuildCore(s.Chip(3), TS)
@@ -75,11 +76,12 @@ func TestRunDynamicRejectsNonTableConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunDynamic(core, app, ExhDyn, adapt.Exhaustive{}); err == nil {
-		t.Error("RunDynamic accepted a non-Table-1 config")
+	if _, err := s.UnitAppRun(3, core, ExhDyn, adapt.Exhaustive{}, FleetUnit{App: app, Phase: -1}); err == nil {
+		t.Error("a dynamic unit accepted a non-Table-1 config")
 	}
-	if _, err := s.RunStatic(core, app, adapt.OperatingPoint{FCore: 1}); err == nil {
-		t.Error("RunStatic accepted a non-Table-1 config")
+	static := FleetUnit{App: app, Phase: -1, Static: &adapt.OperatingPoint{FCore: 1}}
+	if _, err := s.UnitAppRun(3, core, Static, nil, static); err == nil {
+		t.Error("a Static unit accepted a non-Table-1 config")
 	}
 }
 

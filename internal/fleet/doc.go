@@ -32,11 +32,12 @@
 // batch, duplicate (app, phase) events share one solve, a single
 // indexed probe (artifact.Store.ContainsBatch) splits groups into cache
 // replays and cold solves, and results flow back through the submission
-// batch. Each chip builds one base core per environment, shared across
-// the pool; workers solve on private WorkerViews of it, so adding
-// workers never multiplies core construction. The views live on the
-// chip's membership entry, one slot per worker, so a chip that leaves
-// takes them with it once its units drain.
+// batch. Each chip builds its handle (variation maps, stage models, PE
+// tables) once, shared across the pool; each worker derives its own
+// cheap core per environment from it, so adding workers never
+// multiplies the chip build. The cores live on the chip's membership
+// entry, one slot per worker, so a chip that leaves takes them with it
+// once its units drain.
 //
 // # Ordering and determinism contract
 //

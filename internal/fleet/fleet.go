@@ -111,9 +111,7 @@ type workerLoad struct {
 // chipEntry is one admitted chip. The expensive handle builds lazily
 // under once on whichever worker first needs it; units register on the
 // WaitGroup so a leave can release the handle only once the chip is
-// quiescent. Per-environment base cores build once per entry and are
-// shared by every worker through cheap WorkerViews, so scaling the pool
-// does not multiply core construction.
+// quiescent.
 type chipEntry struct {
 	seed  int64
 	units sync.WaitGroup
@@ -122,45 +120,18 @@ type chipEntry struct {
 	handle *core.ChipHandle
 	err    error
 
-	cores sync.Map // core.Environment -> *coreSlot
-
-	// views holds each worker's private WorkerViews of the base cores:
-	// one slot per worker, read and written only by that worker. Living
-	// on the entry, a departed chip's views are freed with it.
+	// views holds each worker's private cores of the chip, one slot per
+	// worker, read and written only by that worker. Living on the entry,
+	// a departed chip's views are freed with it.
 	views []envViews
 }
 
-// envViews is one worker's views of a chip, by environment.
+// envViews is one worker's cores of a chip, by environment.
 type envViews [core.NumEnvironments]*adapt.Core
-
-// coreSlot is one (chip, environment) shared base core.
-type coreSlot struct {
-	once sync.Once
-	core *adapt.Core
-	err  error
-}
 
 func (e *chipEntry) ensure(sim *core.Simulator) (*core.ChipHandle, error) {
 	e.once.Do(func() { e.handle, e.err = sim.AcquireChip(e.seed) })
 	return e.handle, e.err
-}
-
-// baseCore returns the entry's shared core for env, building it exactly
-// once across all workers. Workers must not solve on the returned core
-// directly — they derive private WorkerViews — but its immutable fields
-// (Config) are safe to read concurrently.
-func (e *chipEntry) baseCore(sim *core.Simulator, env core.Environment) (*adapt.Core, error) {
-	v, _ := e.cores.LoadOrStore(env, &coreSlot{})
-	slot := v.(*coreSlot)
-	slot.once.Do(func() {
-		handle, err := e.ensure(sim)
-		if err != nil {
-			slot.err = err
-			return
-		}
-		slot.core, slot.err = sim.HandleCore(handle, env)
-	})
-	return slot.core, slot.err
 }
 
 // eventRef ties one ingested event to its slot in the submission batch.

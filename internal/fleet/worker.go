@@ -108,10 +108,10 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 }
 
 // solveGroups fills each scratch group's payload (or error message). The
-// expensive core build happens once per chip per environment across the
-// whole pool; worker w solves on its own cheap view of it (shared
-// immutable models and PE store, private memos and scratch), so solves
-// never contend.
+// expensive chip build happens once per chip across the whole pool;
+// worker w solves on its own core per environment, derived from the
+// chip's handle (shared immutable models and PE store, private memos and
+// scratch), so solves never contend.
 func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
 	groups := sc.groups
 	handle, err := t.entry.ensure(f.sim)
@@ -134,14 +134,13 @@ func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
 	view := &t.entry.views[w][env]
 	cpu := *view
 	if cpu == nil {
-		base, cerr := t.entry.baseCore(f.sim, env)
-		if cerr != nil {
+		var cerr error
+		if cpu, cerr = f.sim.HandleCore(handle, env); cerr != nil {
 			for gi := range groups {
 				groups[gi].errMsg = cerr.Error()
 			}
 			return
 		}
-		cpu = base.WorkerView()
 		*view = cpu
 	}
 	var solver adapt.Solver

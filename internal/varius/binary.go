@@ -8,7 +8,8 @@ import (
 )
 
 // chipBinVersion is the chip payload's binary format version,
-// independent of the artifact kind version (decoders sniff the format).
+// independent of the artifact kind version: the artifact store keeps
+// chips in this form only, and UnmarshalBinary rejects any other.
 const chipBinVersion = 1
 
 // MarshalBinary serializes the chip maps in the artifact store's
