@@ -835,75 +835,6 @@ func BenchmarkPEFMaxBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkThermalSolveBatch measures one whole-actuation-grid thermal
-// sweep (every Vdd × Vbb level) through Solver.SolveBatch: warm chains
-// each point off its grid neighbor's converged state; reference retraces
-// the exact cold-start Model.CoreSteady at every point.
-func BenchmarkThermalSolveBatch(b *testing.B) {
-	vp := varius.DefaultParams()
-	fp, err := floorplan.Default(vp.CoreSide)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pw, err := power.NewModel(fp, vp, power.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := thermal.NewModel(fp, vp, pw, thermal.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := make([]thermal.SubsystemInput, fp.N())
-	for i, sub := range fp.Subsystems {
-		base[i] = thermal.SubsystemInput{
-			Index:  i,
-			Vt0Eff: vp.VtMeanV,
-			AlphaF: sub.TypicalAlpha,
-			FRel:   1.0,
-		}
-	}
-	cfgT := tech.Config{TimingSpec: true, ASV: true, ABB: true}
-	var pts []thermal.BatchPoint
-	for _, vdd := range cfgT.VddLevels(vp.VddNomV) {
-		for _, vbb := range cfgT.VbbLevels() {
-			ins := make([]thermal.SubsystemInput, len(base))
-			for j, in := range base {
-				in.VddV = vdd
-				in.VbbV = vbb
-				ins[j] = in
-			}
-			pts = append(pts, thermal.BatchPoint{Ins: ins, FRel: 1.0})
-		}
-	}
-	for _, mode := range []struct {
-		name      string
-		reference bool
-	}{{"warm", false}, {"reference", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sv := thermal.NewSolver(m)
-			sv.DisableAcceleration = mode.reference
-			b.ReportAllocs()
-			b.ResetTimer()
-			solved := 0
-			for i := 0; i < b.N; i++ {
-				solved = 0
-				// The hottest grid corners legitimately run away (the
-				// adaptation layer never picks them); a batch reports
-				// that per point rather than failing the sweep.
-				for _, r := range sv.SolveBatch(pts) {
-					if r.Err == nil {
-						solved++
-					}
-				}
-			}
-			if solved == 0 {
-				b.Fatal("no grid point converged")
-			}
-			b.ReportMetric(float64(solved), "solved/op")
-		})
-	}
-}
-
 // BenchmarkFuzzyPredict measures one deployed fuzzy-controller query — the
 // operation the paper budgets ~6 us of controller time around.
 func BenchmarkFuzzyPredict(b *testing.B) {

@@ -39,17 +39,15 @@ func main() {
 		curves = flag.Bool("curves", false, "emit per-subsystem PE(f) CSV for the chip")
 		save   = flag.String("save", "", "write the chip's variation maps to a JSON file")
 		load   = flag.String("load", "", "inspect a previously saved chip instead of generating one")
-
-		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (default off; falls back to $EVAL_CACHE_DIR)")
-		noCache  = flag.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
 	)
+	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
 	sim, err := core.NewSimulator(core.DefaultOptions())
 	if err != nil {
 		fatal(err)
 	}
-	store, err := artifact.Resolve(*cacheDir, *noCache, artifact.Options{})
+	store, err := openStore(artifact.Options{})
 	if err != nil {
 		fatal(err)
 	}

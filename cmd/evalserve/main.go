@@ -82,9 +82,8 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 		examples   = flag.Int("examples", 1500, "fuzzy training examples per controller")
 		traceLen   = flag.Int("tracelen", pipeline.DefaultTraceLen, "instructions per phase profile")
-		cacheDir   = flag.String("cache-dir", "", "persistent artifact cache directory (falls back to $EVAL_CACHE_DIR)")
-		noCache    = flag.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
 	)
+	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
 	pol, err := fleet.ParseRouting(*routing)
@@ -97,7 +96,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	store, err := artifact.Resolve(*cacheDir, *noCache, artifact.Options{Obs: reg})
+	store, err := openStore(artifact.Options{Obs: reg})
 	if err != nil {
 		fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 //	evalsim -experiment fig10 -chips 20 -apps gcc,swim,mcf
 //	evalsim -experiment fig8 -chip 3 -app swim
-//	evalsim -experiment table2 -chips 4 -examples 2000 -trainchips 3
+//	evalsim -experiment table2 -chips 4 -examples 2000
 //	evalsim -experiment summary -chips 8 -modes static,exh -tracelen 40000
 //	evalsim -experiment summary -chips 2 -metrics -progress
 //	evalsim -experiment areas
@@ -27,8 +27,6 @@
 //	                  (fig1, fig2, fig4, fig8, fig9)
 //	-modes m,m        adaptation modes for fig10-12/summary, any of
 //	                  static, fuzzy, exh (default all three)
-//	-trainchips n     distinct chips for fleet-style fuzzy training
-//	                  (TrainSolver; the summary experiments train per chip)
 //	-examples n       fuzzy training examples per controller (paper: 10000)
 //	-tracelen n       instructions per phase profile (trace length)
 //	-workers n        worker goroutines for the chip×env / config×chip /
@@ -104,21 +102,19 @@ func main() {
 		chip       = flag.Int64("chip", 3, "chip seed for single-chip figures (fig1/fig2/fig8/fig9)")
 		app        = flag.String("app", "swim", "application for single-chip figures")
 		examples   = flag.Int("examples", 1500, "fuzzy training examples per controller (paper: 10000)")
-		trainChips = flag.Int("trainchips", 2, "chips used for fuzzy training")
 		traceLen   = flag.Int("tracelen", pipeline.DefaultTraceLen, "instructions per phase profile")
 		modes      = flag.String("modes", "static,fuzzy,exh", "adaptation modes for fig10-12")
 		wlSpec     = flag.String("workload-spec", "", "workload spec JSON to generate the app set from (see WORKLOADS.md)")
 		wlSeed     = flag.Int64("workload-seed", 1, "generation seed for -workload-spec")
 		tracePath  = flag.String("trace", "", "TraceV1 trace file to replay (\"-\" = stdin)")
 		workers    = flag.Int("workers", 0, "worker goroutines for the experiment work queues (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache-dir", "", "persistent artifact cache directory (default off; falls back to $EVAL_CACHE_DIR)")
-		noCache    = flag.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
 		progress   = flag.Bool("progress", false, "render live per-worker progress to stderr")
 		metrics    = flag.Bool("metrics", false, "print a metrics footer (timers, counters, occupancy) at exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of chip/app spans to this file")
 	)
+	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
 	var reg *obs.Registry
@@ -129,7 +125,7 @@ func main() {
 	if *traceOut != "" {
 		tracer = obs.NewTracer()
 	}
-	store, err := artifact.Resolve(*cacheDir, *noCache, artifact.Options{Obs: reg})
+	store, err := openStore(artifact.Options{Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
@@ -168,7 +164,6 @@ func main() {
 	cfg := core.DefaultExperimentConfig()
 	cfg.Chips = *chips
 	cfg.SeedBase = *seed
-	cfg.TrainChips = *trainChips
 	cfg.Training.Examples = *examples
 	cfg.Workers = *workers
 	if *apps != "" {
@@ -644,83 +639,45 @@ func runCMP(chips int, seed int64, instrument func(*core.Simulator) *core.Simula
 // runAblate sweeps the model's design choices and reports their effect on
 // the worst-case-safe frequency and the per-subsystem ASV value.
 func runAblate(sim *core.Simulator, chips int, seed int64, instrument func(*core.Simulator) *core.Simulator) error {
-	// Correlation range phi.
-	tb := report.NewTable("ablation: correlation range phi -> fvar across chips",
-		"phi", "fvar mean", "fvar sd")
-	for _, phi := range []float64{0.1, 0.3, 0.5, 0.9} {
-		opts := core.DefaultOptions()
-		opts.Varius.Phi = phi
-		s2, err := core.NewSimulator(opts)
-		if err != nil {
-			return err
-		}
-		instrument(s2)
-		var fv []float64
-		for c := 0; c < chips; c++ {
-			f, err := s2.ChipFVar(s2.Chip(seed + int64(c)))
+	// Variation-model sweeps: correlation range phi, the systematic-vs-
+	// random split, and the die-to-die component.
+	sweeps := []struct {
+		title, param string
+		values       []float64
+		set          func(*varius.Params, float64)
+	}{
+		{"ablation: correlation range phi -> fvar across chips", "phi",
+			[]float64{0.1, 0.3, 0.5, 0.9}, func(p *varius.Params, v float64) { p.Phi = v }},
+		{"ablation: systematic fraction of Vt variance -> fvar", "sys frac",
+			[]float64{0.2, 0.5, 0.8}, func(p *varius.Params, v float64) { p.SysFraction = v }},
+		{"ablation: die-to-die sigma -> fvar spread", "d2d sigma/mu",
+			[]float64{0, 0.03, 0.06}, func(p *varius.Params, v float64) { p.D2DSigmaRatio = v }},
+	}
+	for _, sw := range sweeps {
+		tb := report.NewTable(sw.title, sw.param, "fvar mean", "fvar sd")
+		for _, v := range sw.values {
+			opts := core.DefaultOptions()
+			sw.set(&opts.Varius, v)
+			s2, err := core.NewSimulator(opts)
 			if err != nil {
 				return err
 			}
-			fv = append(fv, f)
+			instrument(s2)
+			var fv []float64
+			for c := 0; c < chips; c++ {
+				f, err := s2.ChipFVar(s2.Chip(seed + int64(c)))
+				if err != nil {
+					return err
+				}
+				fv = append(fv, f)
+			}
+			tb.AddRowF(3, v, mathx.Mean(fv), mathx.StdDev(fv))
 		}
-		tb.AddRowF(3, phi, mathx.Mean(fv), mathx.StdDev(fv))
-	}
-	if err := tb.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-
-	// Systematic-vs-random split.
-	tb = report.NewTable("ablation: systematic fraction of Vt variance -> fvar",
-		"sys frac", "fvar mean", "fvar sd")
-	for _, frac := range []float64{0.2, 0.5, 0.8} {
-		opts := core.DefaultOptions()
-		opts.Varius.SysFraction = frac
-		s2, err := core.NewSimulator(opts)
-		if err != nil {
+		if err := tb.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		instrument(s2)
-		var fv []float64
-		for c := 0; c < chips; c++ {
-			f, err := s2.ChipFVar(s2.Chip(seed + int64(c)))
-			if err != nil {
-				return err
-			}
-			fv = append(fv, f)
-		}
-		tb.AddRowF(3, frac, mathx.Mean(fv), mathx.StdDev(fv))
+		fmt.Println()
 	}
-	if err := tb.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-
-	// Die-to-die component.
-	tb = report.NewTable("ablation: die-to-die sigma -> fvar spread",
-		"d2d sigma/mu", "fvar mean", "fvar sd")
-	for _, d2d := range []float64{0, 0.03, 0.06} {
-		opts := core.DefaultOptions()
-		opts.Varius.D2DSigmaRatio = d2d
-		s2, err := core.NewSimulator(opts)
-		if err != nil {
-			return err
-		}
-		instrument(s2)
-		var fv []float64
-		for c := 0; c < chips; c++ {
-			f, err := s2.ChipFVar(s2.Chip(seed + int64(c)))
-			if err != nil {
-				return err
-			}
-			fv = append(fv, f)
-		}
-		tb.AddRowF(3, d2d, mathx.Mean(fv), mathx.StdDev(fv))
-	}
-	if err := tb.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
 
 	// ASV domain granularity.
 	app, err := workload.ByName("gcc")
@@ -731,7 +688,7 @@ func runAblate(sim *core.Simulator, chips int, seed int64, instrument func(*core
 	if err != nil {
 		return err
 	}
-	tb = report.NewTable("ablation: ASV domain granularity (fine grain buys power, not ceiling)",
+	tb := report.NewTable("ablation: ASV domain granularity (fine grain buys power, not ceiling)",
 		"domains", "frel", "power(W) at frel")
 	var single, multi, pSingle, pMulti []float64
 	for c := 0; c < chips; c++ {

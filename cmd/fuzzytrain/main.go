@@ -56,9 +56,8 @@ func main() {
 		seed     = flag.Int64("seed", 1000, "base seed")
 		out      = flag.String("out", "", "optional path to save the trained controllers (JSON)")
 		workers  = flag.Int("workers", 0, "worker goroutines for training (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (default off; falls back to $EVAL_CACHE_DIR)")
-		noCache  = flag.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
 	)
+	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
 	env, err := parseEnv(*envName)
@@ -69,7 +68,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	store, err := artifact.Resolve(*cacheDir, *noCache, artifact.Options{})
+	store, err := openStore(artifact.Options{})
 	if err != nil {
 		fatal(err)
 	}

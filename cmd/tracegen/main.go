@@ -54,12 +54,11 @@ func main() {
 		outPath  = flag.String("out", "-", "output path (\"-\" = stdout)")
 		validate = flag.Bool("validate", false, "validate the positional spec/trace files instead of generating")
 		quiet    = flag.Bool("quiet", false, "suppress stderr notes")
-		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (default off; falls back to $EVAL_CACHE_DIR)")
-		noCache  = flag.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
 	)
+	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
-	store, err := artifact.Resolve(*cacheDir, *noCache, artifact.Options{})
+	store, err := openStore(artifact.Options{})
 	if err != nil {
 		fatal(err)
 	}

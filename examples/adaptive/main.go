@@ -1,22 +1,24 @@
 // Adaptive: the Figure 6 timeline — what the controller system actually
 // does at run time.
 //
-// This example walks one chip through a stream of execution intervals drawn
-// from an application's phases. The Sherwood-style detector recognizes
-// phase changes from basic-block vectors; new phases trigger the fuzzy
-// controller (trained here on a separate chip, as the manufacturer would);
-// recurring phases reuse their saved configuration; and hardware retuning
-// cycles trim each configuration against the real sensors.
+// This example runs internal/timeline on one chip: execution intervals
+// drawn from an application's phases, which the Sherwood-style detector
+// recognizes from basic-block vectors. New phases trigger the fuzzy
+// controller (trained here on a software model of this chip, as the
+// manufacturer would); recurring phases reuse their saved configuration;
+// hardware retuning cycles trim each configuration against the real
+// sensors; and the heat-sink sensor refreshes every few seconds.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/phase"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -49,57 +51,36 @@ func main() {
 		log.Fatal(err)
 	}
 
-	detector, err := phase.NewDetector(phase.DefaultThreshold)
+	// Run long enough to cover one heat-sink sensor refresh.
+	tcfg := timeline.DefaultConfig()
+	tcfg.DurationMS = 1.2 * phase.THRefreshS * 1000
+	events, sum, err := timeline.Run(sim, cpu, app, solver, tcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := mathx.NewRNG(99)
 
-	// A synthetic execution: intervals visiting the app's phases with
-	// recurrence, as SPEC codes do.
-	var schedule []int
-	for r := 0; r < 3; r++ {
-		for p := range app.Phases {
-			schedule = append(schedule, p)
-		}
-	}
-
-	saved := adapt.NewPhaseTable(0) // the §4.3.3 phase table of saved configs
-	timeMS := 0.0
-	fmt.Println("t(ms)    interval             action")
-	for _, phIdx := range schedule {
-		ph := app.Phases[phIdx]
-		bbv := phase.FromSignature(ph.Signature).Noisy(rng, 2)
-		obs := detector.Observe(bbv)
-		switch {
-		case obs.New:
-			prof, err := sim.Profile(app, ph)
-			if err != nil {
-				log.Fatal(err)
-			}
+	fmt.Println("t(ms)    phase  event        f(GHz)  detail")
+	for _, ev := range events {
+		detail := ""
+		switch ev.Kind {
+		case timeline.EventNewPhase:
 			// ~20 us of counter measurement, 6 us of controller, <=10 us
 			// transition (Figure 6), then retuning cycles.
-			res, err := cpu.AdaptSteady(prof, solver)
-			if err != nil {
-				log.Fatal(err)
-			}
-			saved.Save(obs.PhaseID, res.Point, res.Outcome)
-			fmt.Printf("%7.0f  phase %d (new)        measure %.0fus + controller %.0fus + transition %.0fus; "+
-				"f=%.2fGHz q=%v fu=%v outcome=%v (%d retune steps)\n",
-				timeMS, obs.PhaseID, phase.MeasureUS, phase.ControllerUS, phase.TransitionUS,
-				res.Point.FCore*4, res.Point.Queue, res.Point.FU, res.Outcome, res.Steps)
-		case obs.Changed:
-			pt, _ := saved.Lookup(obs.PhaseID)
-			fmt.Printf("%7.0f  phase %d (recurring)  reuse saved configuration: f=%.2fGHz q=%v fu=%v\n",
-				timeMS, obs.PhaseID, pt.FCore*4, pt.Queue, pt.FU)
-		default:
-			fmt.Printf("%7.0f  phase %d (stable)     no action\n", timeMS, obs.PhaseID)
+			detail = fmt.Sprintf("measure %.0fus + controller %.0fus + transition %.0fus; outcome=%v (%d retune steps)",
+				phase.MeasureUS, phase.ControllerUS, phase.TransitionUS, ev.Outcome, ev.RetuneSteps)
+		case timeline.EventReusePhase:
+			detail = "reuse saved configuration"
+		case timeline.EventTHRefresh:
+			detail = fmt.Sprintf("heat-sink sensor reads %.1f K", ev.SensedTHK)
 		}
-		timeMS += phase.MeanPhaseLengthMS
+		line := fmt.Sprintf("%7.0f  %5d  %-11v  %6.2f  %s", ev.TimeMS, ev.PhaseID, ev.Kind, ev.FCore*4, detail)
+		fmt.Println(strings.TrimRight(line, " "))
 	}
 
-	fmt.Printf("\n%d distinct phases tracked; adaptation overhead per phase: %.4f%% of execution\n",
-		detector.Phases(), phase.AdaptationOverheadFraction()*100)
+	fmt.Printf("\n%d intervals over %.0f ms: %d new phases, %d reused, %d with a violation; %.1f%% of intervals in known phases\n",
+		sum.Intervals, sum.DurationMS, sum.NewPhases, sum.ReusedPhases, sum.Violations, sum.StablePhaseFrac*100)
+	fmt.Printf("mean f %.2f GHz; adaptation overhead %.4f%% of execution (%.4f%% per phase change)\n",
+		sum.MeanFCore*4, sum.OverheadFrac*100, phase.AdaptationOverheadFraction()*100)
 	fmt.Printf("heat-sink sensor refresh: every %.1f s; retuning step: %.0f ms per violation probe\n",
 		phase.THRefreshS, phase.RetuneStepMS)
 }

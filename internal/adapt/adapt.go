@@ -360,9 +360,6 @@ type peTable struct {
 	fmax [len(peBudgets)]float64
 }
 
-// peAllCols is the column mask of a fully built table.
-const peAllCols = uint32(1)<<len(peBudgets) - 1
-
 // peRef is a (subsystem, variant, Vdd, Vbb) coordinate resolved against
 // the dense store once per scan, so the hot solve loops stop re-deriving
 // variant and actuation-level indices (tech.VddIndex/VbbIndex round and

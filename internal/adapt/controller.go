@@ -45,8 +45,6 @@ type Solver interface {
 	FreqMax(c *Core, i int, q FreqQuery) float64
 	// PowerLevels returns the minimum-power (Vdd, Vbb) meeting fCore.
 	PowerLevels(c *Core, i int, fCore float64, q FreqQuery) (vddV, vbbV float64)
-	// Name identifies the solver in reports.
-	Name() string
 }
 
 // Exhaustive is the reference solver of §4.3.1.
@@ -62,9 +60,6 @@ func (Exhaustive) PowerLevels(c *Core, i int, fCore float64, q FreqQuery) (float
 	r := c.PowerSolve(i, fCore, q)
 	return r.VddV, r.VbbV
 }
-
-// Name implements Solver.
-func (Exhaustive) Name() string { return "exhaustive" }
 
 // variantFor returns the structural variant and power multiplier of
 // subsystem sub under the given choices for an application of the given

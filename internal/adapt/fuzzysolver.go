@@ -47,9 +47,6 @@ type FuzzySolver struct {
 	fp     string
 }
 
-// Name implements Solver.
-func (*FuzzySolver) Name() string { return "fuzzy" }
-
 // FreqMax implements Solver. Unknown (subsystem, variant) pairs — which
 // cannot occur for solvers trained with TrainFuzzySolver on the same
 // configuration — fall back to the exhaustive search.
@@ -136,7 +133,7 @@ type TrainOptions struct {
 	Seed int64
 	// MinBiasComp is added to every frequency prediction to undo the
 	// low bias of the min-over-subsystems core-frequency selection
-	// (in relative-frequency units; ~2 grid steps by default).
+	// (in relative-frequency units; half a grid step by default).
 	MinBiasComp float64
 	// THRangeK bounds the sampled heat-sink temperatures.
 	THLoK, THHiK float64

@@ -1,102 +1,37 @@
 package adapt
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // PhaseTable is the controller system's memory of adapted phases
 // (§4.3.3): "If this phase has been seen before, a saved configuration is
 // reused; otherwise, the controller attempts to find a good configuration."
-// Entries also remember the outcome statistics that Figure 13 aggregates.
 //
 // The table is safe for concurrent use (the interrupt handler and the
 // sensor paths both touch it).
 type PhaseTable struct {
-	mu      sync.RWMutex
-	entries map[int]*PhaseEntry
-	// capacity bounds the table; 0 = unbounded. Real implementations keep
-	// a small table and evict least-recently-used phases.
-	capacity int
-	order    []int // insertion/use order for eviction
+	mu     sync.Mutex
+	points map[int]OperatingPoint
 }
 
-// PhaseEntry is one remembered phase.
-type PhaseEntry struct {
-	PhaseID int
-	Point   OperatingPoint
-	Outcome Outcome
-	// Uses counts reuses since adaptation.
-	Uses int
-}
-
-// NewPhaseTable creates a table bounded to capacity phases (0 = unbounded).
-func NewPhaseTable(capacity int) *PhaseTable {
-	return &PhaseTable{entries: make(map[int]*PhaseEntry), capacity: capacity}
+// NewPhaseTable creates an empty table.
+func NewPhaseTable() *PhaseTable {
+	return &PhaseTable{points: make(map[int]OperatingPoint)}
 }
 
 // Save stores (or replaces) a phase's adapted configuration.
-func (t *PhaseTable) Save(phaseID int, point OperatingPoint, outcome Outcome) {
+func (t *PhaseTable) Save(phaseID int, point OperatingPoint) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.entries[phaseID]; !ok {
-		t.order = append(t.order, phaseID)
-		if t.capacity > 0 && len(t.order) > t.capacity {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.entries, evict)
-		}
-	}
-	t.entries[phaseID] = &PhaseEntry{
-		PhaseID: phaseID,
-		Point:   point.Clone(),
-		Outcome: outcome,
-	}
+	t.points[phaseID] = point.Clone()
 }
 
-// Lookup returns the saved configuration of a phase, if any, counting the
-// reuse.
+// Lookup returns the saved configuration of a phase, if any.
 func (t *PhaseTable) Lookup(phaseID int) (OperatingPoint, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[phaseID]
+	p, ok := t.points[phaseID]
 	if !ok {
 		return OperatingPoint{}, false
 	}
-	e.Uses++
-	return e.Point.Clone(), true
-}
-
-// Len returns the number of remembered phases.
-func (t *PhaseTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
-
-// Entry returns a copy of a phase's entry for inspection.
-func (t *PhaseTable) Entry(phaseID int) (PhaseEntry, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.entries[phaseID]
-	if !ok {
-		return PhaseEntry{}, fmt.Errorf("adapt: phase %d not in table", phaseID)
-	}
-	cp := *e
-	cp.Point = e.Point.Clone()
-	return cp, nil
-}
-
-// OutcomeHistogram counts saved-phase outcomes (the Figure 13 inputs for
-// this chip's lifetime).
-func (t *PhaseTable) OutcomeHistogram() [NumOutcomes]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var h [NumOutcomes]int
-	for _, e := range t.entries {
-		if e.Outcome >= 0 && e.Outcome < NumOutcomes {
-			h[e.Outcome]++
-		}
-	}
-	return h
+	return p.Clone(), true
 }

@@ -10,17 +10,17 @@ func samplePoint(f float64) OperatingPoint {
 }
 
 func TestPhaseTableSaveLookup(t *testing.T) {
-	pt := NewPhaseTable(0)
+	pt := NewPhaseTable()
 	if _, ok := pt.Lookup(1); ok {
 		t.Error("empty table should miss")
 	}
-	pt.Save(1, samplePoint(1.1), OutcomeNoChange)
+	pt.Save(1, samplePoint(1.1))
 	got, ok := pt.Lookup(1)
 	if !ok || got.FCore != 1.1 {
 		t.Fatalf("lookup = %+v, %v", got, ok)
 	}
-	if pt.Len() != 1 {
-		t.Errorf("Len = %d", pt.Len())
+	if _, ok := pt.Lookup(2); ok {
+		t.Error("unsaved phase should miss")
 	}
 	// The stored point is isolated from caller mutation.
 	got.VddV[0] = 99
@@ -30,74 +30,26 @@ func TestPhaseTableSaveLookup(t *testing.T) {
 	}
 }
 
-func TestPhaseTableUsesCounting(t *testing.T) {
-	pt := NewPhaseTable(0)
-	pt.Save(7, samplePoint(1.0), OutcomeLowFreq)
-	pt.Lookup(7)
-	pt.Lookup(7)
-	e, err := pt.Entry(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Uses != 2 {
-		t.Errorf("Uses = %d, want 2", e.Uses)
-	}
-	if e.Outcome != OutcomeLowFreq {
-		t.Errorf("Outcome = %v", e.Outcome)
-	}
-	if _, err := pt.Entry(99); err == nil {
-		t.Error("missing entry should error")
-	}
-}
-
-func TestPhaseTableEviction(t *testing.T) {
-	pt := NewPhaseTable(2)
-	pt.Save(1, samplePoint(1.0), OutcomeNoChange)
-	pt.Save(2, samplePoint(1.1), OutcomeNoChange)
-	pt.Save(3, samplePoint(1.2), OutcomeNoChange)
-	if pt.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after eviction", pt.Len())
-	}
-	if _, ok := pt.Lookup(1); ok {
-		t.Error("oldest phase should have been evicted")
-	}
-	if _, ok := pt.Lookup(3); !ok {
-		t.Error("newest phase missing")
-	}
-	// Re-saving an existing phase must not evict.
-	pt.Save(3, samplePoint(1.3), OutcomeLowFreq)
-	if pt.Len() != 2 {
-		t.Errorf("re-save changed table size to %d", pt.Len())
-	}
-}
-
-func TestPhaseTableOutcomeHistogram(t *testing.T) {
-	pt := NewPhaseTable(0)
-	pt.Save(1, samplePoint(1), OutcomeNoChange)
-	pt.Save(2, samplePoint(1), OutcomeError)
-	pt.Save(3, samplePoint(1), OutcomeError)
-	h := pt.OutcomeHistogram()
-	if h[OutcomeNoChange] != 1 || h[OutcomeError] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestPhaseTableConcurrentAccess(t *testing.T) {
-	pt := NewPhaseTable(0)
+	pt := NewPhaseTable()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				pt.Save(i%10, samplePoint(1.0+float64(g)*0.01), OutcomeNoChange)
+				pt.Save(i%10, samplePoint(1.0+float64(g)*0.01))
 				pt.Lookup(i % 10)
-				pt.OutcomeHistogram()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if pt.Len() != 10 {
-		t.Errorf("Len = %d, want 10", pt.Len())
+	for id := 0; id < 10; id++ {
+		if _, ok := pt.Lookup(id); !ok {
+			t.Errorf("phase %d missing after concurrent saves", id)
+		}
+	}
+	if _, ok := pt.Lookup(10); ok {
+		t.Error("phase 10 was never saved")
 	}
 }

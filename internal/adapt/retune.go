@@ -107,42 +107,24 @@ func (c *Core) Retune(op OperatingPoint, prof pipeline.Profile) (RetuneResult, e
 	steps := 1
 	cur := op.Clone()
 
-	if st.Violated() {
-		// Exponential back-off: 1, 2, 4, 8 steps, then repeat 8s.
-		back := 1
-		for st.Violated() && cur.FCore > tech.FRelMin+1e-9 {
-			cur.FCore = tech.SnapFRelDown(cur.FCore - float64(back)*tech.FRelStep)
-			if cur.FCore < tech.FRelMin {
-				cur.FCore = tech.FRelMin
-			}
-			st, err = c.Evaluate(cur, prof)
-			if err != nil {
-				return RetuneResult{}, err
-			}
-			steps++
-			if back < 8 {
-				back *= 2
-			}
+	// Exponential back-off: 1, 2, 4, 8 steps, then repeat 8s.
+	back := 1
+	for st.Violated() && cur.FCore > tech.FRelMin+1e-9 {
+		cur.FCore = tech.SnapFRelDown(cur.FCore - float64(back)*tech.FRelStep)
+		if cur.FCore < tech.FRelMin {
+			cur.FCore = tech.FRelMin
 		}
-		// Gradual single-step ramp back up to just below violation.
-		for cur.FCore < tech.FRelMax-1e-9 {
-			probe := cur.Clone()
-			probe.FCore = tech.SnapFRelDown(probe.FCore + tech.FRelStep + 1e-9)
-			pst, err := c.Evaluate(probe, prof)
-			if err != nil {
-				return RetuneResult{}, err
-			}
-			steps++
-			if pst.Violated() {
-				break
-			}
-			cur, st = probe, pst
+		st, err = c.Evaluate(cur, prof)
+		if err != nil {
+			return RetuneResult{}, err
 		}
-		return c.record(RetuneResult{Point: cur, State: st, Outcome: outcome, Steps: steps}), nil
+		steps++
+		if back < 8 {
+			back *= 2
+		}
 	}
-
-	// Clean configuration: probe upward for headroom.
-	raised := false
+	// Single up-steps: after a back-off, ramp to just below the violation
+	// point; from a clean start, probe for headroom.
 	for cur.FCore < tech.FRelMax-1e-9 {
 		probe := cur.Clone()
 		probe.FCore = tech.SnapFRelDown(probe.FCore + tech.FRelStep + 1e-9)
@@ -155,10 +137,9 @@ func (c *Core) Retune(op OperatingPoint, prof pipeline.Profile) (RetuneResult, e
 			break
 		}
 		cur, st = probe, pst
-		raised = true
-	}
-	if raised {
-		outcome = OutcomeLowFreq
+		if outcome == OutcomeNoChange {
+			outcome = OutcomeLowFreq
+		}
 	}
 	return c.record(RetuneResult{Point: cur, State: st, Outcome: outcome, Steps: steps}), nil
 }

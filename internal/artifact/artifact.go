@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -196,6 +197,15 @@ func Resolve(dirFlag string, noCache bool, opt Options) (*Store, error) {
 		return nil, nil
 	}
 	return Open(dir, opt)
+}
+
+// CacheFlags registers the -cache-dir and -no-cache flags every CLI
+// shares on fs and returns the opener that resolves them (see Resolve)
+// once fs is parsed.
+func CacheFlags(fs *flag.FlagSet) func(Options) (*Store, error) {
+	dir := fs.String("cache-dir", "", "persistent artifact cache directory (default off; falls back to $EVAL_CACHE_DIR)")
+	off := fs.Bool("no-cache", false, "disable the artifact cache even if EVAL_CACHE_DIR is set")
+	return func(opt Options) (*Store, error) { return Resolve(*dir, *off, opt) }
 }
 
 // Dir returns the store's root directory ("" on a nil store).
@@ -588,15 +598,6 @@ func (s *Store) refreshSegmentsGauge() {
 func (s *Store) count(kind Kind, event string) {
 	s.obs.Counter("artifact.cache." + event).Inc()
 	s.obs.Counter("artifact.cache." + kind.Name + "." + event).Inc()
-}
-
-// Hits returns the global hit count (0 without a registry) — a test and
-// smoke-check convenience.
-func (s *Store) Hits() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.obs.Counter("artifact.cache.hits").Value()
 }
 
 // settle runs the store's maintenance pass — LRU eviction, segment

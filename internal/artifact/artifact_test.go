@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -374,9 +375,6 @@ func TestNilStore(t *testing.T) {
 	if st.Dir() != "" {
 		t.Fatal("nil store has a dir")
 	}
-	if st.Hits() != 0 {
-		t.Fatal("nil store has hits")
-	}
 	ran := false
 	err := st.GetOrBuild(testKind, "ignored",
 		func([]byte) error { t.Fatal("decode on nil store"); return nil },
@@ -649,6 +647,31 @@ func TestResolve(t *testing.T) {
 	st.Close()
 	if st, err := Resolve("", true, Options{}); err != nil || st != nil {
 		t.Fatalf("no-cache beats env: %v %v", st, err)
+	}
+}
+
+// TestCacheFlags: the shared CLI flags reach Resolve once parsed.
+func TestCacheFlags(t *testing.T) {
+	t.Setenv("EVAL_CACHE_DIR", "")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"-cache-dir", dir}, dir},
+		{[]string{"-cache-dir", dir, "-no-cache"}, ""},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		open := CacheFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		st, err := open(Options{})
+		if err != nil || st.Dir() != c.want {
+			t.Fatalf("%v: store dir %q (err %v), want %q", c.args, st.Dir(), err, c.want)
+		}
+		st.Close()
 	}
 }
 

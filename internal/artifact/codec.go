@@ -75,12 +75,6 @@ func (e *Enc) String(s string) {
 	e.B = append(e.B, s...)
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *Enc) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.B = append(e.B, b...)
-}
-
 // errCorrupt is the generic decoder failure; callers wrap it with their
 // payload kind for context.
 var errCorrupt = errors.New("truncated or corrupt binary payload")

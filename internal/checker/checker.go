@@ -97,34 +97,3 @@ func (c Config) PowerW(fRel float64) float64 {
 	}
 	return c.DynPowerW*util + c.StaPowerW
 }
-
-// PECounter is the core-wide error-rate counter the checker hardware
-// exposes to the controller (§4.3.2).
-type PECounter struct {
-	errors       uint64
-	instructions uint64
-}
-
-// Record accumulates retired instructions and detected timing errors.
-func (p *PECounter) Record(instructions, errors uint64) {
-	p.instructions += instructions
-	p.errors += errors
-}
-
-// Rate returns the observed errors per instruction (zero before any
-// instruction retires).
-func (p *PECounter) Rate() float64 {
-	if p.instructions == 0 {
-		return 0
-	}
-	return float64(p.errors) / float64(p.instructions)
-}
-
-// Reset clears the counter (done at each phase boundary).
-func (p *PECounter) Reset() { p.errors, p.instructions = 0, 0 }
-
-// Errors returns the raw error count.
-func (p *PECounter) Errors() uint64 { return p.errors }
-
-// Instructions returns the raw instruction count.
-func (p *PECounter) Instructions() uint64 { return p.instructions }

@@ -79,22 +79,3 @@ func TestPowerW(t *testing.T) {
 		t.Error("checker power should saturate at its bandwidth limit")
 	}
 }
-
-func TestPECounter(t *testing.T) {
-	var pc PECounter
-	if pc.Rate() != 0 {
-		t.Error("empty counter should read 0")
-	}
-	pc.Record(1000, 2)
-	pc.Record(1000, 0)
-	if pc.Rate() != 0.001 {
-		t.Errorf("Rate = %v, want 0.001", pc.Rate())
-	}
-	if pc.Errors() != 2 || pc.Instructions() != 2000 {
-		t.Error("raw counts wrong")
-	}
-	pc.Reset()
-	if pc.Rate() != 0 || pc.Errors() != 0 || pc.Instructions() != 0 {
-		t.Error("Reset did not clear")
-	}
-}

@@ -58,30 +58,65 @@ var (
 // results are identical with or without the store.
 func (s *Simulator) SetArtifacts(store *artifact.Store) { s.store = store }
 
-// Artifacts returns the attached store (nil when disabled).
-func (s *Simulator) Artifacts() *artifact.Store { return s.store }
+// storeKey returns the key of (kind, params(), seed), or "" when store is
+// nil or the params do not encode. params runs only with a store
+// attached, so a store-less run builds no key material.
+func storeKey(store *artifact.Store, kind artifact.Kind, seed int64, params func() any) string {
+	if store == nil {
+		return ""
+	}
+	key, err := artifact.Key(kind, params(), seed)
+	if err != nil {
+		return ""
+	}
+	return key
+}
 
-// cachedChip returns chip seed's maps through the artifact store, or nil
-// to tell the caller to build directly (store disabled, or the store
-// layer failed in a way its counters already recorded).
-func (s *Simulator) cachedChip(seed int64) *varius.ChipMaps {
-	if s.store == nil {
-		return nil
+// cached returns build's value through store under key: a hit decodes the
+// stored payload, a miss builds the value and persists its encoding. An
+// empty key (no store, or params that do not key) builds directly. A
+// cache failure never fails the call: the only error returned is build's.
+func cached[T any](store *artifact.Store, kind artifact.Kind, key string,
+	decode func([]byte, *T) error, encode func(T) ([]byte, error), build func() (T, error)) (T, error) {
+	if key == "" {
+		return build()
 	}
-	key, err := artifact.Key(chipKind, s.opts.Varius, seed)
-	if err != nil {
-		return nil
-	}
-	chip := new(varius.ChipMaps)
-	err = s.store.GetOrBuild(chipKind, key, chip.UnmarshalBinary,
+	var v T
+	built := false
+	err := store.GetOrBuild(kind, key,
+		func(payload []byte) error { return decode(payload, &v) },
 		func() ([]byte, error) {
-			chip = s.gen.Chip(seed)
-			return chip.MarshalBinary()
+			var berr error
+			if v, berr = build(); berr != nil {
+				return nil, berr
+			}
+			built = true
+			return encode(v)
 		})
-	if err != nil {
-		return nil
+	if err != nil && !built {
+		var zero T
+		return zero, err
 	}
-	return chip
+	return v, nil
+}
+
+// infallible adapts an encoder that cannot fail to cached's signature.
+func infallible[T any](encode func(T) []byte) func(T) ([]byte, error) {
+	return func(v T) ([]byte, error) { return encode(v), nil }
+}
+
+func decodeJSON[T any](payload []byte, v *T) error { return json.Unmarshal(payload, v) }
+
+func encodeJSON[T any](v T) ([]byte, error) { return json.Marshal(v) }
+
+// chipKey keys chip seed's variation maps by (varius params, seed).
+func (s *Simulator) chipKey(seed int64) string {
+	return storeKey(s.store, chipKind, seed, func() any { return s.opts.Varius })
+}
+
+func decodeChip(payload []byte, chip **varius.ChipMaps) error {
+	*chip = new(varius.ChipMaps)
+	return (*chip).UnmarshalBinary(payload)
 }
 
 // profileParams is the profile artifact's key material. The full Phase
@@ -98,42 +133,44 @@ type profileParams struct {
 	TraceLen int            `json:"trace_len"`
 }
 
+func (s *Simulator) profileParams(app workload.App, ph workload.Phase) profileParams {
+	return profileParams{App: app.Name, Class: app.Class, Trace: app.Trace, Phase: ph, TraceLen: s.opts.TraceLen}
+}
+
+// suiteParams lists the profile identity of every phase of the apps keep
+// accepts (all apps when keep is nil), in app and phase order.
+func (s *Simulator) suiteParams(apps []workload.App, keep func(workload.App) bool) []profileParams {
+	var suite []profileParams
+	for _, app := range apps {
+		if keep != nil && !keep(app) {
+			continue
+		}
+		for _, ph := range app.Phases {
+			suite = append(suite, s.profileParams(app, ph))
+		}
+	}
+	return suite
+}
+
+// profileKey keys one phase profile by its identity and trace seed.
+func (s *Simulator) profileKey(app workload.App, ph workload.Phase, seed int64) string {
+	return storeKey(s.store, profileKind, seed, func() any { return s.profileParams(app, ph) })
+}
+
 // buildProfile builds (or loads) one phase profile through the store.
 func (s *Simulator) buildProfile(app workload.App, ph workload.Phase) (pipeline.Profile, error) {
 	seed := profileSeed(app.Name+app.Trace, ph.Index)
-	build := func() (pipeline.Profile, error) {
-		defer s.obs.Timer("core.profile.build").Start().Stop()
-		return pipeline.BuildProfile(app, ph, s.opts.TraceLen, seed)
-	}
-	if s.store == nil {
-		return build()
-	}
-	params := profileParams{App: app.Name, Class: app.Class, Trace: app.Trace, Phase: ph, TraceLen: s.opts.TraceLen}
-	key, err := artifact.Key(profileKind, params, seed)
-	if err != nil {
-		return build()
-	}
-	var p pipeline.Profile
-	err = s.store.GetOrBuild(profileKind, key,
-		func(payload []byte) error { return decodeProfile(payload, &p) },
-		func() ([]byte, error) {
-			var berr error
-			if p, berr = build(); berr != nil {
-				return nil, berr
-			}
-			return encodeProfile(p), nil
+	return cached(s.store, profileKind, s.profileKey(app, ph, seed), decodeProfile, infallible(encodeProfile),
+		func() (pipeline.Profile, error) {
+			defer s.obs.Timer("core.profile.build").Start().Stop()
+			return pipeline.BuildProfile(app, ph, s.opts.TraceLen, seed)
 		})
-	if err != nil {
-		return pipeline.Profile{}, err
-	}
-	return p, nil
 }
 
 // petableKey derives the petables artifact key: the tables are fully
 // determined by the chip's stage models, i.e. by (varius params, seed).
-func (s *Simulator) petableKey(seed int64) (string, bool) {
-	key, err := artifact.Key(petableKind, s.opts.Varius, seed)
-	return key, err == nil
+func (s *Simulator) petableKey(seed int64) string {
+	return storeKey(s.store, petableKind, seed, func() any { return s.opts.Varius })
 }
 
 // loadPETables seeds cpu's dense PE-fmax store from the artifact cache,
@@ -147,11 +184,8 @@ func (s *Simulator) petableKey(seed int64) (string, bool) {
 // exact float64 round-trips, so a warm run's solves are byte-identical
 // to a cold run's.
 func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
-	if s.store == nil {
-		return 0
-	}
-	key, ok := s.petableKey(seed)
-	if !ok {
+	key := s.petableKey(seed)
+	if key == "" {
 		return 0
 	}
 	var tabs []adapt.PETableSlot
@@ -180,11 +214,33 @@ func (s *Simulator) storePETables(cpu *adapt.Core, seed int64, imported int) {
 	if cols <= imported {
 		return
 	}
-	key, ok := s.petableKey(seed)
-	if !ok {
-		return
+	if key := s.petableKey(seed); key != "" {
+		s.store.Put(petableKind, key, encodePETables(tabs))
 	}
-	s.store.Put(petableKind, key, encodePETables(tabs))
+}
+
+// machineParams is the machine-model slice of key material every
+// result-level artifact shares: everything that shapes a core's physics
+// besides the technique configuration. The apprun, staticpt and solver
+// params embed it, so its fields encode inline, first and in this order.
+type machineParams struct {
+	Varius  varius.Params  `json:"varius"`
+	Power   power.Params   `json:"power"`
+	Thermal thermal.Params `json:"thermal"`
+	Checker checker.Config `json:"checker"`
+	Limits  adapt.Limits   `json:"limits"`
+	Tech    tech.Config    `json:"tech"`
+}
+
+func (s *Simulator) machineParams(cfg tech.Config) machineParams {
+	return machineParams{
+		Varius:  s.opts.Varius,
+		Power:   s.opts.Power,
+		Thermal: s.opts.Thermal,
+		Checker: s.opts.Checker,
+		Limits:  s.opts.Limits,
+		Tech:    cfg,
+	}
 }
 
 // appRunParams is the apprun artifact's key material: the full machine
@@ -196,13 +252,8 @@ func (s *Simulator) storePETables(cpu *adapt.Core, seed int64, imported int) {
 // carries the chip's exact static operating point, whose float64 values
 // fingerprint the conservative class profile it was derived from.
 type appRunParams struct {
-	Varius   varius.Params  `json:"varius"`
-	Power    power.Params   `json:"power"`
-	Thermal  thermal.Params `json:"thermal"`
-	Checker  checker.Config `json:"checker"`
-	Limits   adapt.Limits   `json:"limits"`
-	Tech     tech.Config    `json:"tech"`
-	TraceLen int            `json:"trace_len"`
+	machineParams
+	TraceLen int `json:"trace_len"`
 
 	Mode   Mode             `json:"mode"`
 	App    string           `json:"app"`
@@ -238,132 +289,53 @@ func solverFingerprint(solver adapt.Solver) string {
 // mode, app[, phase]) unit, or "" when the unit is uncacheable (store
 // disabled, dynamic mode without a solver fingerprint, or key-encoding
 // failure). phase < 0 keys the whole app; phase >= 0 keys the single
-// phase at that position in app.Phases.
+// phase at that position in app.Phases. Dynamic modes must supply
+// solverFP; Static mode must supply its operating point.
 func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 	mode Mode, solverFP string, static *adapt.OperatingPoint, phase int) string {
-	if s.store == nil || (mode != Static && solverFP == "") {
+	if (mode != Static && solverFP == "") || phase >= len(app.Phases) {
 		return ""
 	}
-	params := appRunParams{
-		Varius:   s.opts.Varius,
-		Power:    s.opts.Power,
-		Thermal:  s.opts.Thermal,
-		Checker:  s.opts.Checker,
-		Limits:   s.opts.Limits,
-		Tech:     cfg,
-		TraceLen: s.opts.TraceLen,
-		Mode:     mode,
-		App:      app.Name,
-		Trace:    app.Trace,
-		Class:    app.Class,
-		Phases:   app.Phases,
-		Solver:   solverFP,
-		Static:   static,
-	}
-	if phase >= 0 {
-		if phase >= len(app.Phases) {
-			return ""
+	return storeKey(s.store, apprunKind, seed, func() any {
+		params := appRunParams{
+			machineParams: s.machineParams(cfg),
+			TraceLen:      s.opts.TraceLen,
+			Mode:          mode,
+			App:           app.Name,
+			Trace:         app.Trace,
+			Class:         app.Class,
+			Phases:        app.Phases,
+			Solver:        solverFP,
+			Static:        static,
 		}
-		params.PhaseOnly = &phase
-	}
-	key, err := artifact.Key(apprunKind, params, seed)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
-// cachedAppRun wraps one application run in the artifact store: a hit
-// replays the finished AppRun instead of re-entering the per-phase
-// adaptation loop. Dynamic modes must supply solverFP; Static mode must
-// supply its operating point; phase < 0 runs the whole app, phase >= 0 a
-// single phase (see appRunKey). Controller-outcome *counters* (the obs
-// metrics, not the AppRun outcome counts) only advance on misses, since a
-// hit runs no controller.
-func (s *Simulator) cachedAppRun(seed int64, core *adapt.Core, app workload.App,
-	mode Mode, solverFP string, static *adapt.OperatingPoint, phase int,
-	build func() (AppRun, error)) (AppRun, error) {
-	key := s.appRunKey(seed, core.Config, app, mode, solverFP, static, phase)
-	if key == "" {
-		return build()
-	}
-	var run AppRun
-	err := s.store.GetOrBuild(apprunKind, key,
-		func(payload []byte) error { return decodeAppRun(payload, &run) },
-		func() ([]byte, error) {
-			var berr error
-			if run, berr = build(); berr != nil {
-				return nil, berr
-			}
-			return encodeAppRun(run), nil
-		})
-	if err != nil {
-		return AppRun{}, err
-	}
-	return run, nil
+		if phase >= 0 {
+			params.PhaseOnly = &phase
+		}
+		return params
+	})
 }
 
 // staticPointParams is the staticpt artifact's key material: the machine
 // model, the technique configuration, and the identities of every class
 // profile the conservative worst-case profile folds over, in fold order.
 type staticPointParams struct {
-	Varius   varius.Params  `json:"varius"`
-	Power    power.Params   `json:"power"`
-	Thermal  thermal.Params `json:"thermal"`
-	Checker  checker.Config `json:"checker"`
-	Limits   adapt.Limits   `json:"limits"`
-	Tech     tech.Config    `json:"tech"`
-	TraceLen int            `json:"trace_len"`
+	machineParams
+	TraceLen int `json:"trace_len"`
 
 	Class workload.Class  `json:"class"`
 	Suite []profileParams `json:"suite"`
 }
 
-// cachedStaticPoint is StaticPoint behind the artifact store.
-func (s *Simulator) cachedStaticPoint(core *adapt.Core, class workload.Class,
-	apps []workload.App, seed int64) (adapt.OperatingPoint, error) {
-	if s.store == nil {
-		return s.StaticPoint(core, class, apps)
-	}
-	params := staticPointParams{
-		Varius:   s.opts.Varius,
-		Power:    s.opts.Power,
-		Thermal:  s.opts.Thermal,
-		Checker:  s.opts.Checker,
-		Limits:   s.opts.Limits,
-		Tech:     core.Config,
-		TraceLen: s.opts.TraceLen,
-		Class:    class,
-	}
-	for _, app := range apps {
-		if app.Class != class {
-			continue
+// staticPointKey keys StaticPoint(core, class, apps) for chip seed.
+func (s *Simulator) staticPointKey(seed int64, cfg tech.Config, class workload.Class, apps []workload.App) string {
+	return storeKey(s.store, staticptKind, seed, func() any {
+		return staticPointParams{
+			machineParams: s.machineParams(cfg),
+			TraceLen:      s.opts.TraceLen,
+			Class:         class,
+			Suite:         s.suiteParams(apps, func(app workload.App) bool { return app.Class == class }),
 		}
-		for _, ph := range app.Phases {
-			params.Suite = append(params.Suite, profileParams{
-				App: app.Name, Class: app.Class, Trace: app.Trace,
-				Phase: ph, TraceLen: s.opts.TraceLen,
-			})
-		}
-	}
-	key, err := artifact.Key(staticptKind, params, seed)
-	if err != nil {
-		return s.StaticPoint(core, class, apps)
-	}
-	var point adapt.OperatingPoint
-	err = s.store.GetOrBuild(staticptKind, key,
-		func(payload []byte) error { return decodePoint(payload, &point) },
-		func() ([]byte, error) {
-			var berr error
-			if point, berr = s.StaticPoint(core, class, apps); berr != nil {
-				return nil, berr
-			}
-			return encodePoint(point), nil
-		})
-	if err != nil {
-		return adapt.OperatingPoint{}, err
-	}
-	return point, nil
+	})
 }
 
 // solverParams is the solver artifact's key material: every input that
@@ -372,12 +344,7 @@ func (s *Simulator) cachedStaticPoint(core *adapt.Core, class workload.Class,
 // TrainOptions fields that matter. Workers and Obs are deliberately
 // absent: training output is byte-identical without them.
 type solverParams struct {
-	Varius  varius.Params  `json:"varius"`
-	Power   power.Params   `json:"power"`
-	Thermal thermal.Params `json:"thermal"`
-	Checker checker.Config `json:"checker"`
-	Limits  adapt.Limits   `json:"limits"`
-	Tech    tech.Config    `json:"tech"`
+	machineParams
 
 	ChipSeeds []int64 `json:"chip_seeds"`
 
@@ -396,6 +363,30 @@ type solverParams struct {
 	CPIHi        float64 `json:"cpi_hi"`
 }
 
+// solverKey keys the controllers TrainFuzzySolver fits for configuration
+// cfg on the chips chipSeeds.
+func (s *Simulator) solverKey(cfg tech.Config, chipSeeds []int64, opts adapt.TrainOptions) string {
+	return storeKey(s.store, solverKind, opts.Seed, func() any {
+		return solverParams{
+			machineParams: s.machineParams(cfg),
+			ChipSeeds:     chipSeeds,
+			Examples:      opts.Examples,
+			Rules:         opts.Fuzzy.Rules,
+			LearningRate:  opts.Fuzzy.LearningRate,
+			Epochs:        opts.Fuzzy.Epochs,
+			SigmaInit:     opts.Fuzzy.SigmaInit,
+			FuzzySeed:     opts.Fuzzy.Seed,
+			MinBiasComp:   opts.MinBiasComp,
+			THLoK:         opts.THLoK,
+			THHiK:         opts.THHiK,
+			AlphaLo:       opts.AlphaLo,
+			AlphaHi:       opts.AlphaHi,
+			CPILo:         opts.CPILo,
+			CPIHi:         opts.CPIHi,
+		}
+	})
+}
+
 // TrainFuzzyCached is adapt.TrainFuzzySolver behind the artifact store:
 // when the full (machine config, technique config, chip seeds,
 // TrainOptions) fingerprint matches a stored controller set, training is
@@ -404,81 +395,17 @@ type solverParams struct {
 // the chips the cores were built from, in core order; that is what makes
 // an evalsim run recognize what a fuzzytrain run produced.
 func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opts adapt.TrainOptions) (*adapt.FuzzySolver, error) {
-	if s.store == nil || len(cores) == 0 || len(chipSeeds) != len(cores) {
-		return adapt.TrainFuzzySolver(cores, opts)
+	key := ""
+	if len(cores) > 0 && len(chipSeeds) == len(cores) {
+		key = s.solverKey(cores[0].Config, chipSeeds, opts)
 	}
-	params := solverParams{
-		Varius:  s.opts.Varius,
-		Power:   s.opts.Power,
-		Thermal: s.opts.Thermal,
-		Checker: s.opts.Checker,
-		Limits:  s.opts.Limits,
-		Tech:    cores[0].Config,
-
-		ChipSeeds: chipSeeds,
-
-		Examples:     opts.Examples,
-		Rules:        opts.Fuzzy.Rules,
-		LearningRate: opts.Fuzzy.LearningRate,
-		Epochs:       opts.Fuzzy.Epochs,
-		SigmaInit:    opts.Fuzzy.SigmaInit,
-		FuzzySeed:    opts.Fuzzy.Seed,
-		MinBiasComp:  opts.MinBiasComp,
-		THLoK:        opts.THLoK,
-		THHiK:        opts.THHiK,
-		AlphaLo:      opts.AlphaLo,
-		AlphaHi:      opts.AlphaHi,
-		CPILo:        opts.CPILo,
-		CPIHi:        opts.CPIHi,
-	}
-	key, err := artifact.Key(solverKind, params, opts.Seed)
-	if err != nil {
-		return adapt.TrainFuzzySolver(cores, opts)
-	}
-	var solver *adapt.FuzzySolver
-	err = s.store.GetOrBuild(solverKind, key,
-		func(payload []byte) error {
-			sv := new(adapt.FuzzySolver)
-			if derr := sv.UnmarshalBinary(payload); derr != nil {
-				return derr
-			}
-			solver = sv
-			return nil
+	return cached(s.store, solverKind, key,
+		func(payload []byte, sv **adapt.FuzzySolver) error {
+			*sv = new(adapt.FuzzySolver)
+			return (*sv).UnmarshalBinary(payload)
 		},
-		func() ([]byte, error) {
-			var terr error
-			if solver, terr = adapt.TrainFuzzySolver(cores, opts); terr != nil {
-				return nil, terr
-			}
-			return solver.MarshalBinary()
-		})
-	if err != nil {
-		return nil, err
-	}
-	return solver, nil
-}
-
-// machineParams is the machine-model slice of key material every
-// result-level artifact shares: everything that shapes a core's physics
-// besides the technique configuration.
-type machineParams struct {
-	Varius  varius.Params  `json:"varius"`
-	Power   power.Params   `json:"power"`
-	Thermal thermal.Params `json:"thermal"`
-	Checker checker.Config `json:"checker"`
-	Limits  adapt.Limits   `json:"limits"`
-	Tech    tech.Config    `json:"tech"`
-}
-
-func (s *Simulator) machineParams(cfg tech.Config) machineParams {
-	return machineParams{
-		Varius:  s.opts.Varius,
-		Power:   s.opts.Power,
-		Thermal: s.opts.Thermal,
-		Checker: s.opts.Checker,
-		Limits:  s.opts.Limits,
-		Tech:    cfg,
-	}
+		(*adapt.FuzzySolver).MarshalBinary,
+		func() (*adapt.FuzzySolver, error) { return adapt.TrainFuzzySolver(cores, opts) })
 }
 
 // outcomesParams is the outcomes artifact's key material: one Figure 13
@@ -501,45 +428,20 @@ type outcomePayload struct {
 	Total  float64                    `json:"total"`
 }
 
-// cachedOutcomeUnit wraps one Figure 13 (config × chip) unit — the
-// AdaptSteady sweep over every app phase — in the artifact store. An
-// empty solverFP (untrained or unserializable solver) disables caching.
-func (s *Simulator) cachedOutcomeUnit(seed int64, core *adapt.Core, solverFP string,
-	apps []workload.App, build func() (outcomePayload, error)) (outcomePayload, error) {
-	if s.store == nil || solverFP == "" {
-		return build()
+// outcomesKey keys one Figure 13 (config × chip) unit. An empty solverFP
+// (untrained or unserializable solver) disables caching.
+func (s *Simulator) outcomesKey(seed int64, cfg tech.Config, solverFP string, apps []workload.App) string {
+	if solverFP == "" {
+		return ""
 	}
-	params := outcomesParams{
-		Machine:  s.machineParams(core.Config),
-		TraceLen: s.opts.TraceLen,
-		Solver:   solverFP,
-	}
-	for _, app := range apps {
-		for _, ph := range app.Phases {
-			params.Suite = append(params.Suite, profileParams{
-				App: app.Name, Class: app.Class, Trace: app.Trace,
-				Phase: ph, TraceLen: s.opts.TraceLen,
-			})
+	return storeKey(s.store, outcomesKind, seed, func() any {
+		return outcomesParams{
+			Machine:  s.machineParams(cfg),
+			TraceLen: s.opts.TraceLen,
+			Solver:   solverFP,
+			Suite:    s.suiteParams(apps, nil),
 		}
-	}
-	key, err := artifact.Key(outcomesKind, params, seed)
-	if err != nil {
-		return build()
-	}
-	var p outcomePayload
-	err = s.store.GetOrBuild(outcomesKind, key,
-		func(payload []byte) error { return json.Unmarshal(payload, &p) },
-		func() ([]byte, error) {
-			var berr error
-			if p, berr = build(); berr != nil {
-				return nil, berr
-			}
-			return json.Marshal(p)
-		})
-	if err != nil {
-		return outcomePayload{}, err
-	}
-	return p, nil
+	})
 }
 
 // t2Query is one pre-drawn Table 2 accuracy query. Promoted to key
@@ -573,34 +475,13 @@ type table2Payload struct {
 	VbbErr map[floorplan.Kind][]float64 `json:"vbb_err"`
 }
 
-// cachedTable2Unit wraps one Table 2 (env × chip) unit in the artifact
-// store.
-func (s *Simulator) cachedTable2Unit(seed int64, core *adapt.Core, solverFP string,
-	queries []t2Query, build func() (table2Payload, error)) (table2Payload, error) {
-	if s.store == nil || solverFP == "" {
-		return build()
+// table2Key keys one Table 2 (env × chip) unit; an empty solverFP
+// disables caching.
+func (s *Simulator) table2Key(seed int64, cfg tech.Config, solverFP string, queries []t2Query) string {
+	if solverFP == "" {
+		return ""
 	}
-	params := table2Params{
-		Machine: s.machineParams(core.Config),
-		Solver:  solverFP,
-		Queries: queries,
-	}
-	key, err := artifact.Key(table2Kind, params, seed)
-	if err != nil {
-		return build()
-	}
-	var p table2Payload
-	err = s.store.GetOrBuild(table2Kind, key,
-		func(payload []byte) error { return json.Unmarshal(payload, &p) },
-		func() ([]byte, error) {
-			var berr error
-			if p, berr = build(); berr != nil {
-				return nil, berr
-			}
-			return json.Marshal(p)
-		})
-	if err != nil {
-		return table2Payload{}, err
-	}
-	return p, nil
+	return storeKey(s.store, table2Kind, seed, func() any {
+		return table2Params{Machine: s.machineParams(cfg), Solver: solverFP, Queries: queries}
+	})
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/artifact"
 	"repro/internal/obs"
+	"repro/internal/tech"
+	"repro/internal/workload"
 )
 
 // cacheTestConfig is a small but full-stack experiment: both workload
@@ -334,4 +336,71 @@ func TestTable2CacheColdWarmGolden(t *testing.T) {
 	coldWarmGolden(t, "table2", units, func(sim *Simulator) (any, error) {
 		return sim.RunTable2(cfg)
 	})
+}
+
+// TestArtifactKeysPinned: for fixed inputs, every artifact kind keys to
+// the value recorded here. A key that moves orphans every store written
+// before the change (each entry turns into a silent miss), so a change to
+// key material must be deliberate: bump the kind's Version and re-record.
+func TestArtifactKeysPinned(t *testing.T) {
+	opts, cfg := cacheTestConfig()
+	sim, err := NewSimulator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	sim.SetArtifacts(store)
+	seed := cfg.SeedBase
+	_, apps, err := cfg.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc := apps[0]
+	tsasv := TSASV.coreConfig()
+	static := adapt.OperatingPoint{
+		FCore: 1.1,
+		VddV:  []float64{1.0, 1.05},
+		VbbV:  []float64{0, -0.1},
+		Queue: tech.QueueThreeQuarter,
+		FU:    tech.FULowSlope,
+	}
+	queries := []t2Query{{TH: 330, Alpha: 0.5, RhoMult: 1, FMult: 1.1}}
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"chip", sim.chipKey(seed),
+			"5f5d177ddd58f1e21907cfce77f458749bf900c3db114a9bc6278822658151e4"},
+		{"profile", sim.profileKey(gcc, gcc.Phases[0], profileSeed(gcc.Name, gcc.Phases[0].Index)),
+			"6a1a6cc46610611698fbced8a3918be2580b2f1776a52053c701702df8b5ab37"},
+		{"apprun/app", sim.appRunKey(seed, tsasv, gcc, Static, "", &static, -1),
+			"1bc075fac0f846dfce8b7ad6bd62c58d81378b65d30dcdd642798d1343507169"},
+		{"apprun/phase", sim.appRunKey(seed, tsasv, gcc, FuzzyDyn, "fp", nil, 1),
+			"0c3d3de1dd7355e8fa065196720e4a2d7856bc34fdd9b663b78e0f4c39ea9556"},
+		{"staticpt", sim.staticPointKey(seed, tsasv, workload.Int, apps),
+			"8d85c61f07a12862f4660ca480e6376d724c909527f9e6486a7078ab08761a09"},
+		{"solver", sim.solverKey(tsasv, []int64{seed}, cfg.Training),
+			"f8e24e20a1f04a079ec73151d547760f084ccdee7300c6113ea818f96d9ffbc6"},
+		{"outcomes", sim.outcomesKey(seed, tsasv, "fp", apps),
+			"73dc218acd98a6dec1bc14732a9fe26403fe4da0811fd139fb0a24743c26c3c6"},
+		{"table2", sim.table2Key(seed, tsasv, "fp", queries),
+			"2429300af35b40fb7c94e6c25d2f01e46f35d80e3b00c431862ee0044d43b6b1"},
+		{"petables", sim.petableKey(seed),
+			"6ffda4a27428d4c73607ef3294a11950fb96790aabb0c1d12e4a918e5e954407"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s key = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+	// TraceArtifact is also tracegen's entry point; check what it stores.
+	if _, err := TraceArtifact(store, genSpec(), seed); err != nil {
+		t.Fatal(err)
+	}
+	const traceKey = "455ecba477d1720149507ca111b0ac31a88a6c23fad107a85d10d3a10e8b2b94"
+	if !store.ContainsBatch(traceKind, []string{traceKey})[0] {
+		t.Errorf("trace: no entry under the pinned key %s", traceKey)
+	}
 }

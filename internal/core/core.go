@@ -185,10 +185,10 @@ type Simulator struct {
 	store *artifact.Store
 
 	mu       sync.Mutex
-	profiles map[profileKey]pipeline.Profile
+	profiles map[profileID]pipeline.Profile
 }
 
-type profileKey struct {
+type profileID struct {
 	app   string
 	trace string
 	phase int
@@ -227,7 +227,7 @@ func NewSimulator(opts Options) (*Simulator, error) {
 		fp:       fp,
 		pw:       pw,
 		th:       th,
-		profiles: make(map[profileKey]pipeline.Profile),
+		profiles: make(map[profileID]pipeline.Profile),
 	}, nil
 }
 
@@ -238,9 +238,6 @@ func (s *Simulator) Options() Options { return s.opts }
 // timers, outcome counters, and worker occupancy into it. A nil registry
 // (the default) disables metrics at zero cost.
 func (s *Simulator) SetObs(r *obs.Registry) { s.obs = r }
-
-// Obs returns the attached metrics registry (nil when disabled).
-func (s *Simulator) Obs() *obs.Registry { return s.obs }
 
 // SetTracer attaches a span tracer recording nested chip → app → phase
 // timing; nil disables tracing.
@@ -253,9 +250,6 @@ func (s *Simulator) SetProgressWriter(w io.Writer) { s.progressW = w }
 // Floorplan returns the core floorplan.
 func (s *Simulator) Floorplan() *floorplan.Floorplan { return s.fp }
 
-// Generator returns the variation-map generator.
-func (s *Simulator) Generator() *varius.Generator { return s.gen }
-
 // Chip generates chip seed's variation maps (seed < 0 gives the NoVar
 // chip). With an artifact store attached the maps are persisted per
 // (varius.Params, seed) and later calls — in this or any process — load
@@ -264,10 +258,9 @@ func (s *Simulator) Chip(seed int64) *varius.ChipMaps {
 	if seed < 0 {
 		return s.gen.NoVarChip()
 	}
-	if chip := s.cachedChip(seed); chip != nil {
-		return chip
-	}
-	return s.gen.Chip(seed)
+	chip, _ := cached(s.store, chipKind, s.chipKey(seed), decodeChip, (*varius.ChipMaps).MarshalBinary,
+		func() (*varius.ChipMaps, error) { return s.gen.Chip(seed), nil })
+	return chip
 }
 
 // BuildCore assembles the adaptation view of one chip under an
@@ -294,7 +287,7 @@ func (s *Simulator) BuildCore(chip *varius.ChipMaps, env Environment) (*adapt.Co
 
 // Profile returns the (cached) measured profile of one application phase.
 func (s *Simulator) Profile(app workload.App, ph workload.Phase) (pipeline.Profile, error) {
-	key := profileKey{app: app.Name, trace: app.Trace, phase: ph.Index}
+	key := profileID{app: app.Name, trace: app.Trace, phase: ph.Index}
 	s.mu.Lock()
 	if p, ok := s.profiles[key]; ok {
 		s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/floorplan"
 	"repro/internal/tech"
+	"repro/internal/varius"
 	"repro/internal/workload"
 )
 
@@ -124,6 +125,21 @@ func TestChipFVarBand(t *testing.T) {
 	}
 }
 
+// runBaseline runs app on the Baseline environment: chip clocked at its
+// worst-case-safe frequency, with no checker and no techniques.
+func runBaseline(t *testing.T, s *Simulator, chip *varius.ChipMaps, app workload.App) AppRun {
+	t.Helper()
+	fvar, err := s.ChipFVar(chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.runFixed(app, fvar, Baseline, s.chipVt0Effs(chip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestRunNoVarAndBaseline(t *testing.T) {
 	s := newSim(t)
 	app, err := workload.ByName("gcc")
@@ -140,10 +156,7 @@ func TestRunNoVarAndBaseline(t *testing.T) {
 	if nv.PowerW < 15 || nv.PowerW > 32 {
 		t.Errorf("NoVar power = %v W, want ~25 W", nv.PowerW)
 	}
-	base, err := s.RunBaseline(s.Chip(3), app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runBaseline(t, s, s.Chip(3), app)
 	if base.FRel >= 1.0 {
 		t.Errorf("Baseline frequency %v should be below nominal", base.FRel)
 	}
@@ -170,10 +183,7 @@ func TestRunDynamicBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.RunBaseline(chip, app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runBaseline(t, s, chip, app)
 	if run.FRel <= base.FRel {
 		t.Errorf("adapted frequency %v should beat baseline %v", run.FRel, base.FRel)
 	}

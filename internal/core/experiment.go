@@ -293,8 +293,8 @@ type baselineAnchors struct {
 }
 
 // chipBaseline runs every app on the Baseline environment at the chip's
-// fvar. RunBaseline per app would recompute the fvar (15 FVar bisections)
-// and the Vt0 extraction every time; both are per-chip.
+// fvar, computing the chip's leakage-effective Vt0s once: the handle
+// already holds the fvar (15 FVar bisections), and both are per-chip.
 func (s *Simulator) chipBaseline(h *ChipHandle, apps []workload.App, noVarPerf map[string]float64) (baselineAnchors, error) {
 	if s.tracer != nil {
 		defer s.tracer.Start(fmt.Sprintf("chip %d baseline", h.seed)).End()
@@ -630,7 +630,8 @@ func (s *Simulator) outcomeUnit(chips *experimentChips, ci int, cfg tech.Config,
 	if err != nil {
 		return outcomePayload{}, err
 	}
-	return s.cachedOutcomeUnit(h.seed, cpu, fp, apps, func() (outcomePayload, error) {
+	key := s.outcomesKey(h.seed, cpu.Config, fp, apps)
+	return cached(s.store, outcomesKind, key, decodeJSON[outcomePayload], encodeJSON[outcomePayload], func() (outcomePayload, error) {
 		var p outcomePayload
 		for _, app := range apps {
 			for _, ph := range app.Phases {
@@ -796,7 +797,8 @@ func (s *Simulator) table2Unit(chips *experimentChips, ci int, cfg tech.Config,
 	if err != nil {
 		return table2Payload{}, err
 	}
-	return s.cachedTable2Unit(h.seed, cpu, fp, queries, func() (table2Payload, error) {
+	key := s.table2Key(h.seed, cpu.Config, fp, queries)
+	return cached(s.store, table2Kind, key, decodeJSON[table2Payload], encodeJSON[table2Payload], func() (table2Payload, error) {
 		p := table2Payload{
 			FErr:   make(map[floorplan.Kind][]float64),
 			VddErr: make(map[floorplan.Kind][]float64),

@@ -149,7 +149,9 @@ func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.Trai
 func (s *Simulator) HandleStaticPoint(h *ChipHandle, cpu *adapt.Core, class workload.Class, apps []workload.App) (adapt.OperatingPoint, error) {
 	e := entryFor(&h.mu, h.statics, staticKey{cfg: cpu.Config, class: class})
 	return e.get(func() (adapt.OperatingPoint, error) {
-		return s.cachedStaticPoint(cpu, class, apps, h.seed)
+		key := s.staticPointKey(h.seed, cpu.Config, class, apps)
+		return cached(s.store, staticptKind, key, decodePoint, infallible(encodePoint),
+			func() (adapt.OperatingPoint, error) { return s.StaticPoint(cpu, class, apps) })
 	})
 }
 
@@ -183,9 +185,9 @@ func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver ad
 	if u.Phase >= len(u.App.Phases) {
 		return AppRun{}, fmt.Errorf("core: %q has no phase %d", u.App.Name, u.Phase)
 	}
-	return s.cachedAppRun(seed, cpu, u.App, mode, fp, u.Static, u.Phase, func() (AppRun, error) {
-		return s.runUnit(cpu, mode, solver, u)
-	})
+	key := s.appRunKey(seed, cpu.Config, u.App, mode, fp, u.Static, u.Phase)
+	return cached(s.store, apprunKind, key, decodeAppRun, infallible(encodeAppRun),
+		func() (AppRun, error) { return s.runUnit(cpu, mode, solver, u) })
 }
 
 // runUnit adapts the unit's phases on cpu in order and folds them into

@@ -7,7 +7,7 @@ import (
 
 // acceptanceConfig is the fixed-seed invocation the PR's determinism
 // guarantee is stated against: `summary -chips 2 -apps gcc,swim
-// -examples 300 -trainchips 1 -seed 1000`.
+// -examples 300 -seed 1000`.
 func acceptanceConfig() ExperimentConfig {
 	cfg := DefaultExperimentConfig()
 	cfg.Chips = 2

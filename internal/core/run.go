@@ -121,16 +121,6 @@ func (s *Simulator) RunNoVar(app workload.App) (AppRun, error) {
 	return s.runFixed(app, 1.0, NoVar, s.chipVt0Effs(s.gen.NoVarChip()))
 }
 
-// RunBaseline runs one application on a variation-afflicted chip clocked at
-// its worst-case-safe frequency, with no checker and no techniques.
-func (s *Simulator) RunBaseline(chip *varius.ChipMaps, app workload.App) (AppRun, error) {
-	fvar, err := s.ChipFVar(chip)
-	if err != nil {
-		return AppRun{}, err
-	}
-	return s.runFixed(app, fvar, Baseline, s.chipVt0Effs(chip))
-}
-
 // StaticPoint chooses the one conservative configuration a Static chip uses
 // for a workload class: the controller is run once, at test time, against a
 // worst-case profile (per-subsystem peak activity and CPI across the class

@@ -35,41 +35,23 @@ func (s *Simulator) GeneratedApps(spec workload.Spec, seed int64) ([]workload.Ap
 // a trace either tool produces is the byte-identical document the other
 // replays.
 func TraceArtifact(store *artifact.Store, spec workload.Spec, seed int64) ([]byte, error) {
-	encode := func() ([]byte, error) {
-		t, err := workload.Generate(spec, seed)
-		if err != nil {
-			return nil, err
-		}
-		return t.Encode()
-	}
-	if store == nil {
-		return encode()
-	}
-	key, err := artifact.Key(traceKind, spec, seed)
-	if err != nil {
-		return encode()
-	}
-	var doc []byte
-	err = store.GetOrBuild(traceKind, key,
-		func(payload []byte) error {
+	key := storeKey(store, traceKind, seed, func() any { return spec })
+	return cached(store, traceKind, key,
+		func(payload []byte, doc *[]byte) error {
 			// Reject corrupt or stale entries here so the store's
 			// degradation path (count, rebuild, overwrite) handles them.
-			if _, derr := workload.DecodeTrace(payload); derr != nil {
-				return derr
+			if _, err := workload.DecodeTrace(payload); err != nil {
+				return err
 			}
-			doc = append([]byte(nil), payload...)
+			*doc = append([]byte(nil), payload...)
 			return nil
 		},
+		func(doc []byte) ([]byte, error) { return doc, nil },
 		func() ([]byte, error) {
-			enc, gerr := encode()
-			if gerr != nil {
-				return nil, gerr
+			t, err := workload.Generate(spec, seed)
+			if err != nil {
+				return nil, err
 			}
-			doc = enc
-			return enc, nil
+			return t.Encode()
 		})
-	if err != nil {
-		return nil, err
-	}
-	return doc, nil
 }

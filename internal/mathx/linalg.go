@@ -84,36 +84,3 @@ func MulLowerVec(l *SymMatrix, x []float64) []float64 {
 	}
 	return y
 }
-
-// SolveBisect finds x in [lo, hi] with f(x) ~= 0 for a monotone f, to the
-// given absolute tolerance on x. It assumes f(lo) and f(hi) bracket a root;
-// if not, it returns the endpoint with the smaller |f|.
-func SolveBisect(f func(float64) float64, lo, hi, tol float64) float64 {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo
-	}
-	if fhi == 0 {
-		return hi
-	}
-	if flo*fhi > 0 {
-		if math.Abs(flo) < math.Abs(fhi) {
-			return lo
-		}
-		return hi
-	}
-	for hi-lo > tol {
-		mid := 0.5 * (lo + hi)
-		fm := f(mid)
-		if fm == 0 {
-			return mid
-		}
-		if fm*flo < 0 {
-			hi, fhi = mid, fm
-		} else {
-			lo, flo = mid, fm
-		}
-	}
-	_ = fhi
-	return 0.5 * (lo + hi)
-}

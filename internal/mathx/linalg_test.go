@@ -122,19 +122,3 @@ func TestCorrelatedSamplesHaveTargetCorrelation(t *testing.T) {
 		t.Errorf("empirical correlation = %v, want %v", got, rho)
 	}
 }
-
-func TestSolveBisect(t *testing.T) {
-	root := SolveBisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-10)
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("root = %v, want sqrt(2)", root)
-	}
-	// Non-bracketing interval returns the endpoint closer to a root.
-	r := SolveBisect(func(x float64) float64 { return x + 10 }, 0, 1, 1e-10)
-	if r != 0 {
-		t.Errorf("non-bracketing solve = %v, want 0", r)
-	}
-	// Exact root at an endpoint.
-	if r := SolveBisect(func(x float64) float64 { return x }, 0, 1, 1e-10); r != 0 {
-		t.Errorf("endpoint root = %v, want 0", r)
-	}
-}

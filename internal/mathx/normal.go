@@ -90,14 +90,3 @@ func NormalQuantile(p float64) float64 {
 func NormalTailProb(x float64) float64 {
 	return 0.5 * math.Erfc(x/sqrt2)
 }
-
-// TruncatedNormalMean returns the mean of a standard normal truncated to
-// (-inf, b]. Used when reasoning about path-delay distributions clipped at
-// a critical-path wall.
-func TruncatedNormalMean(b float64) float64 {
-	denom := NormalCDF(b)
-	if denom <= 0 {
-		return b // degenerate truncation: all mass at the bound
-	}
-	return -NormalPDF(b) / denom
-}

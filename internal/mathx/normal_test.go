@@ -96,19 +96,3 @@ func TestNormalPDFIntegratesToCDF(t *testing.T) {
 		t.Errorf("integral = %v, want %v", sum, want)
 	}
 }
-
-func TestTruncatedNormalMean(t *testing.T) {
-	// Truncating at +inf leaves the mean at ~0.
-	if m := TruncatedNormalMean(40); math.Abs(m) > 1e-12 {
-		t.Errorf("TruncatedNormalMean(40) = %g, want ~0", m)
-	}
-	// Truncating at 0 gives mean -sqrt(2/pi).
-	want := -math.Sqrt(2 / math.Pi)
-	if m := TruncatedNormalMean(0); math.Abs(m-want) > 1e-12 {
-		t.Errorf("TruncatedNormalMean(0) = %g, want %g", m, want)
-	}
-	// Truncation far below zero degenerates to the bound.
-	if m := TruncatedNormalMean(-40); m != -40 {
-		t.Errorf("TruncatedNormalMean(-40) = %g, want -40", m)
-	}
-}

@@ -52,11 +52,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// LogNormal returns a sample whose logarithm is N(mu, sigma^2).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
 // Exponential returns a sample from an exponential distribution with the
 // given mean.
 func (g *RNG) Exponential(mean float64) float64 {
@@ -124,6 +119,3 @@ func (g *RNG) Geometric(p float64) int {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

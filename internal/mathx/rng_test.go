@@ -156,15 +156,6 @@ func TestGammaWeibullDeterminism(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		if g.LogNormal(0, 1) <= 0 {
-			t.Fatal("lognormal sample not positive")
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	g := NewRNG(6)
 	p := g.Perm(20)

@@ -87,23 +87,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return cp[lo]*(1-frac) + cp[hi]*frac, nil
 }
 
-// GeoMean returns the geometric mean of xs. All inputs must be positive;
-// non-positive entries yield an error. The SPEC-style performance summaries
-// in the evaluation use geometric means, as the paper's suite averages do.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("mathx: geomean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -114,9 +97,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
 // Summary holds descriptive statistics for a sample.
 type Summary struct {

@@ -66,28 +66,9 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-4) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("expected error on zero input")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("expected error on empty input")
-	}
-}
-
 func TestClampLerp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp misbehaves")
-	}
-	if Lerp(2, 6, 0.5) != 4 {
-		t.Error("Lerp misbehaves")
 	}
 }
 

@@ -1,16 +1,11 @@
-// Package report renders experiment results as aligned text tables or
-// CSV, so every command-line tool and example prints the paper's rows
-// and series uniformly.
+// Package report renders experiment results as aligned text tables, so
+// every command-line tool and example prints the paper's rows uniformly.
 //
-// Two shapes cover the evaluation's outputs:
-//
-//   - Table: titled, column-aligned text (WriteText) or quoted CSV
-//     (WriteCSV) for the discrete artifacts — Table 2 accuracy rows,
-//     Figure 7(d) area budgets, the ablation sweeps.
-//   - Series: named (x, y) columns for the continuous figures — the
-//     path-delay densities of Figure 1, the Perf(f)/PE(f) curves of
-//     Figures 2 and 8 — in a form gnuplot or a spreadsheet ingests
-//     directly.
+// Table is titled, column-aligned text (WriteText) for the discrete
+// artifacts: Table 2 accuracy rows, Figure 7(d) area budgets, the
+// ablation sweeps. The continuous figures (the path-delay densities of
+// Figure 1, the Perf(f)/PE(f) curves of Figures 2 and 8) are printed by
+// evalsim with fmt directly.
 //
 // The package is intentionally dumb: no number formatting beyond
 // fmt-style precision (AddRowF), no layout state shared between tables,

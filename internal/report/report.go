@@ -54,9 +54,6 @@ func (t *Table) AddRowF(prec int, cells ...interface{}) {
 	t.AddRow(out...)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteText renders the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) error {
 	widths := make([]int, len(t.headers))
@@ -97,83 +94,9 @@ func (t *Table) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV renders the table as CSV (title as a comment line).
-func (t *Table) WriteCSV(w io.Writer) error {
-	if t.title != "" {
-		if _, err := fmt.Fprintf(w, "# %s\n", t.title); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(quoteAll(t.headers), ",")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(quoteAll(row), ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// quoteAll CSV-escapes cells that need it.
-func quoteAll(cells []string) []string {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		if strings.ContainsAny(c, ",\"\n") {
-			out[i] = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-		} else {
-			out[i] = c
-		}
-	}
-	return out
-}
-
-// Series is an (x, y...) sample sequence for figure CSV export.
-type Series struct {
-	Name    string
-	Columns []string
-	Points  [][]float64
-}
-
-// NewSeries creates a named series with the given column labels (the first
-// is the x axis).
-func NewSeries(name string, columns ...string) *Series {
-	return &Series{Name: name, Columns: columns}
-}
-
-// Add appends one sample; the value count must match the columns.
-func (s *Series) Add(values ...float64) error {
-	if len(values) != len(s.Columns) {
-		return fmt.Errorf("report: series %q: %d values for %d columns",
-			s.Name, len(values), len(s.Columns))
-	}
-	s.Points = append(s.Points, values)
-	return nil
-}
-
-// WriteCSV emits the series with a comment header.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", s.Name); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(s.Columns, ",")); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		cells := make([]string, len(p))
-		for i, v := range p {
-			cells[i] = strconv.FormatFloat(v, 'g', 6, 64)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -30,25 +30,6 @@ func TestTableText(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("T", "a", "b")
-	tb.AddRow("x,y", `say "hi"`)
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "# T\n") {
-		t.Error("missing title comment")
-	}
-	if !strings.Contains(out, `"x,y"`) {
-		t.Error("comma cell not quoted")
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Error("quote cell not escaped")
-	}
-}
-
 func TestTableAddRowF(t *testing.T) {
 	tb := NewTable("", "name", "v", "n")
 	tb.AddRowF(3, "x", 1.23456, 42)
@@ -65,33 +46,11 @@ func TestTableRowWidthNormalization(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow("only-one")    // short row: padded
 	tb.AddRow("x", "y", "z") // long row: truncated
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
-	}
 	var sb strings.Builder
 	if err := tb.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "z") {
 		t.Error("overflow cell should be dropped")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewSeries("Figure X", "f", "pe")
-	if err := s.Add(1.0, 1e-5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(1.1); err == nil {
-		t.Error("wrong arity should error")
-	}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "# Figure X") || !strings.Contains(out, "f,pe") ||
-		!strings.Contains(out, "1,1e-05") {
-		t.Errorf("series CSV wrong:\n%s", out)
 	}
 }

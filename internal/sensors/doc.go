@@ -1,23 +1,18 @@
-// Package sensors models the measurement infrastructure of §4.3.2 of the
-// EVAL paper: a heat-sink temperature sensor (refreshed every 2-3 s),
-// per-subsystem thermal sensors that flag overheating, a core-wide power
-// sensor, and the checker's error counter. Real sensors quantize and
-// lag; this package makes those imperfections explicit so the controller
-// sees what hardware would deliver, not the simulator's exact state.
+// Package sensors models the heat-sink temperature sensor of §4.3.2 of
+// the EVAL paper. Real sensors quantize and lag; this package makes those
+// imperfections explicit so the controller sees what hardware would
+// deliver, not the simulator's exact state.
 //
 // The pieces map to the paper's monitoring hardware:
 //
-//   - Quantizer: additive noise plus step quantization, shared by every
-//     sensor model.
+//   - Quantizer: additive noise plus step quantization.
 //   - THSensor: the slow heat-sink temperature sensor whose 2-3 s
 //     refresh period sets the outer loop of AdaptSteady (§4.1 notes the
-//     heat-sink time constant is tens of seconds) and whose staleness
-//     the Figure 6 timeline tracks.
-//   - ThresholdSensor: the overheat (TMAX) and power (PMAX) trip
-//     sensors with hysteresis, which convert continuous state into the
-//     violation bits that retuning cycles react to (§4.3.3).
+//     heat-sink time constant is tens of seconds) and whose refreshes
+//     the Figure 6 timeline records.
 //
-// internal/timeline consumes these models to reproduce Figure 6;
-// internal/adapt's constraint checks represent the same limits the trip
-// sensors enforce in hardware.
+// internal/timeline consumes these models to reproduce Figure 6. The
+// per-subsystem overheat, core power and error-rate monitors of §4.3.2
+// are represented by internal/adapt's constraint checks, which set the
+// violation bits that retuning cycles react to (§4.3.3).
 package sensors

@@ -1,10 +1,6 @@
 package sensors
 
-import (
-	"fmt"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // Quantizer rounds a physical reading to a sensor's step size and adds
 // bounded measurement noise.
@@ -13,14 +9,6 @@ type Quantizer struct {
 	Step float64
 	// Noise is the uniform measurement-error half-width (same units).
 	Noise float64
-}
-
-// Validate checks the quantizer.
-func (q Quantizer) Validate() error {
-	if q.Step < 0 || q.Noise < 0 {
-		return fmt.Errorf("sensors: negative step/noise %+v", q)
-	}
-	return nil
 }
 
 // Read converts a true value into a sensor reading.
@@ -74,103 +62,4 @@ func (s *THSensor) Sample(nowS, trueK float64, rng *mathx.RNG) float64 {
 		s.primed = true
 	}
 	return s.lastValue
-}
-
-// Staleness returns how old the current reading is at nowS.
-func (s *THSensor) Staleness(nowS float64) float64 {
-	if !s.primed {
-		return 0
-	}
-	return nowS - s.lastReadS
-}
-
-// ThresholdSensor flags when a quantity exceeds a limit — the per-subsystem
-// overheat detectors and the core power sensor of §4.3.2. Hysteresis keeps
-// the flag from chattering at the boundary.
-type ThresholdSensor struct {
-	Quantizer
-	// Limit is the trip point; HysteresisDown is how far below the limit
-	// the reading must fall before the flag clears.
-	Limit          float64
-	HysteresisDown float64
-
-	tripped bool
-}
-
-// NewOverheatSensor returns a per-subsystem thermal trip sensor.
-func NewOverheatSensor(limitK float64) *ThresholdSensor {
-	return &ThresholdSensor{
-		Quantizer:      Quantizer{Step: 0.5, Noise: 0.25},
-		Limit:          limitK,
-		HysteresisDown: 1.0,
-	}
-}
-
-// NewPowerSensor returns the core-wide power overrun sensor.
-func NewPowerSensor(limitW float64) *ThresholdSensor {
-	return &ThresholdSensor{
-		Quantizer:      Quantizer{Step: 0.25, Noise: 0.1},
-		Limit:          limitW,
-		HysteresisDown: 0.5,
-	}
-}
-
-// Observe feeds one true value and returns whether the sensor currently
-// flags a violation.
-func (s *ThresholdSensor) Observe(trueVal float64, rng *mathx.RNG) bool {
-	v := s.Read(trueVal, rng)
-	switch {
-	case s.tripped && v < s.Limit-s.HysteresisDown:
-		s.tripped = false
-	case !s.tripped && v > s.Limit:
-		s.tripped = true
-	}
-	return s.tripped
-}
-
-// Tripped returns the current flag without a new observation.
-func (s *ThresholdSensor) Tripped() bool { return s.tripped }
-
-// Reset clears the flag (done when a new configuration is applied).
-func (s *ThresholdSensor) Reset() { s.tripped = false }
-
-// Suite bundles the §4.3.2 sensor set for one core.
-type Suite struct {
-	TH        *THSensor
-	Subsystem []*ThresholdSensor // overheat detectors, one per subsystem
-	Power     *ThresholdSensor
-}
-
-// NewSuite builds the default sensor suite for n subsystems with the
-// Figure 7(a) limits.
-func NewSuite(n int, tmaxK, pmaxW float64) (*Suite, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sensors: need at least one subsystem, got %d", n)
-	}
-	if tmaxK <= 0 || pmaxW <= 0 {
-		return nil, fmt.Errorf("sensors: non-positive limits %g/%g", tmaxK, pmaxW)
-	}
-	s := &Suite{TH: NewTHSensor(), Power: NewPowerSensor(pmaxW)}
-	for i := 0; i < n; i++ {
-		s.Subsystem = append(s.Subsystem, NewOverheatSensor(tmaxK))
-	}
-	return s, nil
-}
-
-// AnyOverheat reports whether any per-subsystem sensor is tripped.
-func (s *Suite) AnyOverheat() bool {
-	for _, sub := range s.Subsystem {
-		if sub.Tripped() {
-			return true
-		}
-	}
-	return false
-}
-
-// ResetAll clears every trip flag.
-func (s *Suite) ResetAll() {
-	for _, sub := range s.Subsystem {
-		sub.Reset()
-	}
-	s.Power.Reset()
 }

@@ -8,15 +8,6 @@ import (
 	"repro/internal/mathx"
 )
 
-func TestQuantizerValidate(t *testing.T) {
-	if err := (Quantizer{Step: 0.5, Noise: 0.25}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Quantizer{Step: -1}).Validate(); err == nil {
-		t.Error("negative step should be rejected")
-	}
-}
-
 func TestQuantizerNoiselessRounding(t *testing.T) {
 	q := Quantizer{Step: 0.5}
 	cases := []struct{ in, want float64 }{
@@ -58,9 +49,6 @@ func TestTHSensorRefreshPeriod(t *testing.T) {
 	if r1 != r0 {
 		t.Errorf("reading refreshed early: %v -> %v", r0, r1)
 	}
-	if s.Staleness(1.0) != 1.0 {
-		t.Errorf("staleness = %v, want 1.0", s.Staleness(1.0))
-	}
 	// Past the period it refreshes.
 	r2 := s.Sample(2.6, 340, rng)
 	if math.Abs(r2-340) > 1.0 {
@@ -68,78 +56,9 @@ func TestTHSensorRefreshPeriod(t *testing.T) {
 	}
 }
 
-func TestThresholdSensorHysteresis(t *testing.T) {
-	s := &ThresholdSensor{Limit: 100, HysteresisDown: 2}
-	if s.Observe(99, nil) {
-		t.Error("below limit should not trip")
-	}
-	if !s.Observe(101, nil) {
-		t.Error("above limit should trip")
-	}
-	// Just below the limit but inside the hysteresis band: stays tripped.
-	if !s.Observe(99, nil) {
-		t.Error("hysteresis band should hold the flag")
-	}
-	if s.Observe(97, nil) {
-		t.Error("below the band should clear")
-	}
-	if !s.Observe(101, nil) || !s.Tripped() {
-		t.Error("re-trip failed")
-	}
-	s.Reset()
-	if s.Tripped() {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestSuite(t *testing.T) {
-	su, err := NewSuite(15, 85+273.15, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(su.Subsystem) != 15 {
-		t.Fatalf("%d subsystem sensors", len(su.Subsystem))
-	}
-	if su.AnyOverheat() {
-		t.Error("fresh suite should be clear")
-	}
-	su.Subsystem[3].Observe(90+273.15, nil)
-	if !su.AnyOverheat() {
-		t.Error("overheat not detected")
-	}
-	su.Power.Observe(31, nil)
-	if !su.Power.Tripped() {
-		t.Error("power overrun not detected")
-	}
-	su.ResetAll()
-	if su.AnyOverheat() || su.Power.Tripped() {
-		t.Error("ResetAll did not clear")
-	}
-}
-
-func TestSuiteValidation(t *testing.T) {
-	if _, err := NewSuite(0, 358, 30); err == nil {
-		t.Error("zero subsystems should error")
-	}
-	if _, err := NewSuite(15, -1, 30); err == nil {
-		t.Error("negative limit should error")
-	}
-	if _, err := NewSuite(15, 358, 0); err == nil {
-		t.Error("zero power limit should error")
-	}
-}
-
 func TestDefaultSensorsReasonable(t *testing.T) {
 	th := NewTHSensor()
 	if th.PeriodS < 2 || th.PeriodS > 3 {
 		t.Errorf("TH refresh period %v outside the paper's 2-3 s", th.PeriodS)
-	}
-	oh := NewOverheatSensor(85 + 273.15)
-	if oh.Limit != 85+273.15 {
-		t.Error("overheat limit wrong")
-	}
-	ps := NewPowerSensor(30)
-	if ps.Limit != 30 {
-		t.Error("power limit wrong")
 	}
 }

@@ -226,32 +226,6 @@ func SnapFRelDown(f float64) float64 {
 	return FRelMin + steps*FRelStep
 }
 
-// QueueChoices returns the queue configurations available.
-func (c Config) QueueChoices() []QueueSize {
-	if !c.QueueResize {
-		return []QueueSize{QueueFull}
-	}
-	return []QueueSize{QueueFull, QueueThreeQuarter}
-}
-
-// FUChoices returns the FU replicas available.
-func (c Config) FUChoices() []FUChoice {
-	if !c.FUReplication {
-		return []FUChoice{FUNormal}
-	}
-	return []FUChoice{FUNormal, FULowSlope}
-}
-
-// FUSubsystems returns the subsystems carrying replicated FUs.
-func FUSubsystems() []floorplan.ID {
-	return []floorplan.ID{floorplan.IntALU, floorplan.FPUnit}
-}
-
-// QueueSubsystems returns the resizable issue-queue subsystems.
-func QueueSubsystems() []floorplan.ID {
-	return []floorplan.ID{floorplan.IntQ, floorplan.FPQ}
-}
-
 // IsFUSubsystem reports whether id carries a replicated FU.
 func IsFUSubsystem(id floorplan.ID) bool {
 	return id == floorplan.IntALU || id == floorplan.FPUnit

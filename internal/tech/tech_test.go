@@ -113,23 +113,6 @@ func TestFUVariantsAndPower(t *testing.T) {
 	}
 }
 
-func TestChoiceEnumeration(t *testing.T) {
-	none := Config{TimingSpec: true}
-	if got := none.QueueChoices(); len(got) != 1 || got[0] != QueueFull {
-		t.Errorf("QueueChoices without resize = %v", got)
-	}
-	if got := none.FUChoices(); len(got) != 1 || got[0] != FUNormal {
-		t.Errorf("FUChoices without replication = %v", got)
-	}
-	all := Config{TimingSpec: true, QueueResize: true, FUReplication: true}
-	if got := all.QueueChoices(); len(got) != 2 {
-		t.Errorf("QueueChoices with resize = %v", got)
-	}
-	if got := all.FUChoices(); len(got) != 2 {
-		t.Errorf("FUChoices with replication = %v", got)
-	}
-}
-
 func TestSubsystemClassification(t *testing.T) {
 	if !IsFUSubsystem(floorplan.IntALU) || !IsFUSubsystem(floorplan.FPUnit) {
 		t.Error("IntALU and FPUnit carry replicated FUs")
@@ -142,9 +125,6 @@ func TestSubsystemClassification(t *testing.T) {
 	}
 	if IsQueueSubsystem(floorplan.IntALU) {
 		t.Error("IntALU is not a queue")
-	}
-	if len(FUSubsystems()) != 2 || len(QueueSubsystems()) != 2 {
-		t.Error("subsystem lists wrong")
 	}
 }
 

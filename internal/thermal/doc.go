@@ -11,33 +11,33 @@
 //
 // # Solving many operating points
 //
-// Three tiers of solver exist, slowest and most authoritative first:
+// Two tiers of solver exist, slower and more authoritative first:
 //
 //   - Model.CoreSteady / Model.SubsystemSteady: stateless cold-start
 //     solves with the undamped inner contraction. These are the reference
-//     semantics everything else is tested against, and they are what the
-//     experiment paths use for the per-combo probes inside the adaptation
+//     semantics everything else is tested against, and
+//     Model.SubsystemSteady is the per-combo probe inside the adaptation
 //     scans.
 //   - Solver.CoreSteady: reusable scratch, cross-call warm starts, and
 //     Aitken Δ² acceleration; certified by the same |next-t| < TolK
 //     residual, so answers agree with the reference within a few TolK but
-//     not bit for bit.
-//   - Solver.SolveBatch: a whole chip/phase grid sweep in one call —
-//     one scratch arena for the batch, each point warm-started from its
-//     grid neighbor. With DisableAcceleration it degenerates to the exact
-//     per-combo reference, which is how its equivalence tests pin it.
+//     not bit for bit. With DisableAcceleration it cold-starts and runs
+//     Model.SubsystemSteady's inner loop, retracing Model.CoreSteady.
 //
-// # Why the adaptation scans stay on the cold-start reference
+// # Which tier each adaptation path uses
 //
-// The warm tiers honor the same TolK tolerance but land on slightly
+// The warm tier honors the same TolK tolerance but lands on slightly
 // different iterates (order 1e-3 K). The adaptation layer feeds these
 // temperatures into snap-to-grid frequency decisions, where a ~1e-3
-// perturbation flips a snap with probability of the same order — and the
-// experiment harness performs ~10^5-10^6 steady solves per run, so warm
-// starts inside the scans would make "fast" runs diverge from the
-// reference output byte-wise almost surely. The batched/warm solvers are
-// therefore for callers that want many thermal states per se (training
-// sweeps, diagnostics, figure generation), while FreqSolve/PowerSolve keep
-// paying the exact cold-start solves; their speed comes from exact
-// restructuring (pruning, memoization, batched PE tables) instead.
+// perturbation flips a snap with probability of the same order, and the
+// experiment harness performs ~10^5-10^6 steady solves per run. So the
+// per-combo probes inside the Freq/Power scans pay the exact cold-start
+// Model.SubsystemSteady, and their speed comes from exact restructuring
+// (pruning, memoization, batched PE tables) instead.
+//
+// Whole-core solves do use the warm tier: adapt.Core.Evaluate (every
+// retune probe) drives the core's private, warm-started and accelerated
+// Solver, and core.runFixed holds one Solver per application run. An
+// Evaluate result therefore depends, in its last digits, on the core's
+// previous solve.
 package thermal

@@ -206,16 +206,15 @@ func (m *Model) CoreSteady(ins []SubsystemInput, fRel float64) (CoreState, error
 }
 
 // subsystemSteady is SubsystemSteady generalized with a warm-start
-// temperature t0 and optional Aitken Δ² acceleration of the contraction
-// T -> TH + Rth*(Pdyn+Psta(T)). With accel=false and t0 == thK it retraces
-// SubsystemSteady's iterates exactly. With accel=true each loop turn takes
-// two plain steps and extrapolates through the secant of the residual,
-// which converges in 1-3 turns where the plain contraction needs ~10; the
-// extrapolated iterate is only accepted inside the physical bracket
-// (0, 500 K), falling back to the second plain step otherwise, and
-// convergence is still certified by the plain-step residual |next-t| <
-// TolK, so accelerated answers satisfy the same tolerance contract.
-func (m *Model) subsystemSteady(in SubsystemInput, thK, t0 float64, accel bool) SubsystemState {
+// temperature t0 and Aitken Δ² acceleration of the contraction
+// T -> TH + Rth*(Pdyn+Psta(T)): each loop turn takes two plain steps and
+// extrapolates through the secant of the residual, which converges in 1-3
+// turns where the plain contraction needs ~10. The extrapolated iterate is
+// only accepted inside the physical bracket (0, 500 K), falling back to
+// the second plain step otherwise, and convergence is still certified by
+// the plain-step residual |next-t| < TolK, so accelerated answers satisfy
+// the same tolerance contract as SubsystemSteady.
+func (m *Model) subsystemSteady(in SubsystemInput, thK, t0 float64) SubsystemState {
 	mult := in.powerMult()
 	pdyn := mult * m.pw.Pdyn(in.Index, in.AlphaF, in.VddV, in.FRel)
 	t := t0
@@ -226,13 +225,6 @@ func (m *Model) subsystemSteady(in SubsystemInput, thK, t0 float64, accel bool) 
 		next := thK + m.rth[in.Index]*(pdyn+psta)
 		if math.Abs(next-t) < m.params.TolK {
 			return SubsystemState{TK: next, PdynW: pdyn, PstaW: psta, VtV: vt, Converged: true}
-		}
-		if !accel {
-			t = next
-			if t > 500 { // > 225 C: unambiguous runaway, stop early
-				break
-			}
-			continue
 		}
 		vt2 := m.vp.VtAt(in.Vt0Eff, next, in.VddV, in.VbbV)
 		psta2 := mult * m.pw.Psta(in.Index, vt2, in.VddV, next)
@@ -314,15 +306,16 @@ func (s *Solver) CoreSteady(ins []SubsystemInput, fRel float64) (CoreState, erro
 		total := m.pw.Uncore(fRel, th)
 		uncore := total
 		for i := range ins {
-			t0 := th
-			if accel {
-				if outer > 0 {
-					t0 = subs[i].TK // previous outer iterate
-				} else if warm {
-					t0 = s.startT[i]
-				}
+			switch {
+			case !accel:
+				subs[i] = m.SubsystemSteady(ins[i], th)
+			case outer > 0:
+				subs[i] = m.subsystemSteady(ins[i], th, subs[i].TK) // previous outer iterate
+			case warm:
+				subs[i] = m.subsystemSteady(ins[i], th, s.startT[i])
+			default:
+				subs[i] = m.subsystemSteady(ins[i], th, th)
 			}
-			subs[i] = m.subsystemSteady(ins[i], th, t0, accel)
 			total += subs[i].PowerW()
 		}
 		nextTH := m.params.THBaseK + m.params.RthHSKPerW*total

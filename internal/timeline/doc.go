@@ -8,8 +8,9 @@
 // evaluation per subsystem, microseconds), the working-point transition
 // (PLL relock, voltage ramps), and the retuning cycles of §4.3.3;
 // recurring phases reuse their saved configuration instead of re-running
-// the controller; the heat-sink sensor (internal/sensors) refreshes
-// every few seconds and forces re-adaptation when its reading drifts.
+// the controller; and the heat-sink sensor (internal/sensors) refreshes
+// every few seconds, each refresh recorded with its quantized, noisy
+// reading.
 //
 // The simulation accounts for where the time goes — controller compute,
 // actuation transitions, retune cycles, stable execution — which is the

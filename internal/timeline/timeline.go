@@ -112,7 +112,7 @@ func Run(profiler Profiler, cpu *adapt.Core, app workload.App, solver adapt.Solv
 		return nil, Summary{}, err
 	}
 	rng := mathx.NewRNG(cfg.Seed)
-	saved := adapt.NewPhaseTable(0)
+	saved := adapt.NewPhaseTable()
 	thSensor := sensors.NewTHSensor()
 	lastTrueTH := cpu.Thermal.Params().THBaseK
 
@@ -151,7 +151,7 @@ func Run(profiler Profiler, cpu *adapt.Core, app workload.App, solver adapt.Solv
 			if err != nil {
 				return nil, Summary{}, err
 			}
-			saved.Save(obs.PhaseID, res.Point, res.Outcome)
+			saved.Save(obs.PhaseID, res.Point)
 			curF = res.Point.FCore
 			if res.State.Core.THK > 0 {
 				lastTrueTH = res.State.Core.THK

@@ -1,9 +1,6 @@
 package vats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CurveStats summarizes a frozen stage curve for reporting and figure
 // generation.
@@ -50,47 +47,4 @@ func (cv *Curve) Stats() CurveStats {
 func (s CurveStats) String() string {
 	return fmt.Sprintf("cells=%d mean=%.3f max=%.3f wall=%.3f fvar=%.3f onset=%.1f%%",
 		s.Cells, s.MeanDelay, s.MaxDelay, s.Wall, s.FVar, s.OnsetSpan*100)
-}
-
-// CrossFRel returns the lowest relative frequency at which the curve's
-// error probability reaches at least pe, by bisection over the sampling
-// range; ok is false when the curve never reaches pe below the bracket's
-// upper end.
-func (cv *Curve) CrossFRel(pe float64) (f float64, ok bool) {
-	const loF, hiF = 0.2, 3.0
-	if cv.PE(hiF) < pe {
-		return 0, false
-	}
-	if cv.PE(loF) >= pe {
-		return loF, true
-	}
-	lo, hi := loF, hiF
-	for i := 0; i < 48; i++ {
-		mid := 0.5 * (lo + hi)
-		if cv.PE(mid) >= pe {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
-}
-
-// RankStagesByFVar orders a pipeline's stages from most to least frequency
-// limiting at the given condition, returning the stage indices.
-func RankStagesByFVar(pl *Pipeline, c Cond) []int {
-	type entry struct {
-		idx int
-		f   float64
-	}
-	entries := make([]entry, len(pl.Stages))
-	for i, st := range pl.Stages {
-		entries[i] = entry{idx: i, f: st.Eval(c, IdentityVariant()).FVar()}
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].f < entries[b].f })
-	out := make([]int, len(entries))
-	for i, e := range entries {
-		out[i] = e.idx
-	}
-	return out
 }

@@ -74,65 +74,3 @@ func TestOnsetSpanOrderingByKind(t *testing.T) {
 		}
 	}
 }
-
-func TestCrossFRel(t *testing.T) {
-	fp, gen := testFixtures(t)
-	chip := gen.Chip(5)
-	st, err := NewStage(fp.Subsystems[0], chip, gen.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv := st.Eval(designCorner(gen.Params()), IdentityVariant())
-	f6, ok := cv.CrossFRel(1e-6)
-	if !ok {
-		t.Fatal("curve should reach 1e-6")
-	}
-	if pe := cv.PE(f6); pe < 1e-6*0.9 {
-		t.Errorf("PE at crossing = %g, want >= 1e-6", pe)
-	}
-	if pe := cv.PE(f6 * 0.98); pe > 1e-6 {
-		t.Errorf("PE just below crossing = %g, want < 1e-6", pe)
-	}
-	f2, ok := cv.CrossFRel(1e-2)
-	if !ok || f2 < f6 {
-		t.Errorf("crossings out of order: %v then %v", f6, f2)
-	}
-	// A level the curve never reaches in the bracket.
-	if _, ok := cv.CrossFRel(1.1); ok {
-		t.Error("PE cannot reach 1.1")
-	}
-}
-
-func TestRankStagesByFVar(t *testing.T) {
-	fp, gen := testFixtures(t)
-	chip := gen.Chip(6)
-	pl, err := NewPipeline(fp, chip, gen.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	corner := designCorner(gen.Params())
-	rank := RankStagesByFVar(pl, corner)
-	if len(rank) != len(pl.Stages) {
-		t.Fatalf("rank has %d entries", len(rank))
-	}
-	seen := map[int]bool{}
-	prev := -1.0
-	for _, idx := range rank {
-		if seen[idx] {
-			t.Fatal("duplicate index in ranking")
-		}
-		seen[idx] = true
-		f := pl.Stages[idx].Eval(corner, IdentityVariant()).FVar()
-		if f < prev {
-			t.Fatal("ranking not ascending in FVar")
-		}
-		prev = f
-	}
-	// The most limiting stage must be the pipeline's fvar.
-	first := pl.Stages[rank[0]].Eval(corner, IdentityVariant()).FVar()
-	for _, st := range pl.Stages {
-		if st.Eval(corner, IdentityVariant()).FVar() < first-1e-12 {
-			t.Fatal("rank[0] is not the most limiting stage")
-		}
-	}
-}

@@ -25,7 +25,7 @@ import (
 )
 
 const (
-	fastPattern = "^(BenchmarkFreqSolve|BenchmarkFreqSolveCold|BenchmarkChipGeneration|BenchmarkCorePipeline|BenchmarkCorePipelineReference|BenchmarkCoreSteady|BenchmarkPEFMaxBatch|BenchmarkThermalSolveBatch)$"
+	fastPattern = "^(BenchmarkFreqSolve|BenchmarkFreqSolveCold|BenchmarkChipGeneration|BenchmarkCorePipeline|BenchmarkCorePipelineReference|BenchmarkCoreSteady|BenchmarkPEFMaxBatch)$"
 	slowPattern = "^(BenchmarkFig10_RelativeFrequency|BenchmarkFig10_ArtifactCache|BenchmarkFig13_ControllerOutcomes|BenchmarkTrainFuzzySolver)$"
 	// The cold fleet rows are recorded single-shot like the other slow
 	// benchmarks; the warm rows are recorded at fleetCheckIterations so
