@@ -1,12 +1,12 @@
 // Command evalserve exposes the fleet-scale discrete-event simulation
 // service over HTTP: chips join and leave, phase changes and retuning
-// requests stream in as event batches, and pure (chip, env, app, phase)
+// requests stream in as event batches, and (chip, env, app, phase)
 // adaptation units execute over a worker pool backed by the artifact
-// cache.
+// cache, each chip's units on the one worker that owns it.
 //
 // Usage:
 //
-//	evalserve -addr :8080 -workers 8 -routing least-loaded
+//	evalserve -addr :8080 -workers 8
 //	evalserve -rate bulk=0.5:10,interactive=5:20 -cache-dir /tmp/evalcache
 //
 // Endpoints:
@@ -15,15 +15,14 @@
 //	                 line per event, in submission order
 //	GET  /v1/stats   service telemetry snapshot (throughput, per-class
 //	                 latency histograms, Jain fairness index)
-//	GET  /v1/metrics obs-registry dump (counters, gauges, timers)
+//	GET  /v1/metrics obs-registry dump (counters, gauges, timers), with
+//	                 the fleet.pool.* gauges refreshed first
 //	GET  /healthz    liveness probe
 //
 // Flags:
 //
 //	-addr a           listen address (default :8080)
 //	-workers n        worker goroutines (0 = GOMAXPROCS)
-//	-routing p        unit routing policy: round-robin, least-loaded,
-//	                  or affinity (by chip)
 //	-max-batch n      max compatible run events coalesced per unit batch
 //	-rate spec        per-class admission rates, comma-separated
 //	                  class=perTick:burst entries; unlisted classes are
@@ -74,7 +73,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		routing    = flag.String("routing", "round-robin", "unit routing policy: round-robin, least-loaded, affinity")
 		maxBatch   = flag.Int("max-batch", fleet.DefaultMaxBatch, "max compatible run events per unit batch")
 		rates      = flag.String("rate", "", "per-class admission rates: class=perTick:burst[,class=...]")
 		flushBytes = flag.Int("flush-bytes", 64<<10, "result-stream flush size watermark")
@@ -86,10 +84,6 @@ func main() {
 	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
-	pol, err := fleet.ParseRouting(*routing)
-	if err != nil {
-		fatal(err)
-	}
 	admission, err := parseRates(*rates)
 	if err != nil {
 		fatal(err)
@@ -112,7 +106,6 @@ func main() {
 
 	cfg := fleet.Config{
 		Workers:   *workers,
-		Routing:   pol,
 		MaxBatch:  *maxBatch,
 		Admission: admission,
 		Obs:       reg,
@@ -136,7 +129,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/batch", handleBatch(fl, reg, *flushBytes, time.Duration(*flushMs)*time.Millisecond))
 	mux.HandleFunc("/v1/stats", handleStats(fl))
-	mux.HandleFunc("/v1/metrics", handleMetrics(reg))
+	mux.HandleFunc("/v1/metrics", handleMetrics(fl, reg))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -161,8 +154,8 @@ func main() {
 		close(done)
 	}()
 
-	fmt.Fprintf(os.Stderr, "evalserve: listening on %s (workers=%d routing=%s)\n",
-		*addr, fl.Stats().Workers, pol)
+	fmt.Fprintf(os.Stderr, "evalserve: listening on %s (workers=%d, one owner worker per chip)\n",
+		*addr, fl.Stats().Workers)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
@@ -359,9 +352,12 @@ type metricRow struct {
 }
 
 // handleMetrics dumps the obs registry: every counter, gauge, and timer
-// the simulator, artifact store, and fleet have registered.
-func handleMetrics(reg *obs.Registry) http.HandlerFunc {
+// the simulator, artifact store, and fleet have registered. It publishes
+// the fleet's pool gauges first, so occupancy is current without a
+// /v1/stats call.
+func handleMetrics(fl *fleet.Fleet, reg *obs.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		fl.PublishGauges()
 		rows := make([]metricRow, 0, 32)
 		for _, m := range reg.Snapshot() {
 			rows = append(rows, metricRow{

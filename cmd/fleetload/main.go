@@ -82,7 +82,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "trace seed")
 
 		workers  = flag.Int("workers", 0, "in-process fleet workers (0 = GOMAXPROCS)")
-		routing  = flag.String("routing", "round-robin", "in-process routing policy")
 		traceLen = flag.Int("tracelen", 8000, "in-process instructions per phase profile")
 
 		minRate  = flag.Float64("min-events-per-sec", 0, "assert measured events/s >= this (0 = off)")
@@ -96,7 +95,7 @@ func main() {
 	var be backend
 	var err error
 	if *inproc {
-		be, err = newInprocBackend(*workers, *routing, *traceLen)
+		be, err = newInprocBackend(*workers, *traceLen)
 	} else {
 		be = &httpBackend{base: strings.TrimSuffix(*url, "/"), client: &http.Client{}}
 	}
@@ -289,18 +288,14 @@ type inprocBackend struct {
 	fl *fleet.Fleet
 }
 
-func newInprocBackend(workers int, routing string, traceLen int) (backend, error) {
-	pol, err := fleet.ParseRouting(routing)
-	if err != nil {
-		return nil, err
-	}
+func newInprocBackend(workers, traceLen int) (backend, error) {
 	opts := core.DefaultOptions()
 	opts.TraceLen = traceLen
 	sim, err := core.NewSimulator(opts)
 	if err != nil {
 		return nil, err
 	}
-	fl, err := fleet.New(sim, fleet.Config{Workers: workers, Routing: pol})
+	fl, err := fleet.New(sim, fleet.Config{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,9 @@
 //     the same chip and store (e.g. the six environment cores of one
 //     chip); the cores may then be driven from different worker
 //     goroutines, as the (chip × environment) work queue of the experiment
-//     harness does, and the fleet service with one core per (chip,
-//     environment, worker).
+//     harness does. The fleet service keeps one core per (chip,
+//     environment) and drives all of a chip's cores from the chip's owner
+//     worker.
 //   - WorkerView clones a core into a per-goroutine view with empty memo
 //     maps over the shared read-only models and table store; the parallel
 //     fuzzy-training pipeline hands one view per worker slot.

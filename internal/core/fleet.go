@@ -122,7 +122,8 @@ func (h *ChipHandle) core(cfg tech.Config) (*adapt.Core, error) {
 
 // HandleCore assembles the environment's core over the handle's shared
 // stage models and PE-table store. Cores are cheap relative to the
-// handle; callers may cache them per worker.
+// handle; the fleet keeps one per (chip, environment), driven only by
+// the chip's owner worker.
 func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, error) {
 	return h.core(env.coreConfig())
 }

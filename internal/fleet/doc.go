@@ -1,8 +1,8 @@
 // Package fleet is the shared-clock discrete-event simulation service
-// over the EVAL core: it scales the repo's unit of work — one pure
-// (chip, environment, app, phase) adaptation, memoized in the artifact
-// store — from batch CLIs to a long-running request stream serving tens
-// of thousands of variation-affected chips.
+// over the EVAL core: it scales the repo's unit of work — one (chip,
+// environment, app, phase) adaptation, memoized in the artifact store —
+// from batch CLIs to a long-running request stream serving tens of
+// thousands of variation-affected chips.
 //
 // # Event model
 //
@@ -21,23 +21,25 @@
 // Ingest holds no global lock. A SubmitBatch call reserves its
 // contiguous sequence block with one atomic add, folds timestamps into
 // the virtual clock (an atomic running maximum), and then walks its
-// events touching only sharded state: chip membership lives in
-// hash-sharded maps (Config.MemberShards), admission buckets carry
-// per-class locks, stats are atomic counters behind a copy-on-write
-// class table with per-worker latency shards, and routing cursors are
-// atomics. Compatible run events — same (chip, environment, mode) —
-// coalesce into bounded unit batches that a routing policy
-// (round-robin, least-loaded, affinity-by-chip) places on worker
-// queues. Workers are pure with respect to ingest state: inside a
-// batch, duplicate (app, phase) events share one solve, a single
-// indexed probe (artifact.Store.ContainsBatch) splits groups into cache
-// replays and cold solves, and results flow back through the submission
-// batch. Each chip builds its handle (variation maps, stage models, PE
-// tables) once, shared across the pool; each worker derives its own
-// cheap core per environment from it, so adding workers never
-// multiplies the chip build. The cores live on the chip's membership
-// entry, one slot per worker, so a chip that leaves takes them with it
-// once its units drain.
+// events touching only sharded state: chip membership lives in 32
+// hash-sharded maps, admission buckets carry per-class locks, and stats
+// are atomic counters behind a copy-on-write class table with
+// per-worker latency shards. Compatible run events — same (chip,
+// environment, mode) — coalesce into bounded unit batches.
+//
+// There is no routing policy. Each admitted chip has one owner worker,
+// assigned in join order (the n-th chip admitted goes to worker n mod
+// Workers), and every unit batch of the chip goes to the owner's queue
+// in ingest order. The owner builds the chip's handle (variation maps,
+// stage models, PE tables) on the chip's first unit, then one core per
+// environment from it; the cores live on the chip's membership entry
+// and only the owner touches them, so a chip that leaves takes them
+// with it once its units drain. Inside a batch, duplicate (app, phase)
+// events share one solve, a single indexed probe
+// (artifact.Store.ContainsBatch) splits groups into cache replays and
+// cold solves, and results flow back through the submission batch. The
+// price of ownership: a chip's units never run on two workers at once,
+// so a fleet with fewer resident chips than workers leaves workers idle.
 //
 // # Ordering and determinism contract
 //
@@ -47,20 +49,28 @@
 // emission). Across concurrent SubmitBatch calls only sequence numbers
 // order events — each call owns a contiguous block, and block order
 // follows the atomic reservation; admission within a class follows
-// bucket-lock acquisition order. The contract below is defined over a
-// single-client trace, where both orders reduce to submission order.
+// bucket-lock acquisition order, and owners follow join order. The
+// contract below is defined over a single-client trace, where all of
+// these orders reduce to submission order.
 //
-// For a fixed simulator seed and a fixed event trace (one client
-// submitting the same batches in the same order), Result.Canonical() —
-// everything except the execution diagnostics (worker placement,
-// latencies, cache hits, batching counts) — is byte-identical at every
-// worker count, every shard count, and every routing policy. The three
-// load-bearing properties: sequence assignment, the virtual clock, and
-// admission are decided at ingest from the trace alone (serially, for a
-// serial submitter); simulation units are pure functions of (chip seed,
-// environment, mode, app, phase) — worker placement, core-view
-// derivation, and PE-table build order cannot change their values; and
-// per-batch emission is re-serialized by submission order. The
-// determinism tests sweep shard counts {1, 32} × workers {1, 8} × all
-// routing policies and compare canonical JSON byte-for-byte.
+// For a fixed simulator seed and a fixed single-client event trace,
+// Result.Canonical() — everything except the execution diagnostics
+// (owner worker, latencies, cache hits, batching counts) — is
+// byte-identical at every worker count, with no artifact store or with
+// a store that starts empty. Sequence assignment, the virtual clock,
+// admission, and chip ownership are decided at ingest from the trace
+// alone, and per-batch emission is re-serialized by submission order.
+//
+// Units are not pure. A unit's value still depends on the units the
+// chip ran before it in the same environment: the core's warm-started
+// thermal solve and its memos carry state from one unit to the next
+// (ROADMAP item 1). Ownership makes that history a function of the
+// trace rather than of the placement: a chip's unit batches run in
+// ingest order on one core per environment, whichever worker owns the
+// chip. A store written by a different trace replays that trace's
+// history, so the contract does not extend to one. The determinism test
+// plays a long mixed-mode history trace at workers {1, 2, 8}, each on a
+// fresh simulator without a store, then a cold run into a fresh store
+// and a warm run from the reopened store, and compares canonical JSON
+// byte-for-byte.
 package fleet

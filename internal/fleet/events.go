@@ -97,8 +97,8 @@ type Result struct {
 }
 
 // Canonical returns the result with execution diagnostics zeroed: the
-// part of a result that is byte-identical at every worker count and
-// routing policy for a fixed seed and event trace.
+// part of a result that is byte-identical at every worker count for a
+// fixed seed and single-client event trace (see the package contract).
 func (r Result) Canonical() Result {
 	r.CacheHit = false
 	r.Batched = 0

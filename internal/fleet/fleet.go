@@ -17,23 +17,18 @@ import (
 // one dispatched unit batch.
 const DefaultMaxBatch = 64
 
-// DefaultMemberShards is the default chip-membership shard count.
-const DefaultMemberShards = 32
+// memberShards is the chip-membership shard count, a power of two.
+// Membership is the only ingest structure run events read under a lock;
+// sharding it keeps concurrent submitters off each other's chips.
+const memberShards = 32
 
 // Config configures a Fleet.
 type Config struct {
 	// Workers is the worker-goroutine count (0 = GOMAXPROCS).
 	Workers int
-	// Routing places unit batches on workers (default RoundRobin).
-	Routing Routing
 	// MaxBatch bounds events per dispatched unit batch (0 =
 	// DefaultMaxBatch).
 	MaxBatch int
-	// MemberShards is the chip-membership shard count, rounded up to a
-	// power of two (0 = DefaultMemberShards). Membership is the only
-	// ingest structure run events read under a lock; sharding it keeps
-	// concurrent submitters off each other's chips.
-	MemberShards int
 	// Admission maps class names to token-bucket rates; classes without
 	// an entry are unthrottled.
 	Admission map[string]Rate
@@ -52,31 +47,28 @@ type Config struct {
 }
 
 // Fleet is the shared-clock discrete-event simulation service: chips
-// join and leave, run events arrive as a request stream, and pure
-// (chip, env, app, phase) units execute over a worker pool backed by the
+// join and leave, run events arrive as a request stream, and (chip, env,
+// app, phase) units execute on each chip's owner worker, backed by the
 // Simulator's artifact cache. See doc.go for the ordering and
 // determinism contract.
 //
 // Ingest is sharded: sequence numbers are reserved per batch with one
 // atomic add, the virtual clock is an atomic running maximum, chip
 // membership lives in hash-sharded maps, admission buckets carry their
-// own per-class locks, and routing cursors are atomics. No global lock
-// exists on the event path.
+// own per-class locks, and owners are assigned from an atomic join
+// count. No global lock exists on the event path.
 type Fleet struct {
 	sim  *core.Simulator
 	cfg  Config
 	apps map[string]workload.App
 
-	seq   atomic.Int64 // batch-reserved; contiguous within a batch
-	clock atomic.Int64 // running max of submitted At values
+	seq    atomic.Int64 // batch-reserved; contiguous within a batch
+	clock  atomic.Int64 // running max of submitted At values
+	joined atomic.Int64 // chips admitted so far; picks each chip's owner
 
-	shards    []memberShard
-	shardMask uint64
+	shards [memberShards]memberShard
 
 	buckets map[string]*TokenBucket // read-only after New
-
-	rrNext atomic.Int64
-	load   []workerLoad
 
 	// closeMu fences dispatch against Close: SubmitBatch holds the read
 	// side from the closed check through its last queue send, so Close
@@ -101,33 +93,25 @@ type memberShard struct {
 	_  [64]byte
 }
 
-// workerLoad is one worker's cumulative dispatched cost for least-loaded
-// routing, padded against false sharing.
-type workerLoad struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// chipEntry is one admitted chip. The expensive handle builds lazily
-// under once on whichever worker first needs it; units register on the
-// WaitGroup so a leave can release the handle only once the chip is
-// quiescent.
+// chipEntry is one admitted chip. Every unit of the chip runs on its
+// owner worker, the n-th admitted chip's being worker n mod Workers. The
+// expensive handle builds lazily under once on the owner's first unit;
+// units register on the WaitGroup so a leave can release the handle
+// only once the chip is quiescent.
 type chipEntry struct {
-	seed  int64
-	units sync.WaitGroup
+	seed   int64
+	worker int
+	units  sync.WaitGroup
 
 	once   sync.Once
 	handle *core.ChipHandle
 	err    error
 
-	// views holds each worker's private cores of the chip, one slot per
-	// worker, read and written only by that worker. Living on the entry,
-	// a departed chip's views are freed with it.
-	views []envViews
+	// cores holds the chip's core per environment, built on first use
+	// and touched only by the owner. Living on the entry, a departed
+	// chip's cores are freed with it.
+	cores [core.NumEnvironments]*adapt.Core
 }
-
-// envViews is one worker's cores of a chip, by environment.
-type envViews [core.NumEnvironments]*adapt.Core
 
 func (e *chipEntry) ensure(sim *core.Simulator) (*core.ChipHandle, error) {
 	e.once.Do(func() { e.handle, e.err = sim.AcquireChip(e.seed) })
@@ -156,33 +140,14 @@ type unitKey struct {
 // environment, and mode. Distinct (app, phase) groups inside it each
 // solve once; duplicate events replay the group's result.
 type unitTask struct {
-	entry  *chipEntry
-	env    string
-	mode   string
-	refs   []eventRef
-	groups int // distinct (app, phase) keys in refs, tracked at ingest
-	enq    time.Time
+	entry *chipEntry
+	env   string
+	mode  string
+	refs  []eventRef
+	enq   time.Time
 }
 
 var taskPool = sync.Pool{New: func() any { return new(unitTask) }}
-
-// addRef appends a ref, tracking the distinct-group count the router
-// costs by. Batches are small (MaxBatch), so the duplicate scan is a
-// short linear pass instead of a map.
-func (t *unitTask) addRef(ref eventRef) {
-	k := keyOf(ref.ev)
-	dup := false
-	for i := range t.refs {
-		if keyOf(t.refs[i].ev) == k {
-			dup = true
-			break
-		}
-	}
-	if !dup {
-		t.groups++
-	}
-	t.refs = append(t.refs, ref)
-}
 
 // release returns a finished task to the pool.
 func (t *unitTask) release() {
@@ -190,7 +155,6 @@ func (t *unitTask) release() {
 	t.refs = t.refs[:0]
 	t.entry = nil
 	t.env, t.mode = "", ""
-	t.groups = 0
 	taskPool.Put(t)
 }
 
@@ -262,7 +226,6 @@ type immediate struct {
 type submitScratch struct {
 	immediates []immediate
 	tasks      []*unitTask
-	targets    []int
 	open       map[unitKey]*unitTask
 }
 
@@ -274,7 +237,6 @@ func (sc *submitScratch) release() {
 	sc.immediates = sc.immediates[:0]
 	clear(sc.tasks)
 	sc.tasks = sc.tasks[:0]
-	sc.targets = sc.targets[:0]
 	clear(sc.open)
 	scratchPool.Put(sc)
 }
@@ -287,14 +249,6 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.MemberShards < 1 {
-		cfg.MemberShards = DefaultMemberShards
-	}
-	shards := 1
-	for shards < cfg.MemberShards {
-		shards <<= 1
-	}
-	cfg.MemberShards = shards
 	if cfg.Apps == nil {
 		cfg.Apps = workload.Suite()
 	}
@@ -305,17 +259,14 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 		cfg.Training.Workers = 1
 	}
 	f := &Fleet{
-		sim:       sim,
-		cfg:       cfg,
-		apps:      make(map[string]workload.App, len(cfg.Apps)),
-		shards:    make([]memberShard, shards),
-		shardMask: uint64(shards - 1),
-		buckets:   make(map[string]*TokenBucket),
-		load:      make([]workerLoad, cfg.Workers),
-		queues:    make([]chan *unitTask, cfg.Workers),
-		stats:     newStats(cfg.Workers),
-		mon:       obs.NewPoolMonitor(cfg.Obs, "fleet.pool", cfg.Workers),
-		lockWait:  cfg.Obs.Counter("fleet.ingest.lock_wait_ns"),
+		sim:      sim,
+		cfg:      cfg,
+		apps:     make(map[string]workload.App, len(cfg.Apps)),
+		buckets:  make(map[string]*TokenBucket),
+		queues:   make([]chan *unitTask, cfg.Workers),
+		stats:    newStats(cfg.Workers),
+		mon:      obs.NewPoolMonitor(cfg.Obs, "fleet.pool", cfg.Workers),
+		lockWait: cfg.Obs.Counter("fleet.ingest.lock_wait_ns"),
 	}
 	for i := range f.shards {
 		f.shards[i].m = make(map[int64]*chipEntry)
@@ -339,7 +290,17 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 
 // shardFor maps a chip to its membership shard.
 func (f *Fleet) shardFor(chip int64) *memberShard {
-	return &f.shards[fnv64(chip)&f.shardMask]
+	return &f.shards[fnv64(chip)%memberShards]
+}
+
+// fnv64 hashes a chip seed to spread chips over membership shards.
+func fnv64(seed int64) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(seed >> (8 * i)))
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Chips returns the current admitted-chip count.
@@ -359,10 +320,14 @@ func (f *Fleet) Stats() Snapshot {
 	f.mon.Publish()
 	snap := f.stats.snapshot()
 	snap.Workers = f.cfg.Workers
-	snap.Routing = f.cfg.Routing.String()
 	snap.Chips = f.Chips()
 	return snap
 }
+
+// PublishGauges refreshes the fleet.pool.* gauges in Config.Obs, so a
+// registry snapshot taken next reads current pool occupancy. Stats
+// publishes them too.
+func (f *Fleet) PublishGauges() { f.mon.Publish() }
 
 // advanceClock folds one event timestamp into the virtual clock and
 // returns the clock after the fold.
@@ -416,7 +381,8 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			f.timedLock(&sh.mu)
 			_, dup := sh.m[ev.Chip]
 			if !dup {
-				sh.m[ev.Chip] = &chipEntry{seed: ev.Chip, views: make([]envViews, f.cfg.Workers)}
+				owner := (f.joined.Add(1) - 1) % int64(f.cfg.Workers)
+				sh.m[ev.Chip] = &chipEntry{seed: ev.Chip, worker: int(owner)}
 			}
 			sh.mu.Unlock()
 			if dup {
@@ -500,7 +466,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			} else {
 				f.stats.batchedEvents.Add(1)
 			}
-			t.addRef(eventRef{b: b, cls: cls, pos: pos, ev: ev, seq: seq})
+			t.refs = append(t.refs, eventRef{b: b, cls: cls, pos: pos, ev: ev, seq: seq})
 		default:
 			res.Status = StatusError
 			res.Err = fmt.Sprintf("unknown event kind %q", ev.Kind)
@@ -508,20 +474,18 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			sc.immediates = append(sc.immediates, immediate{pos, res})
 		}
 	}
-	// Route in ingest order: the cursors are atomics, so placement is a
-	// pure function of the trace for a serial submitter and merely
-	// fair-ish under concurrency — placement never affects results.
+	// Each task goes to its chip's owner in ingest order, so a chip's
+	// tasks run in ingest order whatever the worker count.
 	for _, t := range sc.tasks {
-		sc.targets = append(sc.targets, f.route(t))
-	}
-	depth := 0
-	for i, t := range sc.tasks {
 		t.enq = time.Now()
 		f.stats.units.Add(1)
-		f.queues[sc.targets[i]] <- t
-		depth += len(f.queues[sc.targets[i]])
+		f.queues[t.entry.worker] <- t
 	}
 	if len(sc.tasks) > 0 {
+		depth := 0
+		for _, q := range f.queues {
+			depth += len(q)
+		}
 		f.mon.Depth(depth)
 	}
 	f.closeMu.RUnlock()
@@ -586,25 +550,6 @@ func (f *Fleet) validateRun(ev Event) string {
 		return fmt.Sprintf("environment %q is not adaptive", ev.Env)
 	}
 	return ""
-}
-
-// route picks a worker for a completed task.
-func (f *Fleet) route(t *unitTask) int {
-	switch f.cfg.Routing {
-	case LeastLoaded:
-		best, bestLoad := 0, f.load[0].n.Load()
-		for w := 1; w < f.cfg.Workers; w++ {
-			if l := f.load[w].n.Load(); l < bestLoad {
-				best, bestLoad = w, l
-			}
-		}
-		f.load[best].n.Add(int64(t.groups))
-		return best
-	case Affinity:
-		return int(fnv64(t.entry.seed) % uint64(f.cfg.Workers))
-	default:
-		return int((f.rrNext.Add(1) - 1) % int64(f.cfg.Workers))
-	}
 }
 
 // groupKey identifies one solve inside a unit task.

@@ -37,10 +37,14 @@ func testSim(t *testing.T, dir string) *core.Simulator {
 	return sim
 }
 
-func testApps(t *testing.T) []workload.App {
+// testApps resolves app names, gcc and swim by default.
+func testApps(t *testing.T, names ...string) []workload.App {
 	t.Helper()
+	if len(names) == 0 {
+		names = []string{"gcc", "swim"}
+	}
 	var apps []workload.App
-	for _, name := range []string{"gcc", "swim"} {
+	for _, name := range names {
 		a, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -96,94 +100,155 @@ func testTrace() [][]Event {
 	}
 }
 
-// runTrace plays the fixed trace through a fresh fleet and returns the
-// canonical result stream as JSON lines.
-func runTrace(t *testing.T, sim *core.Simulator, workers, shards int, routing Routing) []string {
+// historyTrace gives three chips a long, mixed history on their TS+ASV
+// cores: every whole-app and phase unit of apps, twice, with the chip
+// rotating per event and the mode (exh, fuzzy, static) every three
+// events, in 24-event batches. No (chip, mode, unit) repeats, so a
+// store that starts empty replays nothing within the trace.
+func historyTrace(apps []workload.App) [][]Event {
+	chips := []int64{501, 502, 503}
+	modes := []string{ModeExh, ModeFuzzy, ModeStatic}
+	var units []Event
+	for _, app := range apps {
+		units = append(units, Event{App: app.Name})
+		for ph := range app.Phases {
+			units = append(units, Event{App: app.Name, Phase: intp(ph)})
+		}
+	}
+	var events []Event
+	for _, chip := range chips {
+		events = append(events, Event{At: 8, Kind: KindJoin, Class: "h", Chip: chip})
+	}
+	for i := 0; i < 2*len(units); i++ {
+		ev := units[i%len(units)]
+		ev.At, ev.Kind, ev.Class, ev.Env = int64(9+i/24), KindRun, "h", "TS+ASV"
+		ev.Chip, ev.Mode = chips[i%len(chips)], modes[(i/len(chips))%len(modes)]
+		events = append(events, ev)
+	}
+	var batches [][]Event
+	for len(events) > 24 {
+		batches = append(batches, events[:24])
+		events = events[24:]
+	}
+	return append(batches, events)
+}
+
+// runTrace plays testTrace and then historyTrace, over the six apps the
+// repository benchmark runs, through a fresh fleet over sim and returns
+// every result in emission order.
+func runTrace(t *testing.T, sim *core.Simulator, workers int) []Result {
 	t.Helper()
+	apps := testApps(t, "gcc", "crafty", "mcf", "swim", "sixtrack", "art")
 	training := adapt.DefaultTrainOptions()
 	training.Examples = 60
 	f, err := New(sim, Config{
-		Workers:      workers,
-		Routing:      routing,
-		MaxBatch:     4,
-		MemberShards: shards,
+		Workers:  workers,
+		MaxBatch: 4,
 		Admission: map[string]Rate{
 			"capped": {PerTick: 0, Burst: 2},
 		},
-		Apps:     testApps(t),
+		Apps:     apps,
 		Training: training,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var lines []string
-	for _, batch := range testTrace() {
-		err := f.SubmitBatch(batch, func(r Result) {
-			blob, jerr := json.Marshal(r.Canonical())
-			if jerr != nil {
-				t.Error(jerr)
-			}
-			lines = append(lines, string(blob))
-		})
+	var results []Result
+	for _, batch := range append(testTrace(), historyTrace(apps)...) {
+		if err := f.SubmitBatch(batch, func(r Result) { results = append(results, r) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results
+}
+
+// canonicalLines renders results as canonical JSON lines.
+func canonicalLines(t *testing.T, results []Result) []string {
+	t.Helper()
+	lines := make([]string, len(results))
+	for i, r := range results {
+		blob, err := json.Marshal(r.Canonical())
 		if err != nil {
 			t.Fatal(err)
 		}
+		lines[i] = string(blob)
 	}
 	return lines
 }
 
 // TestFleetDeterminism is the headline contract: at a fixed seed and
 // fixed event trace, canonical results are byte-identical at every
-// worker count, membership shard count, and routing policy. The
-// simulator and artifact store are shared across the sweep, so the
-// first (cold) run also pins warm cache replays to the same bytes.
+// worker count, with no store or with a store that starts empty. Each
+// no-store run gets a fresh simulator, so nothing but the chips' own
+// earlier units can shape a result; the history trace is long enough
+// that a unit's value depends on the units its core ran before it, so
+// any placement that changed that order would show. A store written by
+// the same trace then replays the same bytes.
 func TestFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
 	}
-	sim := testSim(t, t.TempDir())
 	var want []string
-	wantFrom := ""
-	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 32} {
-			for _, routing := range Routings() {
-				got := runTrace(t, sim, workers, shards, routing)
-				label := fmt.Sprintf("workers=%d shards=%d routing=%v", workers, shards, routing)
-				if want == nil {
-					want, wantFrom = got, label
-					// The trace must actually exercise results, errors, and
-					// rejections or the sweep proves nothing.
-					var okRuns, errs, rejects int
-					for _, line := range got {
-						var r Result
-						if err := json.Unmarshal([]byte(line), &r); err != nil {
-							t.Fatal(err)
-						}
-						switch {
-						case r.Status == StatusOK && r.Kind == KindRun:
-							okRuns++
-						case r.Status == StatusError:
-							errs++
-						case r.Status == StatusRejected:
-							rejects++
-						}
-					}
-					if okRuns < 8 || errs < 5 || rejects != 2 {
-						t.Fatalf("trace coverage: ok=%d errs=%d rejects=%d", okRuns, errs, rejects)
-					}
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s emitted %d results, %s emitted %d", label, len(got), wantFrom, len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s diverges from %s at result %d:\n  %s\n  %s",
-							label, wantFrom, i, got[i], want[i])
-					}
+	for _, workers := range []int{1, 2, 8} {
+		results := runTrace(t, testSim(t, ""), workers)
+		got := canonicalLines(t, results)
+		if want == nil {
+			want = got
+			// The trace must actually exercise results, errors, and
+			// rejections or the sweep proves nothing.
+			var okRuns, errs, rejects int
+			for _, r := range results {
+				switch {
+				case r.Status == StatusOK && r.Kind == KindRun:
+					okRuns++
+				case r.Status == StatusError:
+					errs++
+				case r.Status == StatusRejected:
+					rejects++
 				}
 			}
+			if okRuns < 8 || errs < 5 || rejects != 2 {
+				t.Fatalf("trace coverage: ok=%d errs=%d rejects=%d", okRuns, errs, rejects)
+			}
+			continue
+		}
+		compareLines(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+
+	// A cold run fills a fresh store; a warm run on the reopened store
+	// must answer every adaptive unit from it, with the same bytes.
+	dir := t.TempDir()
+	storeRun := func(workers int) []Result {
+		store, err := artifact.Open(dir, artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		sim := testSim(t, "")
+		sim.SetArtifacts(store)
+		return runTrace(t, sim, workers)
+	}
+	compareLines(t, "cold store", canonicalLines(t, storeRun(2)), want)
+	warm := storeRun(8)
+	compareLines(t, "warm store", canonicalLines(t, warm), want)
+	for _, r := range warm {
+		if r.Kind == KindRun && r.Status == StatusOK && r.Mode != ModeBaseline && !r.CacheHit {
+			t.Fatalf("warm store: seq %d (%s chip %d %s) missed the cache", r.Seq, r.Mode, r.Chip, r.App)
+		}
+	}
+}
+
+// compareLines fails at the first line where got diverges from the
+// workers=1 no-store stream.
+func compareLines(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s emitted %d results, workers=1 emitted %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s diverges from workers=1 at result %d:\n  %s\n  %s", label, i, got[i], want[i])
 		}
 	}
 }
@@ -334,7 +399,6 @@ func TestFleetConcurrentSoak(t *testing.T) {
 	sim := testSim(t, "")
 	f, err := New(sim, Config{
 		Workers:   4,
-		Routing:   LeastLoaded,
 		Apps:      testApps(t),
 		Admission: map[string]Rate{"noisy": {PerTick: 5, Burst: 10}},
 	})
@@ -391,17 +455,16 @@ func TestFleetConcurrentSoak(t *testing.T) {
 	}
 }
 
-// TestDepartedChipsAreFreed: each worker's views of a chip live on the
-// chip's entry, so once a chip leaves and its units drain, nothing in
-// the still-running fleet keeps the entry — maps, stage models, cores,
-// and views — alive. Chips churn through a two-worker round-robin
-// fleet, one run per task, so both workers build views of every chip.
+// TestDepartedChipsAreFreed: a chip's cores live on the chip's entry,
+// so once a chip leaves and its units drain, nothing in the
+// still-running fleet keeps the entry — maps, stage models, and cores —
+// alive. Chips churn through a two-worker fleet, one run per task.
 func TestDepartedChipsAreFreed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
 	}
 	sim := testSim(t, "")
-	f, err := New(sim, Config{Workers: 2, Routing: RoundRobin, MaxBatch: 1, Apps: testApps(t)})
+	f, err := New(sim, Config{Workers: 2, MaxBatch: 1, Apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +479,8 @@ func TestDepartedChipsAreFreed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// watch finalizes the chip's entry into freed and checks that every
-	// worker built a view; the entry pointer does not outlive the call.
+	// watch finalizes the chip's entry into freed and checks that its
+	// owner built the core; the entry pointer does not outlive the call.
 	const chips = 3
 	freed := make(chan int64, chips)
 	watch := func(chip int64) {
@@ -425,10 +488,8 @@ func TestDepartedChipsAreFreed(t *testing.T) {
 		sh.mu.RLock()
 		entry := sh.m[chip]
 		sh.mu.RUnlock()
-		for w, views := range entry.views {
-			if views[core.TSASV] == nil {
-				t.Fatalf("chip %d: worker %d built no view", chip, w)
-			}
+		if entry.cores[core.TSASV] == nil {
+			t.Fatalf("chip %d: owner built no core", chip)
 		}
 		runtime.SetFinalizer(entry, func(e *chipEntry) { freed <- e.seed })
 	}
@@ -503,5 +564,59 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	if limit := 25.0; avg > limit {
 		t.Fatalf("steady-state SubmitBatch allocates %.1f times per %d-event batch (limit %.0f)",
 			avg, batchN, limit)
+	}
+}
+
+// TestQueueDepthGauge: fleet.pool.queue_depth reads the tasks waiting in
+// the worker queues once each. The single worker is parked inside a
+// result's emit callback while another submitter queues k one-event
+// tasks on k other chips; the gauge must then read k.
+func TestQueueDepthGauge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	const k = 5
+	reg := obs.NewRegistry()
+	f, err := New(testSim(t, ""), Config{Workers: 1, Apps: testApps(t), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var joins, runs []Event
+	for c := int64(0); c <= k; c++ {
+		joins = append(joins, Event{Kind: KindJoin, Chip: c})
+		if c > 0 {
+			runs = append(runs, Event{Kind: KindRun, Chip: c, Mode: ModeBaseline, App: "gcc"})
+		}
+	}
+	if err := f.SubmitBatch(joins, nil); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		park := []Event{{Kind: KindRun, Chip: 0, Mode: ModeBaseline, App: "gcc"}}
+		if err := f.SubmitBatch(park, func(Result) { close(parked); <-release }); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-parked
+	go func() {
+		defer wg.Done()
+		if err := f.SubmitBatch(runs, nil); err != nil {
+			t.Error(err)
+		}
+	}()
+	depth := reg.Gauge("fleet.pool.queue_depth")
+	for deadline := time.Now().Add(10 * time.Second); depth.Value() < k && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	got := depth.Value()
+	close(release)
+	wg.Wait()
+	if got != k {
+		t.Fatalf("queue depth gauge = %v with %d tasks queued on a parked worker, want %d", got, k, k)
 	}
 }

@@ -120,7 +120,6 @@ type ClassSnapshot struct {
 type Snapshot struct {
 	UptimeS float64 `json:"uptime_s"`
 	Workers int     `json:"workers"`
-	Routing string  `json:"routing"`
 	Chips   int     `json:"chips"`
 
 	Events        int64 `json:"events"`

@@ -71,7 +71,7 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 		sc.groups[gi].refs = append(sc.groups[gi].refs, i)
 	}
 
-	f.solveGroups(w, t, sc)
+	f.solveGroups(t, sc)
 
 	total := time.Since(t.enq)
 	for gi := range sc.groups {
@@ -107,12 +107,12 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 	}
 }
 
-// solveGroups fills each scratch group's payload (or error message). The
-// expensive chip build happens once per chip across the whole pool;
-// worker w solves on its own core per environment, derived from the
-// chip's handle (shared immutable models and PE store, private memos and
-// scratch), so solves never contend.
-func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
+// solveGroups fills each scratch group's payload (or error message). It
+// runs on the chip's owner, which builds the chip's handle once and then
+// one core per environment from it (shared immutable models and PE
+// store, private memos and scratch). Only the owner touches those cores,
+// so a chip's units run on them in ingest order.
+func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	groups := sc.groups
 	handle, err := t.entry.ensure(f.sim)
 	if err != nil {
@@ -131,8 +131,7 @@ func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
 	// apps and phases resolve.
 	env, _ := core.ParseEnvironment(t.env)
 	mode, _ := core.ParseMode(t.mode)
-	view := &t.entry.views[w][env]
-	cpu := *view
+	cpu := t.entry.cores[env]
 	if cpu == nil {
 		var cerr error
 		if cpu, cerr = f.sim.HandleCore(handle, env); cerr != nil {
@@ -141,7 +140,7 @@ func (f *Fleet) solveGroups(w int, t *unitTask, sc *workerScratch) {
 			}
 			return
 		}
-		*view = cpu
+		t.entry.cores[env] = cpu
 	}
 	var solver adapt.Solver
 	solverFP := ""

@@ -63,6 +63,16 @@ const (
 	// core count.
 	minFleetParity       = 0.9
 	fleetCheckIterations = "100x" // ~5000 events: enough signal, <1s wall
+
+	fleetColdBenchName       = "BenchmarkFleet/cold/workers=1"
+	fleetColdParityBenchName = "BenchmarkFleet/cold/workers=8"
+	// minFleetColdParity is the cold workers=8 / workers=1 events/s
+	// floor: every unit of a chip runs on the chip's owner worker, so a
+	// bigger pool must not multiply the cold solves. The check runs
+	// fleetColdCheckIterations, because at 1x one first-iteration stall
+	// can decide the ratio.
+	minFleetColdParity       = 0.5
+	fleetColdCheckIterations = "20x"
 )
 
 type benchResult struct {
@@ -103,7 +113,7 @@ func main() {
 	checkCold := flag.String("check-cold", "",
 		"like -check-warm, but gate the cold (empty-cache) Figure 10 benchmark — the end-to-end build path the batching optimizations target")
 	checkFleet := flag.String("check-fleet", "",
-		"gate the fleet-service benchmark: warm single-core ns/op against this baseline JSON, plus the absolute events/s and p99 scheduling-latency floors")
+		"gate the fleet-service benchmark: warm single-core ns/op against this baseline JSON, plus the absolute events/s and p99 scheduling-latency floors and the warm and cold scaling-parity floors")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional regression for -check-warm / -check-cold")
 	allowDirty := flag.Bool("allow-dirty", false,
 		"record a trajectory from a dirty tree anyway (the commit field is annotated '-dirty'; a checked-in baseline must come from a clean commit)")
@@ -290,16 +300,18 @@ func machineScale(base trajectory) (float64, error) {
 	return 1.0, nil
 }
 
-// checkFleetRegression gates the fleet service's serving path. Four
+// checkFleetRegression gates the fleet service's serving path. Five
 // checks: the warm single-core ns/op against the checked-in trajectory
 // (machine-normalized, like the other gates); the absolute service
 // floors — warm-cache events/s and p99 scheduling latency — which hold
 // as-is on any machine the gate is expected to pass on; the memory
 // budget — warm bytes/op and allocs/op at both worker counts must stay
 // within tolerance of the baseline (machine-independent, so no
-// normalization); and the scaling parity floor — warm workers=8 must
+// normalization); the warm scaling parity floor — warm workers=8 must
 // reach minFleetParity of the workers=1 events/s, the property the
-// sharded ingest exists to hold.
+// sharded ingest exists to hold; and the cold parity floor — cold
+// workers=8 must reach minFleetColdParity of cold workers=1, the
+// property one owner worker per chip exists to hold.
 func checkFleetRegression(baselinePath string, tolerance float64) error {
 	blob, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -376,19 +388,34 @@ func checkFleetRegression(baselinePath string, tolerance float64) error {
 				name, n.AllocsPerOp, b.AllocsPerOp, allocLimit)
 		}
 	}
-	// Scaling parity: both variants came from the same run, so the ratio
-	// needs no normalization.
-	w8, ok := find(current, fleetParityBenchName)
-	if !ok {
-		return fmt.Errorf("benchmark run produced no %s line", fleetParityBenchName)
+	// Scaling parity, warm and cold: each pair of rows comes from one
+	// run, so the ratio needs no normalization.
+	cold, err := runBench(fleetColdPattern, fleetColdCheckIterations)
+	if err != nil {
+		return err
 	}
-	parity := w8.Metrics["events/s"] / evs
-	fmt.Fprintf(os.Stderr,
-		"benchjson: fleet parity: workers=8 %.0f events/s / workers=1 %.0f = %.2fx (floor %.2fx)\n",
-		w8.Metrics["events/s"], evs, parity, minFleetParity)
-	if parity < minFleetParity {
-		return fmt.Errorf("fleet scaling parity: workers=8 reaches only %.2fx of workers=1 events/s (floor %.2fx)",
-			parity, minFleetParity)
+	for _, p := range []struct {
+		label   string
+		results []benchResult
+		w1, w8  string
+		floor   float64
+	}{
+		{"warm", current, fleetBenchName, fleetParityBenchName, minFleetParity},
+		{"cold", cold, fleetColdBenchName, fleetColdParityBenchName, minFleetColdParity},
+	} {
+		one, ok1 := find(p.results, p.w1)
+		eight, ok8 := find(p.results, p.w8)
+		if !ok1 || !ok8 {
+			return fmt.Errorf("benchmark run produced no %s or no %s line", p.w1, p.w8)
+		}
+		parity := eight.Metrics["events/s"] / one.Metrics["events/s"]
+		fmt.Fprintf(os.Stderr,
+			"benchjson: %s fleet parity: workers=8 %.0f events/s / workers=1 %.0f = %.2fx (floor %.2fx)\n",
+			p.label, eight.Metrics["events/s"], one.Metrics["events/s"], parity, p.floor)
+		if parity < p.floor {
+			return fmt.Errorf("%s fleet scaling parity: workers=8 reaches only %.2fx of workers=1 events/s (floor %.2fx)",
+				p.label, parity, p.floor)
+		}
 	}
 	return nil
 }
