@@ -1,4 +1,4 @@
-.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fleetload-smoke cache-clean spec-check doc-check fuzz-smoke
+.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fig-digests fleetload-smoke cache-clean spec-check doc-check fuzz-smoke
 
 # Tier-1 gate: everything must pass before a commit lands.
 check: vet build test
@@ -43,7 +43,8 @@ bench-check-warm:
 
 # Cold-path regression gate: the same normalized 20% check against the
 # empty-cache Figure 10 benchmark — the end-to-end build path the batched
-# PE tables, slab builds, and async artifact flusher optimize.
+# PE tables, the best-first Freq search, and the async artifact flusher
+# optimize.
 bench-check-cold:
 	go run ./tools/benchjson -check-cold BENCH_adapt.json
 
@@ -54,6 +55,21 @@ bench-check-cold:
 # workers=1 events/s at workers=8.
 bench-check-fleet:
 	go run ./tools/benchjson -check-fleet BENCH_adapt.json
+
+# Recorded-output gate: one short fig-cold run for each seed with a
+# recorded output digest (0-10); fails unless every verdict reads
+# "correct":true with 0 failed, so any drift in the Figures 10-12 outputs
+# fails. It does not guard the Freq tie rule: no caller reads a Freq
+# solve's Vdd/Vbb, only its FMax, so a search that broke ties otherwise
+# would still match every digest. Only the equivalence tests and
+# FuzzFreqSolvePrunedVsUnpruned's seed corpus see the tie rule.
+fig-digests:
+	@for s in 0 1 2 3 4 5 6 7 8 9 10; do \
+	  verdict=$$(bash evalbench/run.sh --workload fig-cold --seed $$s --seconds 1 --trace 0 | tail -n 1); \
+	  echo "seed $$s: $$verdict"; \
+	  echo "$$verdict" | grep -q '"correct":true' || exit 1; \
+	  echo "$$verdict" | grep -Eq '"failed":0[,}]' || exit 1; \
+	done
 
 # Driven-server smoke: start evalserve, drive it closed-loop with
 # cmd/fleetload, and assert the service floors (>= 10k events/s, sched

@@ -751,8 +751,8 @@ func BenchmarkFieldGeneratorSetup(b *testing.B) {
 
 // BenchmarkFreqSolve measures one per-subsystem Freq-algorithm solve, the
 // inner loop of every adaptation. Freq solves are not memoized, so after
-// the first iteration builds the PE tables it reads, it times the pruned
-// grid scan over warm tables.
+// the first iteration builds the PE tables it reads, it times the
+// best-first search over warm tables.
 func BenchmarkFreqSolve(b *testing.B) {
 	sim := newBenchSim(b)
 	app, err := workload.ByName("gcc")
@@ -774,7 +774,7 @@ func BenchmarkFreqSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkFreqSolveCold measures the full pruned grid scan with every
+// BenchmarkFreqSolveCold measures the best-first Freq search with every
 // iteration querying a fresh heat-sink temperature, so no two iterations
 // pose the same query.
 func BenchmarkFreqSolveCold(b *testing.B) {
@@ -802,8 +802,9 @@ func BenchmarkFreqSolveCold(b *testing.B) {
 
 // BenchmarkPEFMaxBatch measures the error-budget inversion at the heart
 // of every dense PE-table column build, in its two forms: the
-// certified-bracket replay over the whole budget grid (what the slab
-// builder uses) and the equivalent independent per-budget bisections.
+// certified-bracket replay over the whole budget grid (what the dense
+// column builder uses) and the equivalent independent per-budget
+// bisections.
 func BenchmarkPEFMaxBatch(b *testing.B) {
 	vp := varius.DefaultParams()
 	fp, err := floorplan.Default(vp.CoreSide)

@@ -36,8 +36,9 @@
 //
 // Besides the memo maps, a Core privately owns a warm-started
 // thermal.Solver (its scratch buffers carry the previous converged state
-// between Evaluate calls) and the key, thermal-input, and stage-curve
-// scratch Evaluate reuses. Cached SystemStates alias one shared Subs
+// between Evaluate calls), the key, thermal-input, and stage-curve
+// scratch Evaluate reuses, and the Freq search's combo queue and leakage
+// table (filled on first use). Cached SystemStates alias one shared Subs
 // slice per entry. All of it is single-goroutine state, and WorkerView
 // replaces every piece with a fresh instance so views never share
 // mutable scratch.
@@ -46,6 +47,8 @@ package adapt
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -110,11 +113,11 @@ type Core struct {
 	// zero-cost no-op.
 	Obs *obs.Registry
 
-	// DisablePruning switches FreqSolve to the reference slow path (no
-	// bound-based pruning) and bypasses the Evaluate and AdaptSteady
-	// memos. Results are identical either way (the equivalence tests
-	// assert it); the knob exists so the fast path can always be checked
-	// against the scan.
+	// DisablePruning switches FreqSolve to the reference slow path (the
+	// plain grid-order scan, with no bounds) and bypasses the Evaluate and
+	// AdaptSteady memos. Results are identical either way (the
+	// equivalence tests assert it); the knob exists so the fast path can
+	// always be checked against the scan.
 	DisablePruning bool
 
 	pe *peStore
@@ -143,6 +146,8 @@ type Core struct {
 	// steadyMemo caches whole AdaptSteady solves by exact profile +
 	// solver key (see AdaptSteady); nil bypasses it.
 	steadyMemo map[steadyKey]steadyEntry
+	// freq is the best-first Freq search's scratch, leakage table included.
+	freq freqScratch
 }
 
 // NewCore validates and assembles the optimization view.
@@ -277,6 +282,7 @@ func (c *Core) WorkerView() *Core {
 	v.evalIns = nil
 	v.evalCurve = vats.Curve{}
 	v.steadyMemo = make(map[steadyKey]steadyEntry)
+	v.freq = freqScratch{}
 	return &v
 }
 
@@ -602,32 +608,40 @@ func (c *Core) stageBudget(rho float64) float64 {
 	return perSub / rho
 }
 
+// subsystemInput is subsystem i's thermal input at (vdd, vbb) and fRel
+// under query q.
+func (c *Core) subsystemInput(i int, q FreqQuery, vdd, vbb, fRel float64) thermal.SubsystemInput {
+	return thermal.SubsystemInput{
+		Index:     i,
+		Vt0Eff:    c.Subs[i].Vt0EffV,
+		AlphaF:    q.AlphaF,
+		VddV:      vdd,
+		VbbV:      vbb,
+		FRel:      fRel,
+		PowerMult: q.PowerMult,
+	}
+}
+
 // comboFMax finds the highest frequency subsystem i supports at a fixed
 // (Vdd, Vbb): the paper's per-combination step of the Freq algorithm, which
 // "computes, for each f, Vdd, and Vbb value combination, the resulting
 // subsystem T and PE". The thermal cap is closed-form; the error cap is the
 // fixed point of f = fPE(T_steady(f)), found by damped iteration (fPE
 // decreases in T, T increases in f).
-func (c *Core) comboFMax(i int, q FreqQuery, vdd, vbb, budget float64) float64 {
+func (c *Core) comboFMax(i int, q FreqQuery, vdd, vbb float64, bq budgetQuery) float64 {
 	ref := c.peRefFor(i, q.Variant, vdd, vbb)
-	return c.comboFMaxRef(i, q, &ref, budgetQueryFor(budget))
+	fT := c.Thermal.FRelMaxForTemp(c.subsystemInput(i, q, vdd, vbb, 0), q.THK, c.Limits.TMaxK)
+	return c.comboFMaxRef(i, q, &ref, bq, fT)
 }
 
-// comboFMaxRef is comboFMax over a pre-resolved (Vdd, Vbb) ref and budget
-// bracket, for the scan loops that resolve them once per combo/scan.
-func (c *Core) comboFMaxRef(i int, q FreqQuery, ref *peRef, bq budgetQuery) float64 {
-	in := thermal.SubsystemInput{
-		Index:     i,
-		Vt0Eff:    c.Subs[i].Vt0EffV,
-		AlphaF:    q.AlphaF,
-		VddV:      ref.vddV,
-		VbbV:      ref.vbbV,
-		PowerMult: q.PowerMult,
-	}
-	fT := c.Thermal.FRelMaxForTemp(in, q.THK, c.Limits.TMaxK)
+// comboFMaxRef is comboFMax over a pre-resolved (Vdd, Vbb) ref, budget
+// bracket and thermal cap fT. Every damped iterate is at most fT, and so
+// is the mean of two of them, so the result never exceeds fT.
+func (c *Core) comboFMaxRef(i int, q FreqQuery, ref *peRef, bq budgetQuery, fT float64) float64 {
 	if fT <= tech.FRelMin {
 		return 0
 	}
+	in := c.subsystemInput(i, q, ref.vddV, ref.vbbV, 0)
 	// Start from the conservative hottest-case estimate and relax.
 	f := math.Min(c.peFMaxQ(ref, bq, tempQueryFor(c.Limits.TMaxK)), fT)
 	for iter := 0; iter < 4; iter++ {
@@ -644,6 +658,101 @@ func (c *Core) comboFMaxRef(i int, q FreqQuery, ref *peRef, bq budgetQuery) floa
 	return f
 }
 
+// thermalCap returns Thermal.FRelMaxForTemp for the combo at ref under q.
+// For on-grid levels it reads the static power at TMAX from the core's
+// leakage table, filled on first use, instead of paying an Exp per call;
+// the result is the same bit for bit.
+func (c *Core) thermalCap(q FreqQuery, ref *peRef) float64 {
+	in := c.subsystemInput(ref.sub, q, ref.vddV, ref.vbbV, 0)
+	tmax := c.Limits.TMaxK
+	if !ref.dense {
+		return c.Thermal.FRelMaxForTemp(in, q.THK, tmax)
+	}
+	s := &c.freq
+	if s.leak == nil || s.leakTMaxK != tmax {
+		s.leak = make([]float64, c.N()*tech.NumVddLevels*tech.NumVbbLevels)
+		s.leakTMaxK = tmax
+	}
+	k := (ref.sub*tech.NumVddLevels+ref.di)*tech.NumVbbLevels + ref.bi
+	if s.leak[k] == 0 {
+		s.leak[k] = c.Thermal.LeakageAt(in, tmax)
+	}
+	return c.Thermal.FRelMaxForLeakage(in, q.THK, tmax, s.leak[k])
+}
+
+// sinkQuery resolves the temperature of the Freq search's PE bound: the
+// heat sink's, capped at TMAX as comboFMaxRef clamps. Devices are no
+// cooler than the sink and fPE falls with temperature, so fPE there bounds
+// comboFMaxRef after the snap. Below the grid floor a low supply under
+// reverse body bias can run faster hot, but such combos snap to FRelMin
+// either way (TestFreqBoundsHold checks both).
+func (c *Core) sinkQuery(thK float64) tempQuery {
+	return tempQueryFor(math.Min(thK, c.Limits.TMaxK))
+}
+
+// freqSteps is the number of points on the frequency grid FRelMin..FRelMax.
+const freqSteps = int((tech.FRelMax-tech.FRelMin)/tech.FRelStep) + 1
+
+// snapFreq is the Freq solve's snap of a combo's frequency onto the grid.
+func snapFreq(f float64) float64 { return tech.SnapFRelDown(math.Min(f, tech.FRelMax)) }
+
+// freqStep returns the grid step (0 at FRelMin) of a snapped frequency, or
+// -1 for NaN, which no comparison of the grid-order scan selects.
+func freqStep(snapped float64) int {
+	if math.IsNaN(snapped) {
+		return -1
+	}
+	return int(math.Round((snapped - tech.FRelMin) / tech.FRelStep))
+}
+
+// freqCombo is one (Vdd, Vbb) combo of a best-first Freq search.
+type freqCombo struct {
+	ref     peRef
+	fT      float64 // thermal cap
+	refined bool    // the sink-temperature PE bound has been applied
+}
+
+// freqScratch is the best-first Freq search's per-core scratch: the
+// combos in canonical order (Vdd-major, Vbb-minor), the bucket queue, and
+// the leakage table behind thermalCap.
+type freqScratch struct {
+	combos []freqCombo
+	// queue holds freqSteps bitsets of combo indices, one per grid step;
+	// words is the length of one bitset.
+	queue []uint64
+	words int
+	// leak[(sub*NumVddLevels+di)*NumVbbLevels+bi] is Thermal.LeakageAt at
+	// leakTMaxK, 0 until first use.
+	leak      []float64
+	leakTMaxK float64
+}
+
+// reset sizes the scratch for n combos and empties the queue.
+func (s *freqScratch) reset(n int) {
+	s.combos = slices.Grow(s.combos[:0], n)[:n]
+	s.words = (n + 63) / 64
+	s.queue = slices.Grow(s.queue[:0], freqSteps*s.words)[:freqSteps*s.words]
+	clear(s.queue)
+}
+
+// push files combo k under grid step st.
+func (s *freqScratch) push(st, k int) {
+	s.queue[st*s.words+k/64] |= 1 << (k % 64)
+}
+
+// pop removes and returns the lowest combo index filed under grid step st,
+// or -1 if there is none.
+func (s *freqScratch) pop(st int) int {
+	set := s.queue[st*s.words : (st+1)*s.words]
+	for w, x := range set {
+		if x != 0 {
+			set[w] = x & (x - 1)
+			return w*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
 // FreqSolve runs the exhaustive Freq algorithm of §4.2 for subsystem i:
 // over all (Vdd, Vbb) levels, the highest frequency that violates neither
 // the temperature cap nor the stage's share of the error budget, with the
@@ -655,84 +764,78 @@ func (c *Core) FreqSolve(i int, q FreqQuery) FreqResult {
 
 // FreqSolveAt is FreqSolve restricted to explicit actuation-level lists —
 // used by ablations such as a single chip-wide ASV domain.
+//
+// The result is that of the grid-order scan DisablePruning runs: the
+// highest snapped frequency, and among the combos that reach it the first
+// in canonical order (Vdd-major, Vbb-minor). The fast path finds it
+// best-first. A combo's snapped frequency is bounded by its snapped
+// thermal cap fT, which costs no Exp once the leakage table holds the
+// combo, and by its PE-limited fmax at the sink temperature (see
+// sinkQuery). Combos wait in a bucket queue keyed by the snapped bound,
+// seeded with fT alone, and each bucket is drained in canonical order. A
+// combo reached for the first time gets the PE bound, which builds its
+// sink-temperature table columns only now; if that lowers its bucket it
+// moves down, and otherwise its fixed point runs. The search stops at the
+// first bucket below the incumbent, and within the incumbent's bucket it
+// visits only lower canonical indices: that tie rule is what makes the
+// two paths agree bit for bit.
 func (c *Core) FreqSolveAt(i int, q FreqQuery, vdds, vbbs []float64) FreqResult {
-	budget := c.stageBudget(q.Rho)
-	bq := budgetQueryFor(budget)
-	// Devices can be no cooler than the heat sink, and the PE-limited
-	// fmax falls with temperature, so fPE at the sink temperature (capped
-	// at TMAX, matching comboFMax's clamp) upper-bounds every damped
-	// iterate of comboFMax. A combo whose bound cannot beat the incumbent
-	// after the snap cannot win the scan and is skipped outright.
-	sinkT := math.Min(q.THK, c.Limits.TMaxK)
-	stq := tempQueryFor(sinkT)
-	if !c.DisablePruning {
-		// The bound loop is about to touch the sink-temperature tables of
-		// every on-grid combo: build their needed budget columns for the
-		// whole (vdds × vbbs) slab in one sweep under one lock, sharing
-		// the curve scratch, instead of paying a lock round-trip and a
-		// cold build per combo. Values are identical to lazy builds — the
-		// sweep just front-loads them.
-		c.buildSlab(i, q.Variant, vdds, vbbs, stq, bq.need)
-	}
-	pruned := 0
+	bq := budgetQueryFor(c.stageBudget(q.Rho))
 	var best FreqResult
-	for _, vdd := range vdds {
-		for _, vbb := range vbbs {
-			ref := c.peRefFor(i, q.Variant, vdd, vbb)
-			if best.FMax > 0 && !c.DisablePruning {
-				bound := c.peFMaxQ(&ref, bq, stq)
-				if tech.SnapFRelDown(math.Min(bound, tech.FRelMax)) <= best.FMax+1e-12 {
-					pruned++
-					continue
+	if c.DisablePruning {
+		for _, vdd := range vdds {
+			for _, vbb := range vbbs {
+				f := snapFreq(c.comboFMax(i, q, vdd, vbb, bq))
+				if f > best.FMax+1e-12 {
+					best = FreqResult{FMax: f, VddV: vdd, VbbV: vbb}
 				}
 			}
-			f := c.comboFMaxRef(i, q, &ref, bq)
-			f = tech.SnapFRelDown(math.Min(f, tech.FRelMax))
-			if f > best.FMax+1e-12 {
-				best = FreqResult{FMax: f, VddV: vdd, VbbV: vbb}
+		}
+		return best
+	}
+	s := &c.freq
+	s.reset(len(vdds) * len(vbbs))
+	for a, vdd := range vdds {
+		for b, vbb := range vbbs {
+			k := a*len(vbbs) + b
+			cb := &s.combos[k]
+			cb.ref = c.peRefFor(i, q.Variant, vdd, vbb)
+			cb.fT = c.thermalCap(q, &cb.ref)
+			cb.refined = false
+			// A NaN cap makes the fixed point NaN, which never wins.
+			if st := freqStep(snapFreq(cb.fT)); st >= 0 {
+				s.push(st, k)
 			}
 		}
 	}
-	if pruned > 0 {
+	sinkQ := c.sinkQuery(q.THK)
+	bestStep, bestK, ran := -1, -1, 0
+	for st := freqSteps - 1; st >= 0 && st >= bestStep; st-- {
+		for k := s.pop(st); k >= 0; k = s.pop(st) {
+			if st == bestStep && k > bestK {
+				break // the rest of the bucket loses the tie
+			}
+			cb := &s.combos[k]
+			if !cb.refined {
+				cb.refined = true
+				bound := snapFreq(math.Min(cb.fT, c.peFMaxQ(&cb.ref, bq, sinkQ)))
+				if r := freqStep(bound); r >= 0 && r < st {
+					s.push(r, k)
+					continue
+				}
+			}
+			ran++
+			f := snapFreq(c.comboFMaxRef(i, q, &cb.ref, bq, cb.fT))
+			if fs := freqStep(f); fs > bestStep || fs == bestStep && k < bestK {
+				bestStep, bestK = fs, k
+				best = FreqResult{FMax: f, VddV: cb.ref.vddV, VbbV: cb.ref.vbbV}
+			}
+		}
+	}
+	if pruned := len(s.combos) - ran; pruned > 0 {
 		c.Obs.Counter("adapt.freq.pruned_combos").Add(int64(pruned))
 	}
 	return best
-}
-
-// buildSlab builds the needed budget columns of the temperature-bracket
-// tables for every on-grid (vdd, vbb) combination in one pass: one lock
-// acquisition, one shared curve scratch, one joint bisection per table.
-// This is the grid-wide batched kernel behind FreqSolveAt — per-cell lazy
-// builds would re-derive the same setup (level indices, curve arena,
-// bracket probes) hundreds of times per scan. Off-grid levels are left to
-// tableRef, which builds them uncached.
-func (c *Core) buildSlab(sub int, v vats.Variant, vdds, vbbs []float64, tq tempQuery, need uint32) {
-	vi, ok := variantIndex(v)
-	if !ok {
-		return
-	}
-	c.pe.mu.Lock()
-	for tIdx := tq.lo; ; tIdx = tq.hi {
-		for _, vdd := range vdds {
-			di, ok := tech.VddIndex(vdd)
-			if !ok {
-				continue
-			}
-			for _, vbb := range vbbs {
-				bi, ok := tech.VbbIndex(vbb)
-				if !ok {
-					continue
-				}
-				ref := peRef{sub: sub, vi: vi, di: di, bi: bi, dense: true,
-					v: v, vddV: vdd, vbbV: vbb}
-				c.buildColsLocked(ref.slot(tIdx), &ref, tIdx, need)
-			}
-		}
-		if tIdx == tq.hi {
-			break
-		}
-	}
-	c.pe.mu.Unlock()
 }
 
 // nominalVdd is the design supply; tech.Config pins Vdd here without ASV.
@@ -751,8 +854,7 @@ type PowerResult struct {
 // constraints. If no level pair meets fCore, the fastest pair is returned
 // with Feasible=false (retuning will pull the core frequency down).
 func (c *Core) PowerSolve(i int, fCore float64, q FreqQuery) PowerResult {
-	budget := c.stageBudget(q.Rho)
-	bq := budgetQueryFor(budget)
+	bq := budgetQueryFor(c.stageBudget(q.Rho))
 	thq := tempQueryFor(q.THK)
 	var best PowerResult
 	bestPower := math.Inf(1)
@@ -784,16 +886,7 @@ func (c *Core) PowerSolve(i int, fCore float64, q FreqQuery) PowerResult {
 			if c.peFMaxQ(&ref, bq, thq) < fCore-1e-9 {
 				continue
 			}
-			in := thermal.SubsystemInput{
-				Index:     i,
-				Vt0Eff:    c.Subs[i].Vt0EffV,
-				AlphaF:    q.AlphaF,
-				VddV:      vdd,
-				VbbV:      vbb,
-				FRel:      fCore,
-				PowerMult: q.PowerMult,
-			}
-			st := c.Thermal.SubsystemSteady(in, q.THK)
+			st := c.Thermal.SubsystemSteady(c.subsystemInput(i, q, vdd, vbb, fCore), q.THK)
 			fPE := c.peFMaxQ(&ref, bq, tempQueryFor(math.Min(st.TK, c.Limits.TMaxK)))
 			feasible := fPE >= fCore-1e-9 && st.Converged && st.TK <= c.Limits.TMaxK+1e-9
 			if feasible && st.PowerW() < bestPower {
@@ -816,18 +909,15 @@ func (c *Core) PowerSolve(i int, fCore float64, q FreqQuery) PowerResult {
 	fastestF := -1.0
 	for _, vdd := range c.Config.VddLevels(nominalVdd) {
 		for _, vbb := range c.Config.VbbLevels() {
-			if f := c.comboFMax(i, q, vdd, vbb, budget); f > fastestF {
+			if f := c.comboFMax(i, q, vdd, vbb, bq); f > fastestF {
 				fastestF = f
 				fastest = PowerResult{VddV: vdd, VbbV: vbb, Feasible: false}
 			}
 		}
 	}
 	if fastestF >= 0 {
-		in := thermal.SubsystemInput{
-			Index: i, Vt0Eff: c.Subs[i].Vt0EffV, AlphaF: q.AlphaF,
-			VddV: fastest.VddV, VbbV: fastest.VbbV, FRel: fCore, PowerMult: q.PowerMult,
-		}
-		fastest.State = c.Thermal.SubsystemSteady(in, q.THK)
+		fastest.State = c.Thermal.SubsystemSteady(
+			c.subsystemInput(i, q, fastest.VddV, fastest.VbbV, fCore), q.THK)
 	}
 	return fastest
 }

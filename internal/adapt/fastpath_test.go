@@ -71,6 +71,46 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestFreqBoundsHold checks, combo by combo, the two facts the best-first
+// Freq search rests on: the thermal cap read through the leakage table
+// equals thermal.(*Model).FRelMaxForTemp bit for bit, and the unsnapped
+// fixed point never exceeds min(fT, fPE at the sink temperature). The one
+// exception is below the grid floor, where a low supply under reverse body
+// bias can run faster hot (under 0.1% of combos per chip, all with fixed
+// points under 0.3); both sides snap to FRelMin there, which is all the
+// search compares. A model change that breaks either fact fails here with
+// the combo's name.
+func TestFreqBoundsHold(t *testing.T) {
+	core := buildCore(t, 7, allConfig)
+	vdds, vbbs := allConfig.VddLevels(nominalVdd), allConfig.VbbLevels()
+	for qi, q := range equivalenceQueries() {
+		bq := budgetQueryFor(core.stageBudget(q.Rho))
+		sinkQ := core.sinkQuery(q.THK)
+		for _, i := range []int{0, 3, 8, core.N() - 1} {
+			for _, vdd := range vdds {
+				for _, vbb := range vbbs {
+					ref := core.peRefFor(i, q.Variant, vdd, vbb)
+					fT := core.Thermal.FRelMaxForTemp(
+						core.subsystemInput(i, q, vdd, vbb, 0), q.THK, core.Limits.TMaxK)
+					// The first call fills the table entry, the second reads it.
+					for pass := 0; pass < 2; pass++ {
+						if got := core.thermalCap(q, &ref); math.Float64bits(got) != math.Float64bits(fT) {
+							t.Fatalf("query %d sub %d (Vdd %g, Vbb %g) pass %d: table-fed thermal cap %v != FRelMaxForTemp %v",
+								qi, i, vdd, vbb, pass, got, fT)
+						}
+					}
+					f := core.comboFMaxRef(i, q, &ref, bq, fT)
+					bound := math.Min(fT, core.peFMaxQ(&ref, bq, sinkQ))
+					if !(f <= bound || snapFreq(f) == tech.FRelMin) {
+						t.Fatalf("query %d sub %d (Vdd %g, Vbb %g): fixed point %v exceeds the bound %v",
+							qi, i, vdd, vbb, f, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFastPathEquivalenceOffGrid drives FreqSolveAt with level lists off
 // the Figure 7(a) grids (a VddNom ablation and a synthetic variant), which
 // must take the uncached off-grid table path and still match the

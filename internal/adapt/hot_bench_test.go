@@ -38,7 +38,7 @@ func BenchmarkPowerSolveHot(b *testing.B) {
 
 // BenchmarkFreqSolveHot measures one per-subsystem Freq-algorithm scan
 // over warm PE tables. Freq solves are not memoized, so every iteration
-// runs the pruned grid scan.
+// runs the best-first search.
 func BenchmarkFreqSolveHot(b *testing.B) {
 	core := buildCore(b, 2, asvConfig)
 	prof := benchProfile(b)

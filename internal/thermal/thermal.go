@@ -157,9 +157,23 @@ func (m *Model) SubsystemSteady(in SubsystemInput, thK float64) SubsystemState {
 // exceeds tmaxK even at f = 0 (leakage alone), and +Inf if it can never
 // reach tmaxK (zero Rth paths are excluded by construction).
 func (m *Model) FRelMaxForTemp(in SubsystemInput, thK, tmaxK float64) float64 {
+	return m.FRelMaxForLeakage(in, thK, tmaxK, m.LeakageAt(in, tmaxK))
+}
+
+// LeakageAt returns subsystem in's static power at device temperature tK
+// before in.PowerMult, ignoring in.FRel and in.AlphaF. It is
+// FRelMaxForTemp's one Exp; for a given chip and tK it depends only on the
+// subsystem, Vdd and Vbb, so callers may tabulate it.
+func (m *Model) LeakageAt(in SubsystemInput, tK float64) float64 {
+	vt := m.vp.VtAt(in.Vt0Eff, tK, in.VddV, in.VbbV)
+	return m.pw.Psta(in.Index, vt, in.VddV, tK)
+}
+
+// FRelMaxForLeakage is FRelMaxForTemp given LeakageAt(in, tmaxK), with the
+// same operations in the same order, so the two agree bit for bit.
+func (m *Model) FRelMaxForLeakage(in SubsystemInput, thK, tmaxK, leakAtMaxW float64) float64 {
 	mult := in.powerMult()
-	vtAtMax := m.vp.VtAt(in.Vt0Eff, tmaxK, in.VddV, in.VbbV)
-	pstaAtMax := mult * m.pw.Psta(in.Index, vtAtMax, in.VddV, tmaxK)
+	pstaAtMax := mult * leakAtMaxW
 	budget := (tmaxK-thK)/m.rth[in.Index] - pstaAtMax
 	if budget <= 0 {
 		return 0

@@ -214,8 +214,8 @@ func (s *Stage) Eval(c Cond, v Variant) *Curve {
 
 // EvalInto is Eval writing into cv's backing arrays (allocating only when
 // their capacity is too small), for callers that freeze many curves in a
-// loop — the slab PE-table builder evaluates hundreds of (Vdd, Vbb)
-// conditions per subsystem and reuses one scratch Curve. A nil cv
+// loop — the dense PE-table builder freezes one curve per (Vdd, Vbb,
+// temperature) column build and reuses one scratch Curve. A nil cv
 // allocates a fresh curve. The per-condition delay constants (the
 // alpha-power normalization and mobility term) are hoisted out of the
 // per-cell loop via varius.DelayNorm; every per-cell value is
