@@ -88,14 +88,16 @@ fleetload-smoke:
 
 # Short coverage-guided runs of the native fuzz targets: the SoA pipeline
 # kernel against its array-of-structs reference, the pruned Freq solver
-# against the exhaustive scan, and the certified-bracket PE-fmax kernel
-# against the plain bisection. The checked-in seed corpora under
-# testdata/fuzz/ already run as part of `make test`; this explores beyond
-# them for a bounded budget.
+# against the exhaustive scan, the certified-bracket PE-fmax kernel
+# against the plain bisection, and the apprun key assembled from cached
+# blocks against artifact.Key over the whole params struct. The
+# checked-in seed corpora under testdata/fuzz/ already run as part of
+# `make test`; this explores beyond them for a bounded budget.
 fuzz-smoke:
 	go test ./internal/pipeline -run '^$$' -fuzz FuzzSimulateVsReference -fuzztime 20s
 	go test ./internal/adapt -run '^$$' -fuzz FuzzFreqSolvePrunedVsUnpruned -fuzztime 20s
 	go test ./internal/vats -run '^$$' -fuzz FuzzFMaxForPESetVsReference -fuzztime 20s
+	go test ./internal/core -run '^$$' -fuzz FuzzAppRunKeyVsKey -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,
 # lower, and (for traces) replay byte-identically (see WORKLOADS.md).

@@ -263,8 +263,18 @@ func (c *Core) ImportPETables(tabs []PETableSlot) int {
 		}
 		c.pe.built[t.Slot].Store(cur | add)
 	}
+	c.pe.cols += n
 	c.pe.mu.Unlock()
 	return n
+}
+
+// PEColumns returns how many dense PE-fmax table columns the core's
+// store holds, built lazily or imported: the number of set Mask bits
+// ExportPETables would return, without the export.
+func (c *Core) PEColumns() int {
+	c.pe.mu.Lock()
+	defer c.pe.mu.Unlock()
+	return c.pe.cols
 }
 
 // WorkerView returns a core that shares this core's immutable models
@@ -330,6 +340,7 @@ type peStore struct {
 	dense   []peTable
 	built   []atomic.Uint32
 	mu      sync.Mutex
+	cols    int // built (slot, column) entries, imported ones included; under mu
 	scratch vats.Curve
 }
 
@@ -496,6 +507,7 @@ func (c *Core) buildColsLocked(slot int, ref *peRef, tIdx int, need uint32) {
 	for j := 0; j < k; j++ {
 		tab.fmax[cols[j]] = res[j]
 	}
+	c.pe.cols += k
 	c.pe.built[slot].Store(cur | miss)
 }
 

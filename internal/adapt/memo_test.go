@@ -454,3 +454,55 @@ func TestPETableExportImportRoundtrip(t *testing.T) {
 		t.Fatalf("re-export lost tables: %d < %d", len(again), len(tabs))
 	}
 }
+
+// TestPEColumnsMatchExport: the store's column count, which ReleaseChip
+// reads instead of exporting, always equals the set Mask bits
+// ExportPETables returns — after lazy builds, after concurrent builders
+// on views sharing the store, and after imports over partly built
+// tables.
+func TestPEColumnsMatchExport(t *testing.T) {
+	check := func(label string, c *Core) {
+		t.Helper()
+		want := 0
+		for _, tb := range c.ExportPETables() {
+			want += bits.OnesCount8(tb.Mask)
+		}
+		if got := c.PEColumns(); got != want {
+			t.Fatalf("%s: PEColumns = %d, export holds %d columns", label, got, want)
+		}
+	}
+	queries := []FreqQuery{
+		{THK: thTest, AlphaF: 0.4, Rho: 0.9, Variant: vats.IdentityVariant(), PowerMult: 1},
+		{THK: 66 + 273.15, AlphaF: 0.12, Rho: 0.5, Variant: tech.FULowSlope.Variant(), PowerMult: tech.LowSlopePowerMult},
+	}
+	parent := buildCore(t, 41, allConfig)
+	check("fresh", parent)
+	parent.FreqSolve(0, queries[0])
+	check("lazy build", parent)
+	if parent.PEColumns() == 0 {
+		t.Fatal("a solve built no columns")
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			view := parent.WorkerView()
+			for i := 1 + w%2; i < 5; i += 2 {
+				view.FreqSolve(i, queries[w%len(queries)])
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("concurrent builders", parent)
+
+	fresh := buildCore(t, 41, allConfig)
+	fresh.FreqSolve(2, queries[1])
+	before := fresh.PEColumns()
+	n := fresh.ImportPETables(parent.ExportPETables())
+	check("import over partly built tables", fresh)
+	if fresh.PEColumns() != before+n {
+		t.Fatalf("import filled %d columns, count moved %d -> %d", n, before, fresh.PEColumns())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -168,6 +169,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.garbage = garbage
 	segments := 0
 	for si := range s.shards {
+		s.shards[si].path = packPath(dir, si)
 		s.shards[si].size = sizes[si]
 		if sizes[si] > 0 {
 			segments++
@@ -328,6 +330,34 @@ func Key(kind Kind, params any, seed int64) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// EncodedKey is Key for a caller that already holds the params' JSON:
+// it hashes the same envelope with params spliced in verbatim, encoding
+// nothing itself. The params pieces, concatenated, must be exactly what
+// json.Marshal returns for the params value; then the result equals
+// Key(kind, value, seed). Callers that key many values sharing large
+// sub-structures encode those once and reuse the bytes.
+func EncodedKey(kind Kind, seed int64, params ...[]byte) string {
+	name, _ := json.Marshal(kind.Name) // a string always encodes
+	var buf [96]byte
+	b := append(buf[:0], `{"schema":`...)
+	b = strconv.AppendInt(b, keySchema, 10)
+	b = append(b, `,"kind":`...)
+	b = append(b, name...)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendInt(b, int64(kind.Version), 10)
+	b = append(b, `,"params":`...)
+	h := sha256.New()
+	h.Write(b)
+	for _, p := range params {
+		h.Write(p)
+	}
+	b = append(buf[:0], `,"seed":`...)
+	b = strconv.AppendInt(b, seed, 10)
+	h.Write(append(b, '}'))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
 // GetOrBuild returns the artifact for key, building it at most once per
 // process. On a cache hit decode receives the stored payload; when build
 // runs, decode is NOT called — the builder already holds the object and
@@ -429,34 +459,6 @@ func (s *Store) Put(kind Kind, key string, payload []byte) {
 	s.write(kind, key, payload)
 }
 
-// ContainsBatch reports, in one indexed pass, which of keys currently
-// have a record of kind: the pending set and the packfile index are
-// consulted under a single lock acquisition. It proves presence, not
-// integrity (a corrupt record still degrades to a rebuild at
-// Get/GetOrBuild time), bumps no counters, and leaves LRU recency
-// untouched, so probing is free of side effects. Callers batching
-// compatible work units use it to split a batch into replay-hits and
-// cold builds without paying one locked lookup per key. Empty keys
-// report false. Nil-safe: a nil store reports all-false.
-func (s *Store) ContainsBatch(kind Kind, keys []string) []bool {
-	out := make([]bool, len(keys))
-	if s == nil {
-		return out
-	}
-	s.mu.Lock()
-	for i, key := range keys {
-		if key == "" {
-			continue
-		}
-		fkey := fkeyOf(kind.Name, key)
-		_, pending := s.pending[fkey]
-		_, indexed := s.index[fkey]
-		out[i] = pending || indexed
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // noRelease is the release function for payloads that do not come from
 // pooled scratch.
 func noRelease() {}
@@ -503,8 +505,7 @@ func (s *Store) readPack(kind Kind, fkey string, e idxEntry) (payload []byte, re
 	sw := s.obs.Timer("artifact.cache.decode_ns").Start()
 	defer sw.Stop()
 	buf := bufPool.Get().(*[]byte)
-	sh := &s.shards[e.shard]
-	blob, err := sh.readAt(packPath(s.dir, e.shard), *buf, e.off, e.size)
+	blob, err := s.shards[e.shard].readAt(*buf, e.off, e.size)
 	if err != nil {
 		bufPool.Put(buf)
 		return nil, nil, false
@@ -556,7 +557,7 @@ func (s *Store) persist(kind Kind, key, fkey string, payload []byte) {
 	}
 	si := shardOf(key)
 	sh := &s.shards[si]
-	off, err := sh.append(packPath(s.dir, si), blob)
+	off, err := sh.append(blob)
 	if err != nil {
 		bufPool.Put(buf)
 		s.obs.Counter("artifact.cache.write_errors").Inc()
@@ -702,7 +703,7 @@ func (s *Store) settleLocked() {
 	// Publish the exact on-disk footprint.
 	var total int64
 	for si := range s.shards {
-		if info, err := os.Stat(packPath(s.dir, si)); err == nil {
+		if info, err := os.Stat(s.shards[si].path); err == nil {
 			total += info.Size()
 		}
 	}
@@ -722,7 +723,7 @@ func (s *Store) compactShard(si int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	path := packPath(s.dir, si)
+	path := sh.path
 	old, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return

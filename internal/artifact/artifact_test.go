@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,43 @@ func TestKeyDerivation(t *testing.T) {
 		}
 		if other == k1 {
 			t.Errorf("changing %s did not change the key", name)
+		}
+	}
+}
+
+// TestEncodedKeyMatchesKey: hashing the envelope around params' own
+// JSON, in one piece or split anywhere, gives Key's result, for kind
+// names and params that JSON must escape.
+func TestEncodedKeyMatchesKey(t *testing.T) {
+	type params struct {
+		Name string  `json:"name"`
+		X    float64 `json:"x"`
+		N    []int   `json:"n,omitempty"`
+	}
+	for _, c := range []struct {
+		kind   Kind
+		params params
+		seed   int64
+	}{
+		{testKind, params{Name: "plain", X: 1}, 0},
+		{Kind{Name: "apprun", Version: 1}, params{Name: "a<b>&\"c\\", X: math.Copysign(0, -1), N: []int{1, 2}}, -7},
+		{Kind{Name: "k\u2028\xff<&>", Version: 12}, params{Name: "\u2028\xfe", X: 1e21}, 1 << 62},
+	} {
+		want, err := Key(c.kind, c.params, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodedKey(c.kind, c.seed, enc); got != want {
+			t.Errorf("%q: EncodedKey = %s, Key = %s", c.kind.Name, got, want)
+		}
+		for cut := 0; cut <= len(enc); cut += 3 {
+			if got := EncodedKey(c.kind, c.seed, enc[:cut], nil, enc[cut:]); got != want {
+				t.Fatalf("%q split at %d: EncodedKey = %s, Key = %s", c.kind.Name, cut, got, want)
+			}
 		}
 	}
 }
@@ -672,61 +710,5 @@ func TestCacheFlags(t *testing.T) {
 			t.Fatalf("%v: store dir %q (err %v), want %q", c.args, st.Dir(), err, c.want)
 		}
 		st.Close()
-	}
-}
-
-// TestContainsBatch: the indexed existence probe answers from pending
-// writes and from the index an earlier store saved, and skips empty keys
-// (uncacheable items probe as absent).
-func TestContainsBatch(t *testing.T) {
-	dir := t.TempDir()
-	indexedKey, _ := Key(testKind, "cb-indexed", 1)
-	earlier, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get(t, earlier, indexedKey, 7)
-	earlier.Close()
-
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
-
-	pendingKey, _ := Key(testKind, "cb-pending", 1)
-	get(t, st, pendingKey, 11) // async write: pending or indexed, either way present
-	missKey, _ := Key(testKind, "cb-miss", 1)
-
-	keys := []string{pendingKey, "", indexedKey, missKey}
-	want := []bool{true, false, true, false}
-	got := st.ContainsBatch(testKind, keys)
-	if len(got) != len(keys) {
-		t.Fatalf("len = %d, want %d", len(got), len(keys))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ContainsBatch[%d] (%q) = %v, want %v", i, keys[i], got[i], want[i])
-		}
-	}
-
-	// After a settle the answer must not change: pending moved to index.
-	st.Flush()
-	got = st.ContainsBatch(testKind, keys)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("post-flush ContainsBatch[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	// Wrong kind misses; a nil store probes everything as absent.
-	if r := st.ContainsBatch(Kind{Name: "other", Version: 1}, []string{pendingKey}); r[0] {
-		t.Error("other kind reported present")
-	}
-	var nilStore *Store
-	for _, v := range nilStore.ContainsBatch(testKind, keys) {
-		if v {
-			t.Error("nil store reported an artifact present")
-		}
 	}
 }

@@ -32,6 +32,17 @@
 // version bump therefore misses cleanly; there is no in-place migration
 // of a stale payload, only rebuild-and-overwrite.
 //
+// Key is the definition. A producer that keys many values sharing large
+// sub-structures may encode those once and hand the pieces to
+// EncodedKey, which hashes the same envelope around them and returns
+// the same key. The core package's apprun keys work this way: each
+// pre-image is assembled from the machine block (encoded once per
+// technique configuration), the app block (encoded once per app, and
+// again when its phases change) and a few per-unit fields, and is
+// byte-identical to Key's encoding of the whole params struct; a fuzz
+// target holds the two to the same bytes, and params that encoding/json
+// rejects (NaN, ±Inf) still leave the unit without a key.
+//
 // The pre-image "schema" is keySchema, pinned at 1; it is NOT
 // SchemaVersion, which versions the storage layout below. Bumping it
 // would re-key every stored entry, so producers version their output

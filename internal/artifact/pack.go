@@ -115,11 +115,13 @@ func parseRecord(data []byte) (rec record, ok bool) {
 	}, true
 }
 
-// shard is one packfile stripe: its append handle and size under the
-// stripe lock, plus a read handle opened lazily. Reads go through pread
-// (ReadAt), so they never take the stripe lock and never seek under a
-// concurrent reader.
+// shard is one packfile stripe: its file path (set at Open), its append
+// handle and size under the stripe lock, plus a read handle opened
+// lazily. Reads go through pread (ReadAt), so they never take the stripe
+// lock and never seek under a concurrent reader.
 type shard struct {
+	path string
+
 	mu   sync.Mutex
 	w    *os.File // append handle, opened on first write
 	size int64    // current file size (logical end of valid records)
@@ -141,11 +143,11 @@ func packPath(dir string, si int) string {
 // composed blob with appendRecord. The stripe lock serializes appends;
 // the file is opened O_APPEND so even a crashed half-append only ever
 // damages the tail.
-func (sh *shard) append(path string, blob []byte) (off int64, err error) {
+func (sh *shard) append(blob []byte) (off int64, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.w == nil {
-		sh.w, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		sh.w, err = os.OpenFile(sh.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return 0, err
 		}
@@ -162,10 +164,10 @@ func (sh *shard) append(path string, blob []byte) (off int64, err error) {
 
 // readAt preads length bytes at off into buf (grown as needed) and
 // returns the filled slice.
-func (sh *shard) readAt(path string, buf []byte, off, length int64) ([]byte, error) {
+func (sh *shard) readAt(buf []byte, off, length int64) ([]byte, error) {
 	sh.rmu.Lock()
 	if sh.r == nil {
-		f, err := os.Open(path)
+		f, err := os.Open(sh.path)
 		if err != nil {
 			sh.rmu.Unlock()
 			return nil, err

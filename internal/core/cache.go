@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/json"
-	"math/bits"
+	"math"
+	"slices"
+	"strconv"
 
 	"repro/internal/adapt"
 	"repro/internal/artifact"
@@ -200,29 +202,22 @@ func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
 }
 
 // storePETables writes cpu's built PE-fmax tables back to the artifact
-// cache, skipping the write when the run built no columns beyond what
-// loadPETables imported.
+// cache, skipping the write — and the export — when the run built no
+// columns beyond what loadPETables imported.
 func (s *Simulator) storePETables(cpu *adapt.Core, seed int64, imported int) {
-	if s.store == nil {
-		return
-	}
-	tabs := cpu.ExportPETables()
-	cols := 0
-	for _, t := range tabs {
-		cols += bits.OnesCount8(t.Mask)
-	}
-	if cols <= imported {
+	if s.store == nil || cpu.PEColumns() <= imported {
 		return
 	}
 	if key := s.petableKey(seed); key != "" {
-		s.store.Put(petableKind, key, encodePETables(tabs))
+		s.store.Put(petableKind, key, encodePETables(cpu.ExportPETables()))
 	}
 }
 
 // machineParams is the machine-model slice of key material every
 // result-level artifact shares: everything that shapes a core's physics
-// besides the technique configuration. The apprun, staticpt and solver
-// params embed it, so its fields encode inline, first and in this order.
+// besides the technique configuration. The staticpt and solver params
+// embed it, and apprun pre-images splice its encoding in (see
+// appRunKey), so its fields encode inline, first and in this order.
 type machineParams struct {
 	Varius  varius.Params  `json:"varius"`
 	Power   power.Params   `json:"power"`
@@ -243,33 +238,6 @@ func (s *Simulator) machineParams(cfg tech.Config) machineParams {
 	}
 }
 
-// appRunParams is the apprun artifact's key material: the full machine
-// model behind the chip's cores, the environment's technique
-// configuration, the application's identity down to its phase tables, and
-// the adaptation policy. The policy is pinned by content, not provenance:
-// Solver carries the SHA-256 of the dynamic solver's serialized weights
-// (so retrained controllers can never replay a stale run), and Static
-// carries the chip's exact static operating point, whose float64 values
-// fingerprint the conservative class profile it was derived from.
-type appRunParams struct {
-	machineParams
-	TraceLen int `json:"trace_len"`
-
-	Mode   Mode             `json:"mode"`
-	App    string           `json:"app"`
-	Trace  string           `json:"trace,omitempty"`
-	Class  workload.Class   `json:"class"`
-	Phases []workload.Phase `json:"phases"`
-	// PhaseOnly, when set, restricts the run to the phase at that position
-	// in Phases (weighted as a whole app, weight 1) — the fleet service's
-	// phase-change events cache at this granularity. Absent for whole-app
-	// runs, which keeps every pre-existing key unchanged.
-	PhaseOnly *int `json:"phase_only,omitempty"`
-
-	Solver string                `json:"solver,omitempty"`
-	Static *adapt.OperatingPoint `json:"static,omitempty"`
-}
-
 // solverFingerprint is the content identity a dynamic solver contributes
 // to apprun keys: the SHA-256 hex of the trained weights for a fuzzy
 // solver (computed once per solver, see FuzzySolver.Fingerprint), a fixed
@@ -287,33 +255,145 @@ func solverFingerprint(solver adapt.Solver) string {
 
 // appRunKey derives the apprun artifact key for one (chip, environment,
 // mode, app[, phase]) unit, or "" when the unit is uncacheable (store
-// disabled, dynamic mode without a solver fingerprint, or key-encoding
-// failure). phase < 0 keys the whole app; phase >= 0 keys the single
-// phase at that position in app.Phases. Dynamic modes must supply
-// solverFP; Static mode must supply its operating point.
+// disabled, dynamic mode without a solver fingerprint, or key material
+// that does not encode). phase < 0 keys the whole app; phase >= 0 keys
+// the single phase at that position in app.Phases. Dynamic modes must
+// supply solverFP; Static mode must supply its operating point.
+//
+// The key material is the full machine model behind the chip's cores,
+// the environment's technique configuration, the application's identity
+// down to its phase tables, and the adaptation policy, pinned by
+// content: solverFP is the SHA-256 of the dynamic solver's serialized
+// weights (so retrained controllers never replay a stale run), and
+// static is the chip's exact static operating point, whose float64
+// values fingerprint the conservative class profile it was derived from.
+// The params object encodes as
+//
+//	{<machineParams fields>,"trace_len":…,"mode":…,
+//	 "app":…[,"trace":…],"class":…,"phases":[…]
+//	 [,"phase_only":…][,"solver":…][,"static":{…}]}
+//
+// — exactly what json.Marshal gives for a struct embedding
+// machineParams followed by those fields with omitempty on the bracketed
+// ones. phase_only is absent for whole-app runs, so their keys match
+// the ones stored before phase-granular units existed. The machine block
+// is encoded once per technique configuration (machineBlock) and the app
+// block once per app (appBlock); only the small per-unit fields are
+// encoded per call, and artifact.EncodedKey hashes the envelope around
+// the pieces, byte-identical to artifact.Key over the whole.
 func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 	mode Mode, solverFP string, static *adapt.OperatingPoint, phase int) string {
-	if (mode != Static && solverFP == "") || phase >= len(app.Phases) {
+	if s.store == nil || (mode != Static && solverFP == "") || phase >= len(app.Phases) {
 		return ""
 	}
-	return storeKey(s.store, apprunKind, seed, func() any {
-		params := appRunParams{
-			machineParams: s.machineParams(cfg),
-			TraceLen:      s.opts.TraceLen,
-			Mode:          mode,
-			App:           app.Name,
-			Trace:         app.Trace,
-			Class:         app.Class,
-			Phases:        app.Phases,
-			Solver:        solverFP,
-			Static:        static,
+	machine := s.machineBlock(cfg)
+	appEnc := s.appBlock(app)
+	if machine == nil || appEnc == nil {
+		return ""
+	}
+	var buf [256]byte
+	b := append(buf[:0], `,"trace_len":`...)
+	b = strconv.AppendInt(b, int64(s.opts.TraceLen), 10)
+	b = append(b, `,"mode":`...)
+	b = strconv.AppendInt(b, int64(mode), 10)
+	b = append(b, ',')
+	mid := len(b)
+	if phase >= 0 {
+		b = append(b, `,"phase_only":`...)
+		b = strconv.AppendInt(b, int64(phase), 10)
+	}
+	if solverFP != "" {
+		enc, _ := json.Marshal(solverFP) // a string always encodes
+		b = append(append(b, `,"solver":`...), enc...)
+	}
+	if static != nil {
+		enc, err := json.Marshal(static)
+		if err != nil {
+			return ""
 		}
-		if phase >= 0 {
-			params.PhaseOnly = &phase
-		}
-		return params
-	})
+		b = append(append(b, `,"static":`...), enc...)
+	}
+	b = append(b, '}')
+	return artifact.EncodedKey(apprunKind, seed, machine, b[:mid], appEnc, b[mid:])
 }
+
+// appIdentity is the app block's fields, in appRunKey's params order.
+type appIdentity struct {
+	App    string           `json:"app"`
+	Trace  string           `json:"trace,omitempty"`
+	Class  workload.Class   `json:"class"`
+	Phases []workload.Phase `json:"phases"`
+}
+
+// encodedApp is one app's block and the identity it encodes (Phases a
+// private copy). Stored entries are never modified.
+type encodedApp struct {
+	id  appIdentity
+	enc []byte
+}
+
+// machineBlock returns the params object's opening brace and the inline
+// machineParams fields for cfg, or nil when the options do not encode (a
+// NaN or infinite float), encoding them on first use.
+func (s *Simulator) machineBlock(cfg tech.Config) []byte {
+	if v, ok := s.machineBlocks.Load(cfg); ok {
+		return v.([]byte)
+	}
+	enc, err := json.Marshal(s.machineParams(cfg))
+	if err != nil {
+		enc = nil
+	} else {
+		enc = enc[:len(enc)-1] // appRunKey's own fields follow before the brace
+	}
+	s.machineBlocks.Store(cfg, enc)
+	return enc
+}
+
+// appBlock returns app's block — the appIdentity fields without braces —
+// or nil when its phases do not encode. A stored block is reused only
+// while the app's trace, class and phases are bit-identical to those it
+// was encoded from; otherwise the block is encoded afresh and replaces
+// it.
+func (s *Simulator) appBlock(app workload.App) []byte {
+	if v, ok := s.appBlocks.Load(app.Name); ok {
+		e := v.(*encodedApp)
+		if e.id.Trace == app.Trace && e.id.Class == app.Class && samePhases(e.id.Phases, app.Phases) {
+			return e.enc
+		}
+	}
+	id := appIdentity{App: app.Name, Trace: app.Trace, Class: app.Class, Phases: slices.Clone(app.Phases)}
+	enc, err := json.Marshal(id)
+	if err != nil {
+		return nil
+	}
+	enc = enc[1 : len(enc)-1]
+	s.appBlocks.Store(app.Name, &encodedApp{id: id, enc: enc})
+	return enc
+}
+
+// samePhases reports whether a and b encode identically: both nil or
+// both not (nil encodes as null), and phase by phase bit-identical. ==
+// would not do: it equates 0 and -0, which encode apart.
+func samePhases(a, b []workload.Phase) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		p, q := &a[i], &b[i]
+		if p.Index != q.Index || p.Signature != q.Signature || !sameBits(p.Weight, q.Weight) ||
+			!sameBits(p.Mix.LoadFrac, q.Mix.LoadFrac) || !sameBits(p.Mix.StoreFrac, q.Mix.StoreFrac) ||
+			!sameBits(p.Mix.BranchFrac, q.Mix.BranchFrac) || !sameBits(p.Mix.FPFrac, q.Mix.FPFrac) ||
+			!sameBits(p.Mix.DepDistMean, q.Mix.DepDistMean) ||
+			!sameBits(p.Mix.BranchMispredictRate, q.Mix.BranchMispredictRate) ||
+			!sameBits(p.Mix.L1MissRate, q.Mix.L1MissRate) || !sameBits(p.Mix.L2MissRate, q.Mix.L2MissRate) ||
+			!sameBits(p.Mix.MemOverlap, q.Mix.MemOverlap) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // staticPointParams is the staticpt artifact's key material: the machine
 // model, the technique configuration, and the identities of every class

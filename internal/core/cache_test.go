@@ -400,7 +400,7 @@ func TestArtifactKeysPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const traceKey = "455ecba477d1720149507ca111b0ac31a88a6c23fad107a85d10d3a10e8b2b94"
-	if !store.ContainsBatch(traceKind, []string{traceKey})[0] {
+	if !store.Get(traceKind, traceKey, func([]byte) error { return nil }) {
 		t.Errorf("trace: no entry under the pinned key %s", traceKey)
 	}
 }

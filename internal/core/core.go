@@ -183,6 +183,11 @@ type Simulator struct {
 	// store, when non-nil, persists chips, profiles, and trained solvers
 	// across processes (see cache.go and the artifact package).
 	store *artifact.Store
+	// machineBlocks (tech.Config → []byte) and appBlocks (app name →
+	// *encodedApp) hold the encoded blocks apprun key pre-images are
+	// assembled from (see appRunKey).
+	machineBlocks sync.Map
+	appBlocks     sync.Map
 
 	mu       sync.Mutex
 	profiles map[profileID]pipeline.Profile

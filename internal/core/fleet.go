@@ -170,7 +170,9 @@ type FleetUnit struct {
 // UnitAppRun executes one fleet unit on cpu — through the apprun
 // artifact cache, at phase granularity when the unit names a phase. For
 // dynamic modes solver picks the algorithm (its weight fingerprint keys
-// the cache); Static mode requires u.Static.
+// the cache); Static mode requires u.Static. The returned run's CacheHit
+// reports whether this call served it from the store: a missing,
+// damaged or undecodable record, or an uncacheable unit, reads false.
 func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver adapt.Solver, u FleetUnit) (AppRun, error) {
 	fp := ""
 	switch mode {
@@ -187,7 +189,15 @@ func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver ad
 		return AppRun{}, fmt.Errorf("core: %q has no phase %d", u.App.Name, u.Phase)
 	}
 	key := s.appRunKey(seed, cpu.Config, u.App, mode, fp, u.Static, u.Phase)
-	return cached(s.store, apprunKind, key, decodeAppRun, infallible(encodeAppRun),
+	return cached(s.store, apprunKind, key,
+		func(payload []byte, r *AppRun) error {
+			if err := decodeAppRun(payload, r); err != nil {
+				return err
+			}
+			r.CacheHit = true
+			return nil
+		},
+		infallible(encodeAppRun),
 		func() (AppRun, error) { return s.runUnit(cpu, mode, solver, u) })
 }
 
@@ -229,19 +239,6 @@ func (s *Simulator) runUnit(cpu *adapt.Core, mode Mode, solver adapt.Solver, u F
 		accumulate(&run, weight, res)
 	}
 	return run, nil
-}
-
-// PeekAppRuns probes the artifact store for finished results of a batch
-// of fleet units in one indexed pass, without building anything: out[i]
-// reports whether unit i would replay from cache. All units share one
-// (chip, core, mode, solver) context — the fleet batches exactly that
-// shape. Uncacheable units (and a nil store) report false.
-func (s *Simulator) PeekAppRuns(seed int64, cpu *adapt.Core, mode Mode, solverFP string, units []FleetUnit) []bool {
-	keys := make([]string, len(units))
-	for i, u := range units {
-		keys[i] = s.appRunKey(seed, cpu.Config, u.App, mode, solverFP, u.Static, u.Phase)
-	}
-	return s.store.ContainsBatch(apprunKind, keys)
 }
 
 // ParseEnvironment resolves a Table 1 environment name ("TS+ASV+Q+FU",

@@ -35,6 +35,10 @@ type AppRun struct {
 	// the downsized queue / LowSlope FU enabled.
 	SmallQueueFrac float64
 	LowSlopeFrac   float64
+	// CacheHit reports that UnitAppRun read the run from the artifact
+	// store rather than computing it. It describes the call, not the
+	// result, so the stored payload does not carry it.
+	CacheHit bool
 }
 
 // designCorner is the worst-case operating condition frequency binning

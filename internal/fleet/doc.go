@@ -35,11 +35,14 @@
 // environment from it; the cores live on the chip's membership entry
 // and only the owner touches them, so a chip that leaves takes them
 // with it once its units drain. Inside a batch, duplicate (app, phase)
-// events share one solve, a single indexed probe
-// (artifact.Store.ContainsBatch) splits groups into cache replays and
-// cold solves, and results flow back through the submission batch. The
-// price of ownership: a chip's units never run on two workers at once,
-// so a fleet with fewer resident chips than workers leaves workers idle.
+// events share one solve, and results flow back through the submission
+// batch. No indexed probe of the store runs first: each group's
+// Result.CacheHit is the hit bit of the read that serves it
+// (core.AppRun.CacheHit), so a record that fails its checksum or its
+// decoder, which the store rebuilds, is served and counted as a miss.
+// The price of ownership: a chip's units never run on two workers at
+// once, so a fleet with fewer resident chips than workers leaves
+// workers idle.
 //
 // # Ordering and determinism contract
 //

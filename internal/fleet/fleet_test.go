@@ -1,9 +1,15 @@
 package fleet
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -516,6 +522,135 @@ func TestDepartedChipsAreFreed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDamagedRecordIsAMiss: a unit whose apprun record fails its
+// checksum, or passes it but fails its decoder, is rebuilt, so it must be
+// served with CacheHit false and counted as a miss, and the rebuilt
+// payload must equal a store-less run's. Each chip runs one adaptive
+// unit, so a rebuilt unit runs on a core with no history, as it does
+// without a store.
+func TestDamagedRecordIsAMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	apps := testApps(t)
+	var events []Event
+	for i := 0; i < 6; i++ {
+		chip, app := int64(800+i), apps[i%len(apps)]
+		events = append(events,
+			Event{At: 1, Kind: KindJoin, Class: "d", Chip: chip},
+			Event{At: 2, Kind: KindRun, Class: "d", Chip: chip, Env: "TS+ASV", Mode: ModeExh,
+				App: app.Name, Phase: intp(i % len(app.Phases))})
+	}
+	serve := func(sim *core.Simulator) ([]Result, Snapshot) {
+		t.Helper()
+		f, err := New(sim, Config{Workers: 2, Apps: apps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var results []Result
+		if err := f.SubmitBatch(events, func(r Result) { results = append(results, r) }); err != nil {
+			t.Fatal(err)
+		}
+		return results, f.Stats()
+	}
+	withStore := func(dir string, reg *obs.Registry) ([]Result, Snapshot) {
+		t.Helper()
+		store, err := artifact.Open(dir, artifact.Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		sim := testSim(t, "")
+		sim.SetArtifacts(store)
+		return serve(sim)
+	}
+
+	dir := t.TempDir()
+	withStore(dir, nil)
+	damaged := damageAppRuns(t, dir)
+	reg := obs.NewRegistry()
+	got, snap := withStore(dir, reg)
+	want, _ := serve(testSim(t, ""))
+
+	var runs, misses int64
+	for i, r := range got {
+		if r.Kind != KindRun {
+			continue
+		}
+		if r.Status != StatusOK {
+			t.Fatalf("chip %d: %s", r.Chip, r.Err)
+		}
+		runs++
+		if !r.CacheHit {
+			misses++
+		}
+		if *r.Run != *want[i].Run {
+			t.Errorf("chip %d (hit %v): payload %+v, store-less run %+v", r.Chip, r.CacheHit, *r.Run, *want[i].Run)
+		}
+	}
+	corrupt := reg.Counter("artifact.cache.apprun.corrupt").Value()
+	if corrupt != damaged {
+		t.Fatalf("%d records damaged, store counted %d corrupt", damaged, corrupt)
+	}
+	if misses != corrupt || snap.CacheMisses != misses || snap.CacheHits != runs-misses {
+		t.Fatalf("%d corrupt records; served %d of %d runs as misses, fleet counted %d hits / %d misses",
+			corrupt, misses, runs, snap.CacheHits, snap.CacheMisses)
+	}
+}
+
+// damageAppRuns walks the apprun records of the store in dir and, of
+// every three, flips a payload byte of the first (its checksum fails),
+// breaks the payload tag of the second and re-seals its checksum (the
+// record is intact, its decoder refuses it), and leaves the third. It
+// returns how many records it damaged. The framing it walks is the
+// artifact package's record layout: magic, kind, raw key, payload, CRC.
+func damageAppRuns(t *testing.T, dir string) int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "pack-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := []byte("EVR2\x06apprun")
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var seen, damaged int64
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; ; {
+			i := bytes.Index(data[off:], head)
+			if i < 0 {
+				break
+			}
+			start := off + i
+			at := start + len(head) + sha256.Size
+			n, w := binary.Uvarint(data[at:])
+			payload := data[at+w : at+w+int(n)]
+			end := at + w + int(n) + 4
+			switch seen % 3 {
+			case 0:
+				payload[len(payload)-1] ^= 0xff
+				damaged++
+			case 1:
+				payload[0] ^= 0xff
+				binary.LittleEndian.PutUint32(data[end-4:], crc32.Checksum(data[start:end-4], castagnoli))
+				damaged++
+			}
+			seen++
+			off = end
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen < 3 {
+		t.Fatalf("found %d apprun records, want at least 3", seen)
+	}
+	return damaged
 }
 
 // TestSubmitBatchAllocs gates the steady-state ingest path's allocation

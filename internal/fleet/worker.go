@@ -143,19 +143,20 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 		t.entry.cores[env] = cpu
 	}
 	var solver adapt.Solver
-	solverFP := ""
 	switch mode {
 	case core.FuzzyDyn:
 		var serr error
-		if solver, solverFP, serr = f.sim.HandleSolver(handle, cpu, f.cfg.Training); serr != nil {
+		if solver, _, serr = f.sim.HandleSolver(handle, cpu, f.cfg.Training); serr != nil {
 			for gi := range groups {
 				groups[gi].errMsg = serr.Error()
 			}
 			return
 		}
 	case core.ExhDyn:
-		solver, solverFP = adapt.Exhaustive{}, "exh"
+		solver = adapt.Exhaustive{}
 	}
+	// Static points are chosen for every group before any unit runs:
+	// choosing one drives cpu, whose state carries into the runs.
 	sc.units = sc.units[:0]
 	for gi := range groups {
 		g := &groups[gi]
@@ -171,21 +172,20 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 		}
 		sc.units = append(sc.units, unit)
 	}
-	// One indexed pass tells which units replay from the artifact store;
-	// the solve below then only pays the adaptation loop for the rest.
-	hits := f.sim.PeekAppRuns(handle.Seed(), cpu, mode, solverFP, sc.units)
 	for gi := range groups {
 		g := &groups[gi]
 		if g.errMsg != "" {
 			continue
 		}
-		g.hit = hits[gi]
+		// The read that serves the unit tells whether it replayed: a
+		// damaged record rebuilds, and so counts as a miss.
+		run, rerr := f.sim.UnitAppRun(handle.Seed(), cpu, mode, solver, sc.units[gi])
+		g.hit = rerr == nil && run.CacheHit
 		if g.hit {
 			f.stats.cacheHits.Add(1)
 		} else {
 			f.stats.cacheMisses.Add(1)
 		}
-		run, rerr := f.sim.UnitAppRun(handle.Seed(), cpu, mode, solver, sc.units[gi])
 		if rerr != nil {
 			g.errMsg = rerr.Error()
 			continue
