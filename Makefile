@@ -89,8 +89,9 @@ fleetload-smoke:
 # Short coverage-guided runs of the native fuzz targets: the SoA pipeline
 # kernel against its array-of-structs reference, the pruned Freq solver
 # against the exhaustive scan, the certified-bracket PE-fmax kernel
-# against the plain bisection, and the apprun key assembled from cached
-# blocks against artifact.Key over the whole params struct. The
+# against the plain bisection, the apprun key assembled from cached
+# blocks against artifact.Key over the whole params struct, and the
+# one-pass /v1/batch body decoder against encoding/json. The
 # checked-in seed corpora under testdata/fuzz/ already run as part of
 # `make test`; this explores beyond them for a bounded budget.
 fuzz-smoke:
@@ -98,6 +99,7 @@ fuzz-smoke:
 	go test ./internal/adapt -run '^$$' -fuzz FuzzFreqSolvePrunedVsUnpruned -fuzztime 20s
 	go test ./internal/vats -run '^$$' -fuzz FuzzFMaxForPESetVsReference -fuzztime 20s
 	go test ./internal/core -run '^$$' -fuzz FuzzAppRunKeyVsKey -fuzztime 20s
+	go test ./internal/fleet -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,
 # lower, and (for traces) replay byte-identically (see WORKLOADS.md).

@@ -35,6 +35,11 @@
 //	-cache-dir dir    persistent artifact cache (falls back to
 //	                  $EVAL_CACHE_DIR); -no-cache forces it off
 //
+// A batch body in the form every in-repo client sends (json.Marshal of
+// {"events":[...]}) takes fleet.DecodeBatch's one-pass path; everything
+// else goes through encoding/json with unknown fields disallowed, so
+// acceptance, events and error text are encoding/json's either way.
+//
 // Results stream through a reused buffer flushed on size/time
 // watermarks (-flush-bytes, -flush-ms) rather than per line: one write
 // syscall covers many results, and a short timer bounds how stale a
@@ -48,6 +53,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -199,13 +205,12 @@ func parseRates(spec string) (map[string]fleet.Rate, error) {
 	return out, nil
 }
 
-// batchRequest is the POST /v1/batch body.
-type batchRequest struct {
-	Events []fleet.Event `json:"events"`
-}
-
-// streamBufPool recycles NDJSON stream buffers across batch requests.
-var streamBufPool = sync.Pool{New: func() any { return make([]byte, 0, 64<<10) }}
+// bodyBufPool recycles request-body buffers across batch requests, and
+// streamBufPool the NDJSON stream buffers.
+var (
+	bodyBufPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	streamBufPool = sync.Pool{New: func() any { return make([]byte, 0, 64<<10) }}
+)
 
 // resultStreamer batches NDJSON result lines through a reused buffer,
 // flushing on a size watermark or a latency timer, whichever fires
@@ -301,24 +306,30 @@ func (st *resultStreamer) close() {
 	streamBufPool.Put(buf)
 }
 
-// handleBatch ingests one event batch and streams NDJSON results in
-// submission order through a watermark-flushed buffer.
+// handleBatch reads one event batch, decodes it with fleet.DecodeBatch,
+// and streams NDJSON results in submission order through a
+// watermark-flushed buffer.
 func handleBatch(fl *fleet.Fleet, reg *obs.Registry, flushBytes int, flushWait time.Duration) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		var req batchRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		body := bodyBufPool.Get().(*bytes.Buffer)
+		body.Reset()
+		_, err := body.ReadFrom(r.Body)
+		var events []fleet.Event
+		if err == nil {
+			events, err = fleet.DecodeBatch(body.Bytes())
+		}
+		bodyBufPool.Put(body) // the events share no bytes with it
+		if err != nil {
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		st := newResultStreamer(w, r, reg, flushBytes, flushWait)
-		err := fl.SubmitBatch(req.Events, st.emit)
+		err = fl.SubmitBatch(events, st.emit)
 		st.close()
 		if err != nil {
 			// Nothing was emitted: the fleet only rejects before streaming.

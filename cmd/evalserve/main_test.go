@@ -48,11 +48,20 @@ func baselineBody(t *testing.T) (string, int) {
 			events = append(events, fleet.Event{At: 2, Kind: fleet.KindRun, Chip: chip, Mode: fleet.ModeBaseline, App: "gcc"})
 		}
 	}
-	blob, err := json.Marshal(batchRequest{Events: events})
+	return marshalBody(t, events), len(events)
+}
+
+// marshalBody renders events as every in-repo client does: json.Marshal
+// of {"events":[...]}.
+func marshalBody(t *testing.T, events []fleet.Event) string {
+	t.Helper()
+	blob, err := json.Marshal(struct {
+		Events []fleet.Event `json:"events"`
+	}{events})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(blob), len(events)
+	return string(blob)
 }
 
 func postBatch(ctx context.Context, fl *fleet.Fleet, reg *obs.Registry, body string) *httptest.ResponseRecorder {
@@ -71,17 +80,85 @@ func TestBatchRejectsGet(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsBadBodies: a body encoding/json rejects gets status
+// 400 and encoding/json's error text, whichever decode path saw it.
 func TestBatchRejectsBadBodies(t *testing.T) {
 	fl, reg := testFleet(t)
-	for name, body := range map[string]string{
-		"malformed":     `{"events":[`,
-		"unknown field": `{"events":[],"priority":1}`,
+	for name, c := range map[string]struct{ body, err string }{
+		"malformed":           {`{"events":[`, `unexpected EOF`},
+		"empty":               {``, `EOF`},
+		"unknown field":       {`{"events":[],"priority":1}`, `json: unknown field "priority"`},
+		"unknown event field": {`{"events":[{"at":1,"kind":"join","chip":3,"zone":"a"}]}`, `json: unknown field "zone"`},
+		"fraction": {`{"events":[{"at":1.5,"kind":"join","chip":3}]}`,
+			`json: cannot unmarshal number 1.5 into Go struct field Event.events.at of type int64`},
+		"overflow": {`{"events":[{"at":1,"kind":"join","chip":9223372036854775808}]}`,
+			`json: cannot unmarshal number 9223372036854775808 into Go struct field Event.events.chip of type int64`},
+		"leading zero": {`{"events":[{"at":01}]}`, `invalid character '1' after object key:value pair`},
+		"string kind":  {`{"events":[{"kind":7}]}`, `json: cannot unmarshal number into Go struct field Event.events.kind of type string`},
 	} {
-		if rec := postBatch(context.Background(), fl, reg, body); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s body: status %d, want %d", name, rec.Code, http.StatusBadRequest)
+		rec := postBatch(context.Background(), fl, reg, c.body)
+		if want := "bad request: " + c.err + "\n"; rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Errorf("%s body: status %d %q, want %d %q", name, rec.Code, rec.Body, http.StatusBadRequest, want)
 		}
 	}
 }
+
+// TestBatchFallbackMatchesCanonical: bodies the one-pass decoder leaves
+// to encoding/json — case-variant keys, a null phase, escaped strings —
+// stream the same NDJSON as the canonical body they decode to, timing
+// fields aside. Each body goes to a fresh fleet, so sequence numbers and
+// owners line up.
+func TestBatchFallbackMatchesCanonical(t *testing.T) {
+	canonical := marshalBody(t, []fleet.Event{
+		{At: 1, Kind: fleet.KindJoin, Class: "a", Chip: 21},
+		{At: 2, Kind: fleet.KindRun, Class: "a", Chip: 21, Mode: fleet.ModeBaseline, App: "gcc", Phase: intp(0)},
+		{At: 2, Kind: fleet.KindRun, Class: "a", Chip: 21, Mode: fleet.ModeBaseline, App: "gcc"},
+	})
+	twins := map[string]string{
+		"case-variant keys": `{"EVENTS":[{"AT":1,"Kind":"join","Class":"a","CHIP":21},` +
+			`{"at":2,"KIND":"run","class":"a","Chip":21,"Mode":"baseline","App":"gcc","Phase":0},` +
+			`{"At":2,"kind":"run","Class":"a","chip":21,"mode":"baseline","APP":"gcc"}]}`,
+		"null phase": `{"events":[{"at":1,"kind":"join","class":"a","chip":21},` +
+			`{"at":2,"kind":"run","class":"a","chip":21,"mode":"baseline","app":"gcc","phase":0},` +
+			`{"at":2,"kind":"run","class":"a","chip":21,"mode":"baseline","app":"gcc","phase":null}]}`,
+		"escaped strings": `{"events":[{"at":1,"kind":"joi\u006e","class":"\u0061","chip":21},` +
+			`{"at":2,"kind":"run","class":"a","chip":21,"mode":"baseline","app":"g\u0063c","phase":0},` +
+			`{"at":2,"kind":"r\u0075n","class":"a","chip":21,"mode":"baseline","app":"gcc"}]}`,
+	}
+	serve := func(body string) []string {
+		t.Helper()
+		fl, reg := testFleet(t)
+		rec := postBatch(context.Background(), fl, reg, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var lines []string
+		sc := bufio.NewScanner(rec.Body)
+		for sc.Scan() {
+			var r fleet.Result
+			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+				t.Fatal(err)
+			}
+			if r.Status != fleet.StatusOK {
+				t.Fatalf("seq %d: %s %s", r.Seq, r.Status, r.Err)
+			}
+			r.SchedMs, r.TotalMs = 0, 0
+			lines = append(lines, string(r.AppendJSON(nil)))
+		}
+		return lines
+	}
+	want := serve(canonical)
+	if len(want) != 3 {
+		t.Fatalf("canonical body streamed %d lines, want 3", len(want))
+	}
+	for name, body := range twins {
+		if got := serve(body); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\n got  %s\n want %s", name, strings.Join(got, "\n      "), strings.Join(want, "\n      "))
+		}
+	}
+}
+
+func intp(v int) *int { return &v }
 
 // TestBatchStreamsInOrder: a valid batch streams one NDJSON line per
 // event, sequence numbers 1..n in submission order.
@@ -173,4 +250,76 @@ func TestMetricsPublishesOccupancy(t *testing.T) {
 		}
 	}
 	t.Fatal("/v1/metrics has no fleet.pool.occupancy_pct row")
+}
+
+// cancelOnFlush is a response writer whose client goes away right after
+// the first flush reaches it; it counts the writes that follow.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel    context.CancelFunc
+	cancelled bool
+	late      int // Write and WriteHeader calls after the cancel
+}
+
+func (w *cancelOnFlush) Write(p []byte) (int, error) {
+	if w.cancelled {
+		w.late++
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+func (w *cancelOnFlush) WriteHeader(code int) {
+	if w.cancelled {
+		w.late++
+	}
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+func (w *cancelOnFlush) Flush() {
+	w.ResponseRecorder.Flush()
+	w.cancel()
+	w.cancelled = true
+}
+
+// TestClientGoneMidStream: a client that disconnects after the first
+// flushed line of a batch that flushes more than once gets no further
+// write, the results it missed count in fleet.emit.dropped, and the
+// next request is served in full.
+func TestClientGoneMidStream(t *testing.T) {
+	fl, reg := testFleet(t)
+	body, n := baselineBody(t)
+	const flushBytes = 1 // every line fills the watermark: one flush per result
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &cancelOnFlush{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)).WithContext(ctx)
+	handleBatch(fl, reg, flushBytes, time.Hour)(w, req)
+	if !w.cancelled {
+		t.Fatal("the batch never flushed")
+	}
+	if w.late != 0 {
+		t.Fatalf("%d writes after the client went away", w.late)
+	}
+	lines := strings.Count(w.Body.String(), "\n")
+	if lines != 1 {
+		t.Fatalf("client saw %d lines before it went away, want 1", lines)
+	}
+	if got := reg.Counter("fleet.emit.dropped").Value(); got != int64(n-lines) {
+		t.Fatalf("fleet.emit.dropped = %d, want %d", got, n-lines)
+	}
+
+	flushes := reg.Counter("fleet.emit.flushes").Value()
+	again := `{"events":[{"at":3,"kind":"run","chip":11,"mode":"baseline","app":"gcc"},` +
+		`{"at":3,"kind":"run","chip":12,"mode":"baseline","app":"gcc"}]}`
+	req = httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(again))
+	rec := httptest.NewRecorder()
+	handleBatch(fl, reg, flushBytes, time.Hour)(rec, req)
+	if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `"status":"ok"`) != 2 {
+		t.Fatalf("next request: status %d, body %q", rec.Code, rec.Body)
+	}
+	if got := reg.Counter("fleet.emit.flushes").Value() - flushes; got < 2 {
+		t.Fatalf("next request flushed %d times, want one per result", got)
+	}
+	if got := reg.Counter("fleet.emit.dropped").Value(); got != int64(n-lines) {
+		t.Fatalf("next request dropped results: fleet.emit.dropped = %d, want %d", got, n-lines)
+	}
 }

@@ -40,6 +40,15 @@
 // Result.CacheHit is the hit bit of the read that serves it
 // (core.AppRun.CacheHit), so a record that fails its checksum or its
 // decoder, which the store rebuilds, is served and counted as a miss.
+// A unit the chip has already read from the store during this admission
+// replays from the chip entry's table: it derives no apprun key, reads
+// no record, and counts as a cache hit, since the hit bit of a replayed
+// group is that of the unit's first read during the admission. A record
+// evicted or damaged after that read is not read again until the chip
+// rejoins. Only store hits enter the table, and a hit never drives a
+// core, so computed units, uncacheable units and store-less fleets
+// never do, and every core runs the same units in the same order as it
+// would without the table.
 // The price of ownership: a chip's units never run on two workers at
 // once, so a fleet with fewer resident chips than workers leaves
 // workers idle.

@@ -89,6 +89,11 @@ type Result struct {
 	// the unit — batching, placement, cache state, queueing — and are
 	// excluded from Canonical(), which is what the determinism contract
 	// covers.
+
+	// CacheHit reports that the unit came from the artifact store. For a
+	// group the chip's replay table answered, it is the hit bit of the
+	// unit's first read during the chip's admission: a record evicted or
+	// damaged after that read is not read again until the chip rejoins.
 	CacheHit bool    `json:"cache_hit,omitempty"`
 	Batched  int     `json:"batched,omitempty"`
 	Worker   int     `json:"worker,omitempty"`

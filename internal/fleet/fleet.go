@@ -111,6 +111,20 @@ type chipEntry struct {
 	// and touched only by the owner. Living on the entry, a departed
 	// chip's cores are freed with it.
 	cores [core.NumEnvironments]*adapt.Core
+
+	// replay holds the payload of every unit this admission of the chip
+	// has read from the artifact store, touched only by the owner and
+	// freed with the entry (see solveGroups).
+	replay map[replayKey]RunPayload
+}
+
+// replayKey names one adaptation unit of a chip: environment, mode, app
+// and phase (-1 = whole app), the first two parsed.
+type replayKey struct {
+	env   core.Environment
+	mode  core.Mode
+	app   string
+	phase int
 }
 
 func (e *chipEntry) ensure(sim *core.Simulator) (*core.ChipHandle, error) {

@@ -755,3 +755,165 @@ func TestQueueDepthGauge(t *testing.T) {
 		t.Fatalf("queue depth gauge = %v with %d tasks queued on a parked worker, want %d", got, k, k)
 	}
 }
+
+// entryOf returns chip's membership entry (nil when not joined). Read
+// its owner-only fields only between batches, once the chip's units
+// have drained.
+func entryOf(f *Fleet, chip int64) *chipEntry {
+	sh := f.shardFor(chip)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.m[chip]
+}
+
+// openStore opens the artifact store in dir with reg attached, closed
+// when the test ends.
+func openStore(t *testing.T, dir string, reg *obs.Registry) *core.Simulator {
+	t.Helper()
+	store, err := artifact.Open(dir, artifact.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	sim := testSim(t, "")
+	sim.SetArtifacts(store)
+	return sim
+}
+
+// TestReplayTableReadsEachUnitOnce: a warm fleet that serves every unit
+// of two chips three times, in three batches, reads each (chip, unit)
+// record from the store once and answers the rest from the chips'
+// replay tables. Every served group still counts as a fleet cache hit,
+// and every payload equals a store-less run's.
+func TestReplayTableReadsEachUnitOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	apps := testApps(t, "gcc")
+	chips := []int64{601, 602}
+	joins := []Event{{At: 1, Kind: KindJoin, Chip: chips[0]}, {At: 1, Kind: KindJoin, Chip: chips[1]}}
+	var round []Event
+	for _, chip := range chips {
+		for ph := -1; ph < len(apps[0].Phases); ph++ {
+			ev := Event{At: 2, Kind: KindRun, Chip: chip, Env: "TS+ASV", Mode: ModeExh, App: "gcc"}
+			if ph >= 0 {
+				ev.Phase = intp(ph)
+			}
+			round = append(round, ev)
+		}
+	}
+	const rounds = 3
+	play := func(sim *core.Simulator, batches int) ([]Result, Snapshot) {
+		t.Helper()
+		f, err := New(sim, Config{Workers: 2, Apps: apps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var results []Result
+		for i := 0; i <= batches; i++ {
+			batch := round
+			if i == 0 {
+				batch = joins
+			}
+			if err := f.SubmitBatch(batch, func(r Result) { results = append(results, r) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return results, f.Stats()
+	}
+	dir := t.TempDir()
+	play(openStore(t, dir, nil), 1) // populate
+	reg := obs.NewRegistry()
+	got, snap := play(openStore(t, dir, reg), rounds)
+	want, _ := play(testSim(t, ""), rounds)
+
+	if n := reg.Counter("artifact.cache.apprun.hits").Value(); n != int64(len(round)) {
+		t.Fatalf("served %d distinct units %d times each, store read %d apprun records", len(round), rounds, n)
+	}
+	if snap.CacheHits != rounds*int64(len(round)) || snap.CacheMisses != 0 {
+		t.Fatalf("fleet counted %d hits / %d misses over %d served groups", snap.CacheHits, snap.CacheMisses, rounds*len(round))
+	}
+	for i, r := range got {
+		if r.Kind != KindRun {
+			continue
+		}
+		if r.Status != StatusOK || !r.CacheHit {
+			t.Fatalf("seq %d: status %s %s, cache hit %v", r.Seq, r.Status, r.Err, r.CacheHit)
+		}
+		if *r.Run != *want[i].Run {
+			t.Fatalf("seq %d (chip %d phase %v): payload %+v, store-less run %+v", r.Seq, r.Chip, r.Phase, *r.Run, *want[i].Run)
+		}
+	}
+}
+
+// TestReplayTableLifecycle follows one unit through a cold store: the
+// first request computes it (a miss), the second reads the record (a
+// hit) and fills the chip's replay table, the third replays from the
+// table without reading the store. A caller mutating a served payload
+// does not reach the table. A chip that leaves and rejoins starts with
+// an empty table and reads the store again. A store-less fleet's table
+// stays empty.
+func TestReplayTableLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	const chip = 611
+	unit := Event{At: 2, Kind: KindRun, Chip: chip, Env: "TS+ASV", Mode: ModeExh, App: "gcc", Phase: intp(1)}
+	serve := func(f *Fleet, events ...Event) Result {
+		t.Helper()
+		var last Result
+		if err := f.SubmitBatch(events, func(r Result) { last = r }); err != nil {
+			t.Fatal(err)
+		}
+		if last.Status != StatusOK {
+			t.Fatalf("%s chip %d: %s", last.Kind, last.Chip, last.Err)
+		}
+		return last
+	}
+	reg := obs.NewRegistry()
+	reads := reg.Counter("artifact.cache.apprun.hits")
+	f, err := New(openStore(t, t.TempDir(), reg), Config{Workers: 2, Apps: testApps(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	serve(f, Event{At: 1, Kind: KindJoin, Chip: chip})
+	step := func(label string, wantHit bool, wantReads int64, wantTable int) Result {
+		t.Helper()
+		r := serve(f, unit)
+		if r.CacheHit != wantHit || reads.Value() != wantReads || len(entryOf(f, chip).replay) != wantTable {
+			t.Fatalf("%s: cache hit %v, %d apprun reads, %d table entries; want %v, %d, %d",
+				label, r.CacheHit, reads.Value(), len(entryOf(f, chip).replay), wantHit, wantReads, wantTable)
+		}
+		return r
+	}
+	step("computed", false, 0, 0)
+	read := step("read", true, 1, 1)
+	saved := *read.Run
+	read.Run.FRel, read.Run.PE = -1, -1
+	replayed := step("replayed", true, 1, 1)
+	if *replayed.Run != saved {
+		t.Fatalf("replay after mutating the served payload: %+v, want %+v", *replayed.Run, saved)
+	}
+	replayed.Run.Perf = -1
+	if again := step("replayed again", true, 1, 1); *again.Run != saved {
+		t.Fatalf("second replay: %+v, want %+v", *again.Run, saved)
+	}
+	serve(f, Event{At: 3, Kind: KindLeave, Chip: chip}, Event{At: 3, Kind: KindJoin, Chip: chip})
+	if r := step("rejoined", true, 2, 1); *r.Run != saved {
+		t.Fatalf("after rejoin: %+v, want %+v", *r.Run, saved)
+	}
+
+	bare, err := New(testSim(t, ""), Config{Workers: 2, Apps: testApps(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	serve(bare, Event{At: 1, Kind: KindJoin, Chip: chip})
+	for i := 0; i < 3; i++ {
+		if r := serve(bare, unit); r.CacheHit || len(entryOf(bare, chip).replay) != 0 {
+			t.Fatalf("store-less request %d: cache hit %v, %d table entries", i+1, r.CacheHit, len(entryOf(bare, chip).replay))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 	"unicode/utf8"
 )
@@ -156,4 +158,275 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// DecodeBatch decodes a POST /v1/batch body, {"events":[...]}, into its
+// events, exactly as encoding/json's Decoder with DisallowUnknownFields
+// decodes it into a struct with one Events []Event field: the same
+// accept/reject decision, the same events and the same error text.
+//
+// The body every in-repo client sends, json.Marshal of the request,
+// decodes in one pass: exact-case field names in any order, each at most
+// once; JSON integers in range for their field; printable-ASCII strings
+// without escapes; whitespace anywhere. Each event string is allocated
+// once per distinct value in the batch, and one []int backs every Phase
+// pointer. Any other bytes — a case-variant key, a null, an escape, a
+// duplicate field, an error — go unchanged to encoding/json.
+func DecodeBatch(body []byte) ([]Event, error) {
+	if events, ok := decodeCanonical(body); ok {
+		return events, nil
+	}
+	var req struct {
+		Events []Event `json:"events"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return req.Events, nil
+}
+
+var (
+	kindField  = []byte(`"kind"`)
+	phaseField = []byte(`"phase"`)
+)
+
+// decodeCanonical is DecodeBatch's one-pass path; ok is false when body
+// is outside the form it takes, whether or not encoding/json accepts it.
+func decodeCanonical(body []byte) (events []Event, ok bool) {
+	s := batchScanner{b: body}
+	if !s.next('{') || !s.name("events") || !s.next(':') || !s.next('[') {
+		return nil, false
+	}
+	// Every event json.Marshal writes has a kind, and an accepted phase
+	// is the literal key "phase", so these counts size both slices: no
+	// append below moves a Phase target. Neither can exceed a sixth of
+	// the body.
+	events = make([]Event, 0, bytes.Count(body, kindField))
+	phases := make([]int, 0, bytes.Count(body, phaseField))
+	if !s.next(']') {
+		for {
+			ev, ok := s.event(&phases)
+			if !ok {
+				return nil, false
+			}
+			events = append(events, ev)
+			if s.next(']') {
+				break
+			}
+			if !s.next(',') {
+				return nil, false
+			}
+		}
+	}
+	if !s.next('}') {
+		return nil, false
+	}
+	s.space()
+	return events, s.i == len(s.b)
+}
+
+// batchScanner walks a batch body for decodeCanonical.
+type batchScanner struct {
+	b []byte
+	i int
+	// strs interns the batch's event strings beyond the kind and mode
+	// constants; once full, further distinct values allocate each time.
+	strs [16]string
+	n    int
+}
+
+func (s *batchScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c after optional whitespace.
+func (s *batchScanner) next(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string of printable ASCII without escapes and returns
+// its contents, aliasing the body.
+func (s *batchScanner) str() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i:j]
+			s.i = j + 1
+			return v, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// name consumes the object key want.
+func (s *batchScanner) name(want string) bool {
+	v, ok := s.str()
+	return ok && string(v) == want
+}
+
+// text consumes a string field value, interned.
+func (s *batchScanner) text() (string, bool) {
+	v, ok := s.str()
+	if !ok {
+		return "", false
+	}
+	switch string(v) {
+	case "":
+		return "", true
+	case KindRun:
+		return KindRun, true
+	case KindJoin:
+		return KindJoin, true
+	case KindLeave:
+		return KindLeave, true
+	case ModeExh:
+		return ModeExh, true
+	case ModeBaseline:
+		return ModeBaseline, true
+	case ModeFuzzy:
+		return ModeFuzzy, true
+	case ModeStatic:
+		return ModeStatic, true
+	}
+	for _, have := range s.strs[:s.n] {
+		if have == string(v) {
+			return have, true
+		}
+	}
+	str := string(v)
+	if s.n < len(s.strs) {
+		s.strs[s.n] = str
+		s.n++
+	}
+	return str, true
+}
+
+// integer consumes a JSON integer (no fraction or exponent) and returns
+// it when it fits in an int64.
+func (s *batchScanner) integer() (int64, bool) {
+	s.space()
+	j := s.i
+	neg := j < len(s.b) && s.b[j] == '-'
+	if neg {
+		j++
+	}
+	start := j
+	var u uint64
+	for ; j < len(s.b) && s.b[j] >= '0' && s.b[j] <= '9'; j++ {
+		if j-start == 19 { // 19 digits always fit a uint64; 20 may not
+			return 0, false
+		}
+		u = u*10 + uint64(s.b[j]-'0')
+	}
+	digits := j - start
+	if digits == 0 || (digits > 1 && s.b[start] == '0') {
+		return 0, false
+	}
+	switch {
+	case neg && u <= 1<<63:
+		s.i = j
+		return int64(-u), true
+	case !neg && u < 1<<63:
+		s.i = j
+		return int64(u), true
+	}
+	return 0, false
+}
+
+// Event fields, one bit each, for the at-most-once check.
+const (
+	fieldAt = 1 << iota
+	fieldKind
+	fieldClass
+	fieldChip
+	fieldEnv
+	fieldMode
+	fieldApp
+	fieldPhase
+)
+
+// event consumes one event object, appending its phase, if any, to
+// *phases and pointing the event's Phase at it. The caller sized
+// *phases so that the append never moves it.
+func (s *batchScanner) event(phases *[]int) (ev Event, ok bool) {
+	if !s.next('{') {
+		return ev, false
+	}
+	if s.next('}') {
+		return ev, true
+	}
+	seen := 0
+	for {
+		key, ok := s.str()
+		if !ok || !s.next(':') {
+			return ev, false
+		}
+		var field int
+		switch string(key) {
+		case "at":
+			field = fieldAt
+			ev.At, ok = s.integer()
+		case "kind":
+			field = fieldKind
+			ev.Kind, ok = s.text()
+		case "class":
+			field = fieldClass
+			ev.Class, ok = s.text()
+		case "chip":
+			field = fieldChip
+			ev.Chip, ok = s.integer()
+		case "env":
+			field = fieldEnv
+			ev.Env, ok = s.text()
+		case "mode":
+			field = fieldMode
+			ev.Mode, ok = s.text()
+		case "app":
+			field = fieldApp
+			ev.App, ok = s.text()
+		case "phase":
+			field = fieldPhase
+			var v int64
+			v, ok = s.integer()
+			ph := *phases
+			if ok && int64(int(v)) == v && len(ph) < cap(ph) {
+				ph = append(ph, int(v))
+				*phases = ph
+				ev.Phase = &ph[len(ph)-1]
+			} else {
+				ok = false
+			}
+		default:
+			return ev, false
+		}
+		if !ok || seen&field != 0 {
+			return ev, false
+		}
+		seen |= field
+		if s.next('}') {
+			return ev, true
+		}
+		if !s.next(',') {
+			return ev, false
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -123,4 +125,180 @@ func BenchmarkAppendJSON(b *testing.B) {
 			}
 		}
 	})
+}
+
+// decodeReference is the decode DecodeBatch must agree with: encoding/json's
+// Decoder with DisallowUnknownFields into {"events":[]Event}.
+func decodeReference(body []byte) ([]Event, error) {
+	var req struct {
+		Events []Event `json:"events"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return req.Events, nil
+}
+
+// sameEvents compares event lists field by field, Phase by value, and
+// tells a nil list from an empty one.
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if (x.Phase == nil) != (y.Phase == nil) || (x.Phase != nil && *x.Phase != *y.Phase) {
+			return false
+		}
+		x.Phase, y.Phase = nil, nil
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// plainEvents reports whether json.Marshal writes every string of events
+// unescaped: printable ASCII without quotes, backslashes or <, >, &.
+func plainEvents(events []Event) bool {
+	for _, ev := range events {
+		for _, str := range []string{ev.Kind, ev.Class, ev.Env, ev.Mode, ev.App} {
+			for i := 0; i < len(str); i++ {
+				if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeBatch: for any bytes, DecodeBatch and the encoding/json
+// decode evalserve used before it agree on whether there is an error,
+// on its text, and on the events. Whenever the reference accepts a
+// non-nil list that json.Marshal writes unescaped, its canonical
+// re-encoding must take the one-pass path (a nil list encodes as null,
+// which goes to encoding/json).
+func FuzzDecodeBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gerr := DecodeBatch(body)
+		want, werr := decodeReference(body)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("body %q: error %v, encoding/json %v", body, gerr, werr)
+		}
+		if !sameEvents(got, want) {
+			t.Fatalf("body %q:\n got  %s\n want %s", body, showEvents(got), showEvents(want))
+		}
+		if werr != nil || want == nil || !plainEvents(want) {
+			return
+		}
+		canon, err := json.Marshal(struct {
+			Events []Event `json:"events"`
+		}{want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events, ok := decodeCanonical(canon); !ok || !sameEvents(events, want) {
+			t.Fatalf("canonical body %s: one-pass path ok=%v, events %s", canon, ok, showEvents(events))
+		}
+	})
+}
+
+func showEvents(events []Event) string {
+	if events == nil {
+		return "nil"
+	}
+	var b bytes.Buffer
+	for _, ev := range events {
+		ph := "nil"
+		if ev.Phase != nil {
+			ph = fmt.Sprint(*ev.Phase)
+		}
+		fmt.Fprintf(&b, "%+v(phase %s) ", ev, ph)
+	}
+	return fmt.Sprintf("[%s]", b.String())
+}
+
+// benchBody is an evalbench serve-replay request: 50 events over 4 chips,
+// a third of them baseline probes, the rest exh phase runs.
+func benchBody(tb testing.TB) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	apps := []string{"gcc", "crafty", "mcf", "swim", "sixtrack", "art"}
+	events := make([]Event, 50)
+	for i := range events {
+		chip := 20_004 + rng.Int63n(4)
+		if rng.Intn(3) == 0 {
+			events[i] = Event{At: 41, Kind: KindRun, Class: "client-1", Chip: chip, Mode: ModeBaseline}
+			continue
+		}
+		events[i] = Event{At: 41, Kind: KindRun, Class: "client-1", Chip: chip, Env: "TS+ASV",
+			Mode: ModeExh, App: apps[rng.Intn(len(apps))], Phase: intp(rng.Intn(4))}
+	}
+	body, err := json.Marshal(struct {
+		Events []Event `json:"events"`
+	}{events})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestDecodeBatchOnePass: the bodies in-repo clients send take the
+// one-pass path, allocating neither a Phase nor a string per event, and
+// the bodies outside its form do not.
+func TestDecodeBatchOnePass(t *testing.T) {
+	body := benchBody(t)
+	events, ok := decodeCanonical(body)
+	if !ok {
+		t.Fatalf("evalbench-shaped body left the one-pass path: %s", body)
+	}
+	want, err := decodeReference(body)
+	if err != nil || !sameEvents(events, want) {
+		t.Fatalf("one-pass decode %s, encoding/json %s (%v)", showEvents(events), showEvents(want), err)
+	}
+	// Two slices and one string per distinct class, environment and app
+	// (kinds and modes are constants): a Phase or a string allocated per
+	// event would blow this budget many times over.
+	allocs := testing.AllocsPerRun(20, func() { decodeCanonical(body) })
+	if distinct := 1 + 1 + 6; allocs > float64(2+distinct) {
+		t.Fatalf("one-pass decode of %d events: %.0f allocations, want at most %d", len(events), allocs, 2+distinct)
+	}
+	for name, body := range map[string]string{
+		"case-variant key": `{"events":[{"Kind":"join","chip":1}]}`,
+		"null phase":       `{"events":[{"kind":"run","chip":1,"phase":null}]}`,
+		"escape":           `{"events":[{"kind":"r\\u0075n","chip":1}]}`,
+		"non-ASCII":        `{"events":[{"kind":"run","class":"\u00e9t\u00e9","chip":1}]}`,
+		"duplicate":        `{"events":[{"kind":"run","chip":1,"phase":1,"phase":2}]}`,
+		"fraction":         `{"events":[{"at":1.0,"kind":"join","chip":1}]}`,
+		"exponent":         `{"events":[{"at":1e3,"kind":"join","chip":1}]}`,
+		"trailing bytes":   `{"events":[]}x`,
+		"null events":      `{"events":null}`,
+	} {
+		if _, ok := decodeCanonical([]byte(body)); ok {
+			t.Errorf("%s body %s took the one-pass path", name, body)
+		}
+	}
+}
+
+// BenchmarkDecodeBatch: the one-pass path against encoding/json on an
+// evalbench-shaped 50-event body.
+func BenchmarkDecodeBatch(b *testing.B) {
+	body := benchBody(b)
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) ([]Event, error)
+	}{{"one-pass", DecodeBatch}, {"encoding-json", decodeReference}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -112,6 +112,17 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 // one core per environment from it (shared immutable models and PE
 // store, private memos and scratch). Only the owner touches those cores,
 // so a chip's units run on them in ingest order.
+//
+// A unit whose record this admission of the chip has already read from
+// the store replays from the entry's table, deriving no apprun key and
+// reading no record. On one chip, (environment, mode, app, phase)
+// determines the apprun key: the app universe is fixed, the fleet trains
+// every fuzzy controller with its one TrainOptions and the handle
+// memoizes it per configuration, and the handle memoizes static points
+// per (chip, configuration, class). Only store hits enter the table. A
+// hit never drives a core, so replaying it from the table leaves every
+// core running the same units in the same order; computed and
+// uncacheable units, and so every unit of a store-less fleet, stay out.
 func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	groups := sc.groups
 	handle, err := t.entry.ensure(f.sim)
@@ -131,13 +142,33 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	// apps and phases resolve.
 	env, _ := core.ParseEnvironment(t.env)
 	mode, _ := core.ParseMode(t.mode)
+	pending := 0
+	for gi := range groups {
+		g := &groups[gi]
+		p, ok := t.entry.replay[replayKey{env, mode, g.key.app, g.key.phase}]
+		if !ok {
+			pending++
+			continue
+		}
+		g.payload, g.hit = &p, true // a fresh copy per group
+		f.stats.cacheHits.Add(1)
+	}
+	if pending == 0 {
+		return
+	}
+	// From here on, g.hit marks a group the table answered.
+	fail := func(msg string) {
+		for gi := range groups {
+			if !groups[gi].hit {
+				groups[gi].errMsg = msg
+			}
+		}
+	}
 	cpu := t.entry.cores[env]
 	if cpu == nil {
 		var cerr error
 		if cpu, cerr = f.sim.HandleCore(handle, env); cerr != nil {
-			for gi := range groups {
-				groups[gi].errMsg = cerr.Error()
-			}
+			fail(cerr.Error())
 			return
 		}
 		t.entry.cores[env] = cpu
@@ -147,22 +178,21 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	case core.FuzzyDyn:
 		var serr error
 		if solver, _, serr = f.sim.HandleSolver(handle, cpu, f.cfg.Training); serr != nil {
-			for gi := range groups {
-				groups[gi].errMsg = serr.Error()
-			}
+			fail(serr.Error())
 			return
 		}
 	case core.ExhDyn:
 		solver = adapt.Exhaustive{}
 	}
 	// Static points are chosen for every group before any unit runs:
-	// choosing one drives cpu, whose state carries into the runs.
+	// choosing one drives cpu, whose state carries into the runs. A
+	// replayed group's point is already memoized on the handle.
 	sc.units = sc.units[:0]
 	for gi := range groups {
 		g := &groups[gi]
 		app := f.apps[g.key.app]
 		unit := core.FleetUnit{App: app, Phase: g.key.phase}
-		if mode == core.Static {
+		if mode == core.Static && !g.hit {
 			pt, perr := f.sim.HandleStaticPoint(handle, cpu, app.Class, f.cfg.Apps)
 			if perr != nil {
 				g.errMsg = perr.Error()
@@ -174,12 +204,13 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	}
 	for gi := range groups {
 		g := &groups[gi]
-		if g.errMsg != "" {
+		if g.hit || g.errMsg != "" {
 			continue
 		}
 		// The read that serves the unit tells whether it replayed: a
 		// damaged record rebuilds, and so counts as a miss.
-		run, rerr := f.sim.UnitAppRun(handle.Seed(), cpu, mode, solver, sc.units[gi])
+		u := sc.units[gi]
+		run, rerr := f.sim.UnitAppRun(handle.Seed(), cpu, mode, solver, u)
 		g.hit = rerr == nil && run.CacheHit
 		if g.hit {
 			f.stats.cacheHits.Add(1)
@@ -191,5 +222,11 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 			continue
 		}
 		g.payload = &RunPayload{FRel: run.FRel, Perf: run.Perf, PowerW: run.PowerW, PE: run.PE}
+		if g.hit {
+			if t.entry.replay == nil {
+				t.entry.replay = make(map[replayKey]RunPayload)
+			}
+			t.entry.replay[replayKey{env, mode, u.App.Name, u.Phase}] = *g.payload
+		}
 	}
 }
