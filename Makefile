@@ -90,15 +90,20 @@ fleetload-smoke:
 # kernel against its array-of-structs reference, the pruned Freq solver
 # against the exhaustive scan, the certified-bracket PE-fmax kernel
 # against the plain bisection, the apprun key assembled from cached
-# blocks against artifact.Key over the whole params struct, and the
-# one-pass /v1/batch body decoder against encoding/json. The
-# checked-in seed corpora under testdata/fuzz/ already run as part of
-# `make test`; this explores beyond them for a bounded budget.
+# blocks against artifact.Key over the whole params struct, the
+# one-pass /v1/batch body decoder against encoding/json, and the solver
+# and petables payload decoders the warm path reads records through
+# (never a panic; an accepted payload round-trips, and a solver
+# fingerprints as the bytes it came from). The seed corpora (checked in
+# under testdata/fuzz/, or added in the fuzz functions) already run as
+# part of `make test`; this explores beyond them for a bounded budget.
 fuzz-smoke:
 	go test ./internal/pipeline -run '^$$' -fuzz FuzzSimulateVsReference -fuzztime 20s
 	go test ./internal/adapt -run '^$$' -fuzz FuzzFreqSolvePrunedVsUnpruned -fuzztime 20s
+	go test ./internal/adapt -run '^$$' -fuzz FuzzSolverPayload -fuzztime 20s
 	go test ./internal/vats -run '^$$' -fuzz FuzzFMaxForPESetVsReference -fuzztime 20s
 	go test ./internal/core -run '^$$' -fuzz FuzzAppRunKeyVsKey -fuzztime 20s
+	go test ./internal/core -run '^$$' -fuzz FuzzDecodePETables -fuzztime 20s
 	go test ./internal/fleet -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,

@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -110,14 +111,12 @@ func main() {
 	sim.SetObs(reg)
 	sim.SetArtifacts(store)
 
-	cfg := fleet.Config{
+	fl, err := newFleet(sim, fleet.Config{
 		Workers:   *workers,
 		MaxBatch:  *maxBatch,
 		Admission: admission,
 		Obs:       reg,
-	}
-	cfg.Training.Examples = *examples
-	fl, err := fleet.New(sim, cfg)
+	}, *examples)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,6 +170,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "evalserve:", err)
 	os.Exit(1)
+}
+
+// newFleet starts the service's fleet over sim with cfg, training every
+// chip's fuzzy controllers from adapt.DefaultTrainOptions() at examples
+// examples per controller.
+func newFleet(sim *core.Simulator, cfg fleet.Config, examples int) (*fleet.Fleet, error) {
+	cfg.Training = adapt.DefaultTrainOptions()
+	cfg.Training.Examples = examples
+	return fleet.New(sim, cfg)
 }
 
 // parseRates decodes "class=perTick:burst[,class=...]" admission specs.

@@ -10,14 +10,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
-// testFleet starts a small fleet with a registry attached, closed when
-// the test ends.
-func testFleet(t *testing.T) (*fleet.Fleet, *obs.Registry) {
+// testExamples is the test fleets' fuzzy training budget per
+// controller: small, so a fuzzy unit trains in well under a second.
+const testExamples = 60
+
+// testSim returns a simulator with the test fleets' options.
+func testSim(t *testing.T) *core.Simulator {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.TraceLen = 6000
@@ -25,14 +30,119 @@ func testFleet(t *testing.T) (*fleet.Fleet, *obs.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sim
+}
+
+// testFleet starts a small fleet the way main does, with a registry
+// attached, closed when the test ends.
+func testFleet(t *testing.T) (*fleet.Fleet, *obs.Registry) {
+	t.Helper()
+	sim := testSim(t)
 	reg := obs.NewRegistry()
 	sim.SetObs(reg)
-	fl, err := fleet.New(sim, fleet.Config{Workers: 2, Obs: reg})
+	fl, err := newFleet(sim, fleet.Config{Workers: 2, Obs: reg}, testExamples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fl.Close)
 	return fl, reg
+}
+
+// TestServesEveryMode: a fleet built as main builds it serves a
+// baseline, static, fuzzy and exh unit, and every payload equals the
+// offline result bit for bit: the chip's FVar for the baseline, and
+// UnitAppRun on a fresh chip handle, trained and chosen as the fleet
+// does, for the rest. Each adaptive unit has an environment to itself,
+// so it is the first unit its core solves, served and offline alike.
+func TestServesEveryMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzy training")
+	}
+	const chip, phase = 31, 0
+	app, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := []struct {
+		mode string
+		env  core.Environment
+	}{
+		{fleet.ModeBaseline, core.TS},
+		{fleet.ModeStatic, core.TSASV},
+		{fleet.ModeFuzzy, core.TSASVQFU},
+		{fleet.ModeExh, core.TSASVABB},
+	}
+	events := []fleet.Event{{At: 1, Kind: fleet.KindJoin, Chip: chip}}
+	for _, u := range units {
+		events = append(events, fleet.Event{At: 2, Kind: fleet.KindRun, Chip: chip,
+			Env: u.env.String(), Mode: u.mode, App: app.Name, Phase: intp(phase)})
+	}
+	fl, reg := testFleet(t)
+	rec := postBatch(context.Background(), fl, reg, marshalBody(t, events))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var served []fleet.Result
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var r fleet.Result
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != fleet.StatusOK || (r.Kind == fleet.KindRun && r.Run == nil) {
+			t.Fatalf("seq %d (%s %s): %s %s", r.Seq, r.Kind, r.Mode, r.Status, r.Err)
+		}
+		served = append(served, r)
+	}
+	if len(served) != len(events) {
+		t.Fatalf("streamed %d results for %d events", len(served), len(events))
+	}
+
+	sim := testSim(t)
+	h, err := sim.AcquireChip(chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.ReleaseChip(h)
+	training := adapt.DefaultTrainOptions()
+	training.Examples = testExamples
+	for i, u := range units {
+		want := fleet.RunPayload{FRel: h.FVar()}
+		if u.mode != fleet.ModeBaseline {
+			cpu, err := sim.HandleCore(h, u.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mode, err := core.ParseMode(u.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := core.FleetUnit{App: app, Phase: phase}
+			var solver adapt.Solver
+			switch mode {
+			case core.Static:
+				pt, err := sim.HandleStaticPoint(h, cpu, app.Class, workload.Suite())
+				if err != nil {
+					t.Fatal(err)
+				}
+				unit.Static = &pt
+			case core.FuzzyDyn:
+				if solver, _, err = sim.HandleSolver(h, cpu, training); err != nil {
+					t.Fatal(err)
+				}
+			case core.ExhDyn:
+				solver = adapt.Exhaustive{}
+			}
+			run, err := sim.UnitAppRun(chip, cpu, mode, solver, unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = fleet.RunPayload{FRel: run.FRel, Perf: run.Perf, PowerW: run.PowerW, PE: run.PE}
+		}
+		if got := *served[i+1].Run; got != want {
+			t.Errorf("%s unit in %v: served %+v, offline %+v", u.mode, u.env, got, want)
+		}
+	}
 }
 
 // baselineBody is a batch request joining two chips and probing each

@@ -3,7 +3,8 @@
 //
 // For a fleet of chips, this example bins the worst-case-safe (Baseline)
 // frequency, then shows the per-chip frequency the preferred EVAL
-// environment recovers with dynamic adaptation, and the distribution of
+// environment reaches in each mode — the Static operating point, the
+// Fuzzy-Dyn controllers and the Exh-Dyn search — and the distribution of
 // the gains. It runs the fleet twice: once on the gcc proxy, once on a
 // generated client workload (see WORKLOADS.md) — pass -spec to bring
 // your own scenario:
@@ -11,12 +12,19 @@
 //	go run ./examples/fleet
 //	go run ./examples/fleet -spec examples/specs/edge.json -seed 42
 //
+// Every chip runs the app's heaviest phase in the preferred environment
+// in each mode, in the order the fleet service runs them: static, fuzzy,
+// then exh. Each chip is acquired once for every app it runs, and its
+// fuzzy controllers are trained once, on the chip itself, with
+// trainExamples examples per controller.
+//
 // With -serve the same table is produced by an evalserve instance
 // instead of in-process: each chip joins the fleet, submits a baseline
-// probe and one exhaustive adaptation unit on the app's heaviest phase,
-// and leaves. The output is byte-identical to the local run of the same
-// -chips and -app:
+// probe and the three adaptation units, and leaves. The output is
+// byte-identical to the local run of the same -chips and -app when the
+// server trains with trainExamples examples:
 //
+//	go run ./cmd/evalserve -examples 100 &
 //	go run ./examples/fleet -app gcc -chips 4
 //	go run ./examples/fleet -app gcc -chips 4 -serve http://localhost:8080
 package main
@@ -38,6 +46,10 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/workload"
 )
+
+// trainExamples is the fuzzy training examples per controller; a server
+// behind -serve must run with -examples set to it.
+const trainExamples = 100
 
 func main() {
 	specPath := flag.String("spec", "", "workload spec JSON for the generated fleet run (default: a built-in server-mix client)")
@@ -63,29 +75,38 @@ func main() {
 		return
 	}
 
-	sim, err := core.NewSimulator(core.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
+	var apps []workload.App
 	if *appName != "" {
 		app, err := workload.ByName(*appName)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fleetRun(sim, app, *chips)
-		return
+		apps = []workload.App{app}
+	} else {
+		proxy, err := workload.ByName("gcc")
+		if err != nil {
+			log.Fatal(err)
+		}
+		generated, err := generatedApp(*specPath, *specSeed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		apps = []workload.App{proxy, generated}
 	}
-	proxy, err := workload.ByName("gcc")
+	sim, err := core.NewSimulator(core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	generated, err := generatedApp(*specPath, *specSeed)
+	rows, err := fleetRows(sim, apps, *chips)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleetRun(sim, proxy, *chips)
-	fmt.Println()
-	fleetRun(sim, generated, *chips)
+	for i, app := range apps {
+		if i > 0 {
+			fmt.Println()
+		}
+		printFleet(app, rows[i])
+	}
 }
 
 // generatedApp lowers the spec (or a built-in single-client scenario) and
@@ -119,55 +140,107 @@ func generatedApp(specPath string, seed int64) (workload.App, error) {
 	return apps[0], nil
 }
 
+// env is the preferred EVAL environment every adaptation unit runs in.
+const env = core.TSASVQFU
+
+// The adaptation units each chip runs, in the order the fleet service
+// runs a chip's events, and their run-event modes. Exh-Dyn, last, is
+// the table's EVAL reference.
+var (
+	unitModes  = [...]core.Mode{core.Static, core.FuzzyDyn, core.ExhDyn}
+	fleetModes = [...]string{fleet.ModeStatic, fleet.ModeFuzzy, fleet.ModeExh}
+)
+
+// exhUnit is Exh-Dyn's position in unitModes.
+const exhUnit = len(unitModes) - 1
+
 // chipRow is one chip's line of the fleet table.
 type chipRow struct {
-	fvar   float64 // worst-case-safe baseline frequency
-	fcore  float64 // adapted frequency in the preferred environment
-	powerW float64
+	fvar   float64                 // worst-case-safe baseline frequency
+	fcore  [len(unitModes)]float64 // adapted frequency, per unitModes entry
+	powerW float64                 // Exh-Dyn power
 }
 
-// fleetRun bins one app's baseline vs EVAL frequencies across the fleet,
-// simulating in-process.
-func fleetRun(sim *core.Simulator, app workload.App, chips int) {
-	prof, err := sim.Profile(app, heaviestPhase(app))
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows := make([]chipRow, 0, chips)
+// fleetRows simulates the fleet in-process and returns each app's
+// per-chip rows, rows[i] for apps[i].
+func fleetRows(sim *core.Simulator, apps []workload.App, chips int) ([][]chipRow, error) {
+	// The fleet service's training set: the defaults at trainExamples.
+	training := adapt.DefaultTrainOptions()
+	training.Examples = trainExamples
+	rows := make([][]chipRow, len(apps))
 	for seed := int64(0); seed < int64(chips); seed++ {
-		chip := sim.Chip(seed)
-		fvar, err := sim.ChipFVar(chip)
-		if err != nil {
-			log.Fatal(err)
+		if err := chipUnits(sim, seed, apps, training, rows); err != nil {
+			return nil, err
 		}
-		cpu, err := sim.BuildCore(chip, core.TSASVQFU)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := cpu.AdaptSteady(prof, adapt.Exhaustive{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows = append(rows, chipRow{fvar: fvar, fcore: res.Point.FCore, powerW: res.State.TotalW})
 	}
-	printFleet(app, rows)
+	return rows, nil
+}
+
+// chipUnits runs one chip's units the way the fleet service's owner
+// worker does: one chip handle, one core for the environment, and each
+// app's heaviest phase in each mode in turn, with the static point chosen
+// over the service's application universe (the full suite). It appends
+// the chip's row for apps[i] to rows[i].
+func chipUnits(sim *core.Simulator, seed int64, apps []workload.App, training adapt.TrainOptions, rows [][]chipRow) error {
+	h, err := sim.AcquireChip(seed)
+	if err != nil {
+		return err
+	}
+	defer sim.ReleaseChip(h)
+	cpu, err := sim.HandleCore(h, env)
+	if err != nil {
+		return err
+	}
+	for a, app := range apps {
+		row := chipRow{fvar: h.FVar()}
+		for i, mode := range unitModes {
+			unit := core.FleetUnit{App: app, Phase: heaviestPhaseIndex(app)}
+			var solver adapt.Solver
+			switch mode {
+			case core.Static:
+				pt, err := sim.HandleStaticPoint(h, cpu, app.Class, workload.Suite())
+				if err != nil {
+					return err
+				}
+				unit.Static = &pt
+			case core.FuzzyDyn:
+				if solver, _, err = sim.HandleSolver(h, cpu, training); err != nil {
+					return err
+				}
+			case core.ExhDyn:
+				solver = adapt.Exhaustive{}
+			}
+			run, err := sim.UnitAppRun(seed, cpu, mode, solver, unit)
+			if err != nil {
+				return err
+			}
+			row.fcore[i] = run.FRel
+			if i == exhUnit {
+				row.powerW = run.PowerW
+			}
+		}
+		rows[a] = append(rows[a], row)
+	}
+	return nil
 }
 
 // remoteRows produces the same per-chip rows through an evalserve
-// instance: one event batch of join + baseline probe + exhaustive
-// heaviest-phase unit + leave per chip.
+// instance: one event batch of join + baseline probe + the heaviest
+// phase in each mode + leave per chip.
 func remoteRows(baseURL string, app workload.App, chips int) ([]chipRow, error) {
 	phase := heaviestPhaseIndex(app)
-	events := make([]fleet.Event, 0, 4*chips)
+	const perChip = len(unitModes) + 3
+	events := make([]fleet.Event, 0, perChip*chips)
 	for seed := int64(0); seed < int64(chips); seed++ {
-		ph := phase
 		events = append(events,
 			fleet.Event{Kind: fleet.KindJoin, Chip: seed},
-			fleet.Event{Kind: fleet.KindRun, Chip: seed, Mode: fleet.ModeBaseline},
-			fleet.Event{Kind: fleet.KindRun, Chip: seed, Mode: fleet.ModeExh,
-				Env: core.TSASVQFU.String(), App: app.Name, Phase: &ph},
-			fleet.Event{Kind: fleet.KindLeave, Chip: seed},
-		)
+			fleet.Event{Kind: fleet.KindRun, Chip: seed, Mode: fleet.ModeBaseline})
+		for _, mode := range fleetModes {
+			ph := phase
+			events = append(events, fleet.Event{Kind: fleet.KindRun, Chip: seed, Mode: mode,
+				Env: env.String(), App: app.Name, Phase: &ph})
+		}
+		events = append(events, fleet.Event{Kind: fleet.KindLeave, Chip: seed})
 	}
 	body, err := json.Marshal(struct {
 		Events []fleet.Event `json:"events"`
@@ -193,8 +266,8 @@ func remoteRows(baseURL string, app workload.App, chips int) ([]chipRow, error) 
 			return nil, err
 		}
 		if r.Status != fleet.StatusOK {
-			return nil, fmt.Errorf("event %d (%s chip %d): %s: %s",
-				r.Seq, r.Kind, r.Chip, r.Status, r.Err)
+			return nil, fmt.Errorf("event %d (%s %s chip %d): %s: %s",
+				r.Seq, r.Kind, r.Mode, r.Chip, r.Status, r.Err)
 		}
 		results = append(results, r)
 	}
@@ -205,14 +278,25 @@ func remoteRows(baseURL string, app workload.App, chips int) ([]chipRow, error) 
 		return nil, fmt.Errorf("server streamed %d results for %d events", len(results), len(events))
 	}
 	// Results arrive in submission order: per chip, offset 1 is the
-	// baseline probe and offset 2 the adaptation unit.
+	// baseline probe and the adaptation units follow it.
 	rows := make([]chipRow, 0, chips)
 	for c := 0; c < chips; c++ {
-		base, run := results[4*c+1], results[4*c+2]
-		if base.Run == nil || run.Run == nil {
-			return nil, fmt.Errorf("chip %d: missing run payload", c)
+		rs := results[perChip*c+1 : perChip*(c+1)-1]
+		var row chipRow
+		for i, r := range rs {
+			if r.Run == nil {
+				return nil, fmt.Errorf("chip %d: missing run payload", c)
+			}
+			if i == 0 {
+				row.fvar = r.Run.FRel
+				continue
+			}
+			row.fcore[i-1] = r.Run.FRel
+			if i-1 == exhUnit {
+				row.powerW = r.Run.PowerW
+			}
 		}
-		rows = append(rows, chipRow{fvar: base.Run.FRel, fcore: run.Run.FRel, powerW: run.Run.PowerW})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -220,39 +304,45 @@ func remoteRows(baseURL string, app workload.App, chips int) ([]chipRow, error) 
 // printFleet renders the fleet table; local and -serve runs share it so
 // their outputs are comparable byte-for-byte.
 func printFleet(app workload.App, rows []chipRow) {
-	fmt.Printf("fleet of %d chips running %s\n\n", len(rows), app.Name)
-	fmt.Printf("%-6s %12s %12s %8s %10s\n", "chip", "baseline", "EVAL", "gain", "power")
-	var base, adapted []float64
+	fmt.Printf("fleet of %d chips running %s (%v)\n\n", len(rows), app.Name, env)
+	fmt.Printf("%-6s %12s", "chip", "baseline")
+	for _, mode := range unitModes {
+		fmt.Printf(" %12s", mode)
+	}
+	fmt.Printf(" %8s %10s\n", "gain", "power")
+	base := make([]float64, 0, len(rows))
+	adapted := make([][]float64, len(unitModes))
 	for seed, r := range rows {
 		base = append(base, r.fvar)
-		adapted = append(adapted, r.fcore)
-		fmt.Printf("%-6d %9.2f GHz %9.2f GHz %+7.0f%% %8.1f W\n",
-			seed, r.fvar*4, r.fcore*4, (r.fcore/r.fvar-1)*100, r.powerW)
+		fmt.Printf("%-6d %8.2f GHz", seed, r.fvar*4)
+		for i, f := range r.fcore {
+			adapted[i] = append(adapted[i], f)
+			fmt.Printf(" %8.2f GHz", f*4)
+		}
+		fmt.Printf(" %+7.0f%% %8.1f W\n", (r.fcore[exhUnit]/r.fvar-1)*100, r.powerW)
 	}
 
 	bs, _ := mathx.Summarize(base)
-	as, _ := mathx.Summarize(adapted)
 	fmt.Printf("\nbaseline:  mean %.2f GHz (%.0f%% of nominal), spread %.2f-%.2f GHz\n",
 		bs.Mean*4, bs.Mean*100, bs.Min*4, bs.Max*4)
-	fmt.Printf("with EVAL: mean %.2f GHz (%.0f%% of nominal), spread %.2f-%.2f GHz\n",
-		as.Mean*4, as.Mean*100, as.Min*4, as.Max*4)
-	fmt.Printf("mean frequency gain: +%.0f%% (the paper reports +56%% over Baseline)\n\n",
-		(as.Mean/bs.Mean-1)*100)
+	for i, mode := range unitModes {
+		as, _ := mathx.Summarize(adapted[i])
+		fmt.Printf("%-10s mean %.2f GHz (%+.0f%% over Baseline), spread %.2f-%.2f GHz\n",
+			mode.String()+":", as.Mean*4, (as.Mean/bs.Mean-1)*100, as.Min*4, as.Max*4)
+	}
+	fmt.Printf("(the paper reports +56%% mean frequency for Exh-Dyn over Baseline)\n\n")
 
-	// A compact two-row histogram: where the fleet's chips land.
+	// A compact histogram: where the fleet's chips land.
 	fmt.Println("frequency binning (x = one chip):")
-	fmt.Printf("  baseline  %s\n", sparkline(base, 0.6, 1.4))
-	fmt.Printf("  EVAL      %s\n", sparkline(adapted, 0.6, 1.4))
+	fmt.Printf("  %-9s %s\n", "baseline", sparkline(base, 0.6, 1.4))
+	for i, mode := range unitModes {
+		fmt.Printf("  %-9s %s\n", mode, sparkline(adapted[i], 0.6, 1.4))
+	}
 	fmt.Println("            0.6 GHz-bins (relative 0.6 .. 1.4 of nominal)")
 }
 
-// heaviestPhase picks the app's highest-weight phase.
-func heaviestPhase(app workload.App) workload.Phase {
-	return app.Phases[heaviestPhaseIndex(app)]
-}
-
-// heaviestPhaseIndex is heaviestPhase as a position, the form run events
-// carry.
+// heaviestPhaseIndex returns the position of the app's highest-weight
+// phase, the form run events carry.
 func heaviestPhaseIndex(app workload.App) int {
 	best := 0
 	for i, ph := range app.Phases {

@@ -34,6 +34,16 @@
 //     maps over the shared read-only models and table store; the parallel
 //     fuzzy-training pipeline hands one view per worker slot.
 //
+// The store lives as long as the cores that share it, and it is lazy
+// from the start: NewCore allocates no table array. A caller that holds
+// tables from an earlier run (the artifact store's petables record)
+// registers them with DeferPETables before sharing the core; the first
+// query that misses the store imports them once, outside the store
+// lock, and only then builds. The first column built or imported
+// allocates the array, so cores whose work is all answered elsewhere
+// never pay for it. ExportPETables snapshots the store for persistence,
+// and BuiltPEColumns says whether anything beyond the import was built.
+//
 // Besides the memo maps, a Core privately owns a warm-started
 // thermal.Solver (its scratch buffers carry the previous converged state
 // between Evaluate calls), the key, thermal-input, and stage-curve
@@ -229,52 +239,36 @@ type PETableSlot struct {
 func (c *Core) ExportPETables() []PETableSlot {
 	var out []PETableSlot
 	c.pe.mu.Lock()
-	for slot := range c.pe.dense {
-		if m := c.pe.built[slot].Load(); m != 0 {
-			out = append(out, PETableSlot{Slot: slot, Mask: uint8(m), FMax: c.pe.dense[slot].fmax})
+	if t := c.pe.tabs.Load(); t != nil {
+		for slot := range t.dense {
+			if m := t.built[slot].Load(); m != 0 {
+				out = append(out, PETableSlot{Slot: slot, Mask: uint8(m), FMax: t.dense[slot].fmax})
+			}
 		}
 	}
 	c.pe.mu.Unlock()
 	return out
 }
 
-// ImportPETables seeds the dense store with previously exported tables,
-// skipping out-of-range slots (a floorplan or grid change between runs)
-// and columns already built. Imported columns publish through the same
-// atomic masks as lazily built ones, so concurrent readers are safe.
-// Returns the number of (slot, column) entries newly filled.
-func (c *Core) ImportPETables(tabs []PETableSlot) int {
-	n := 0
-	c.pe.mu.Lock()
-	for _, t := range tabs {
-		if t.Slot < 0 || t.Slot >= len(c.pe.dense) {
-			continue
-		}
-		cur := c.pe.built[t.Slot].Load()
-		add := uint32(t.Mask) &^ cur
-		if add == 0 {
-			continue
-		}
-		for bi := range peBudgets {
-			if add>>bi&1 == 1 {
-				c.pe.dense[t.Slot].fmax[bi] = t.FMax[bi]
-				n++
-			}
-		}
-		c.pe.built[t.Slot].Store(cur | add)
-	}
-	c.pe.cols += n
-	c.pe.mu.Unlock()
-	return n
+// DeferPETables registers src as the table store's deferred source: the
+// first query that misses the store calls src once, outside the store
+// lock, and imports what it returns before building any column, skipping
+// out-of-range slots (a floorplan or grid change between runs). A run
+// whose queries all hit (or that never queries) never calls src, and
+// src may return nil. Register it before the core answers a query or is
+// shared; cores derived by WithConfig and WorkerView share the store,
+// and with it the source.
+func (c *Core) DeferPETables(src func() []PETableSlot) {
+	c.pe.deferred = src
 }
 
-// PEColumns returns how many dense PE-fmax table columns the core's
-// store holds, built lazily or imported: the number of set Mask bits
-// ExportPETables would return, without the export.
-func (c *Core) PEColumns() int {
+// BuiltPEColumns returns how many dense PE-fmax table columns the store
+// built itself rather than imported: the columns a persisted copy of the
+// tables lacks.
+func (c *Core) BuiltPEColumns() int {
 	c.pe.mu.Lock()
 	defer c.pe.mu.Unlock()
-	return c.pe.cols
+	return c.pe.nBuilt
 }
 
 // WorkerView returns a core that shares this core's immutable models
@@ -315,9 +309,9 @@ func variantIndex(v vats.Variant) (int, bool) {
 	return 0, false
 }
 
-// peStore holds one chip's PE-fmax tables: a flat preallocated array
-// indexed by (subsystem, variant, vddIdx, vbbIdx, tempIdx) for queries on
-// the discrete actuation grids — no hashing, no pointer chasing. The
+// peStore holds one chip's PE-fmax tables: a flat array indexed by
+// (subsystem, variant, vddIdx, vbbIdx, tempIdx) for queries on the
+// discrete actuation grids — no hashing, no pointer chasing. The
 // PE-limited fmax at a device temperature depends only on the subsystem,
 // the structural variant, the (Vdd, Vbb) point and the temperature — not
 // on TH or activity — so each table builds on first touch and serves
@@ -335,22 +329,80 @@ func variantIndex(v vats.Variant) (int, bool) {
 // band, so building whole tables eagerly wastes most of the
 // erfc-dominated bisection work. scratch is the mutex-guarded curve
 // arena every dense build reuses.
+//
+// The array itself is lazy too: tabs stays nil until the first column is
+// built or imported, so a store with no columns holds no array. A chip
+// whose units are all answered from the artifact store never pays the
+// allocation. The deferred source (see DeferPETables) is imported by the
+// first miss, through loadOnce and ahead of mu, so the caller-supplied
+// read never runs under the store lock.
 type peStore struct {
-	nSubs   int
-	dense   []peTable
-	built   []atomic.Uint32
-	mu      sync.Mutex
-	cols    int // built (slot, column) entries, imported ones included; under mu
-	scratch vats.Curve
+	nSubs    int
+	tabs     atomic.Pointer[peTables]
+	deferred func() []PETableSlot // read only inside loadOnce
+	loadOnce sync.Once
+	mu       sync.Mutex
+	nBuilt   int // (slot, column) entries the store built, imports excluded; under mu
+	scratch  vats.Curve
+}
+
+// peTables is a store's dense array and its per-slot column masks.
+type peTables struct {
+	dense []peTable
+	built []atomic.Uint32
 }
 
 func newPEStore(nSubs int) *peStore {
-	n := nSubs * peNumVariants * tech.NumVddLevels * tech.NumVbbLevels * len(peTempsC)
-	return &peStore{
-		nSubs: nSubs,
-		dense: make([]peTable, n),
-		built: make([]atomic.Uint32, n),
+	return &peStore{nSubs: nSubs}
+}
+
+// slots returns the dense array's length.
+func (p *peStore) slots() int {
+	return p.nSubs * peNumVariants * tech.NumVddLevels * tech.NumVbbLevels * len(peTempsC)
+}
+
+// tablesLocked returns the dense array, allocating it on first use.
+// Caller holds mu.
+func (p *peStore) tablesLocked() *peTables {
+	t := p.tabs.Load()
+	if t == nil {
+		t = &peTables{dense: make([]peTable, p.slots()), built: make([]atomic.Uint32, p.slots())}
+		p.tabs.Store(t)
 	}
+	return t
+}
+
+// loadDeferred imports the deferred source's tables, once per store and
+// ahead of the first build, and counts the filled columns in reg. The
+// source runs outside mu; the array is allocated only for a column to
+// fill.
+func (p *peStore) loadDeferred(reg *obs.Registry) {
+	p.loadOnce.Do(func() {
+		if p.deferred == nil {
+			return
+		}
+		tabs := p.deferred()
+		p.deferred = nil
+		n := 0
+		p.mu.Lock()
+		for _, in := range tabs {
+			if in.Slot < 0 || in.Slot >= p.slots() || in.Mask == 0 {
+				continue
+			}
+			t := p.tablesLocked()
+			cur := t.built[in.Slot].Load()
+			add := uint32(in.Mask) &^ cur
+			for bi := range peBudgets {
+				if add>>bi&1 == 1 {
+					t.dense[in.Slot].fmax[bi] = in.FMax[bi]
+					n++
+				}
+			}
+			t.built[in.Slot].Store(cur | add)
+		}
+		p.mu.Unlock()
+		reg.Counter("adapt.pe.imported_columns").Add(int64(n))
+	})
 }
 
 // peBudgets are the error-budget grid points of the cached inverse tables;
@@ -474,21 +526,25 @@ func (c *Core) tableRef(ref *peRef, tIdx int, need uint32) *peTable {
 		return tab
 	}
 	slot := ref.slot(tIdx)
-	if c.pe.built[slot].Load()&need != need {
-		c.pe.mu.Lock()
-		c.buildColsLocked(slot, ref, tIdx, need)
-		c.pe.mu.Unlock()
+	if t := c.pe.tabs.Load(); t != nil && t.built[slot].Load()&need == need {
+		return &t.dense[slot]
 	}
-	return &c.pe.dense[slot]
+	return c.buildCols(slot, ref, tIdx, need)
 }
 
-// buildColsLocked fills slot's missing columns from need. Caller holds
-// c.pe.mu.
-func (c *Core) buildColsLocked(slot int, ref *peRef, tIdx int, need uint32) {
-	cur := c.pe.built[slot].Load()
+// buildCols fills slot's missing columns from need and returns its table.
+// The store's deferred tables are imported first, so a column they hold
+// is never built.
+func (c *Core) buildCols(slot int, ref *peRef, tIdx int, need uint32) *peTable {
+	c.pe.loadDeferred(c.Obs)
+	c.pe.mu.Lock()
+	t := c.pe.tablesLocked()
+	tab := &t.dense[slot]
+	cur := t.built[slot].Load()
 	miss := need &^ cur
 	if miss == 0 {
-		return
+		c.pe.mu.Unlock()
+		return tab
 	}
 	tK := peTempsC[tIdx] + 273.15
 	cv := c.Subs[ref.sub].Stage.EvalInto(
@@ -503,12 +559,14 @@ func (c *Core) buildColsLocked(slot int, ref *peRef, tIdx int, need uint32) {
 		}
 	}
 	cv.FMaxForPESet(bud[:k], res[:k])
-	tab := &c.pe.dense[slot]
 	for j := 0; j < k; j++ {
 		tab.fmax[cols[j]] = res[j]
 	}
-	c.pe.cols += k
-	c.pe.built[slot].Store(cur | miss)
+	c.pe.nBuilt += k
+	t.built[slot].Store(cur | miss)
+	c.pe.mu.Unlock()
+	c.Obs.Counter("adapt.pe.built_columns").Add(int64(k))
+	return tab
 }
 
 // buildTable fills one inverse table from the stage's error curve, one

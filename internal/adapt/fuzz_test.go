@@ -1,10 +1,13 @@
 package adapt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/fuzzy"
 	"repro/internal/tech"
 	"repro/internal/vats"
 )
@@ -66,6 +69,121 @@ func FuzzFreqSolvePrunedVsUnpruned(f *testing.F) {
 		want := st.unpruned.FreqSolve(i, q)
 		if got != want {
 			t.Fatalf("sub %d query %+v: pruned solve %+v != unpruned %+v", i, q, got, want)
+		}
+	})
+}
+
+// tinySolver is a real solver small enough to fuzz its payload: two
+// entries, the identity and the LowSlope variant of two subsystems, each
+// a triple of two-rule controllers fitted to a smooth synthetic surface.
+func tinySolver(tb testing.TB) *FuzzySolver {
+	tb.Helper()
+	cfg := fuzzy.DefaultTrainConfig()
+	cfg.Rules, cfg.Epochs = 2, 1
+	fit := func(width int, scale float64) *fuzzy.Controller {
+		var ex []fuzzy.Example
+		for i := 0; i < 6; i++ {
+			x := make([]float64, width)
+			y := 0.0
+			for j := range x {
+				x[j] = float64((i*7+j*3)%11) / 10
+				y += x[j] * scale
+			}
+			ex = append(ex, fuzzy.Example{X: x, Y: y})
+		}
+		fc, err := fuzzy.Train(ex, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return fc
+	}
+	s := &FuzzySolver{
+		freq:        map[fcKey]*fuzzy.Controller{},
+		vdd:         map[fcKey]*fuzzy.Controller{},
+		vbb:         map[fcKey]*fuzzy.Controller{},
+		freqBias:    map[fcKey]float64{},
+		minBiasComp: tech.FRelStep / 2,
+	}
+	for i, key := range []fcKey{{sub: 0, variant: vats.IdentityVariant()}, {sub: 5, variant: tech.FULowSlope.Variant()}} {
+		s.freq[key] = fit(6, 0.1*float64(i+1))
+		s.vdd[key] = fit(7, 0.2)
+		s.vbb[key] = fit(7, -0.05)
+		s.freqBias[key] = 0.003 * float64(i+1)
+	}
+	return s
+}
+
+// sameSolver reports whether a and b hold Equal controllers under the
+// same keys and bit-identical bias terms.
+func sameSolver(a, b *FuzzySolver) bool {
+	if len(a.freq) != len(b.freq) || len(a.vdd) != len(b.vdd) || len(a.vbb) != len(b.vbb) ||
+		math.Float64bits(a.minBiasComp) != math.Float64bits(b.minBiasComp) {
+		return false
+	}
+	for k, fc := range a.freq {
+		bias, ok := b.freqBias[k]
+		if !ok || !fc.Equal(b.freq[k]) || !a.vdd[k].Equal(b.vdd[k]) || !a.vbb[k].Equal(b.vbb[k]) ||
+			math.Float64bits(a.freqBias[k]) != math.Float64bits(bias) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSolverPayload fuzzes the solver payload decoder, which the warm path
+// trusts for both the controllers and their fingerprint: UnmarshalBinary
+// never panics, and a payload it accepts fingerprints as its own SHA-256
+// and re-encodes to a payload that decodes to the same controllers and
+// bias terms, without moving the fingerprint. The seeds are a real
+// record, its truncations, length lies in the entry and rule counts, and
+// trailing bytes.
+func FuzzSolverPayload(f *testing.F) {
+	rec, err := tinySolver(f).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := new(FuzzySolver).UnmarshalBinary(rec); err != nil {
+		f.Fatalf("the real record does not decode: %v", err)
+	}
+	f.Add(rec)
+	for _, n := range []int{0, 1, 2, 10, 11, 37, len(rec) / 2, len(rec) - 1} {
+		f.Add(rec[:n])
+	}
+	// Byte 10 is the entry count (tag, version, min_bias_comp), and byte
+	// 37 the first controller's rule count (entry header: sub, variant,
+	// bias).
+	for _, lie := range []struct {
+		at int
+		v  []byte
+	}{{10, []byte{3}}, {10, []byte{0}}, {10, []byte{0xff, 0xff, 0x03}}, {37, []byte{0x7f}}, {37, []byte{0}}} {
+		b := append(append(append([]byte(nil), rec[:lie.at]...), lie.v...), rec[lie.at+1:]...)
+		f.Add(b)
+	}
+	f.Add(append(append([]byte(nil), rec...), 0))
+	f.Add(append(append([]byte(nil), rec...), rec[:12]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s FuzzySolver
+		if s.UnmarshalBinary(data) != nil {
+			return
+		}
+		sum := sha256.Sum256(data)
+		want := hex.EncodeToString(sum[:])
+		if got := s.Fingerprint(); got != want {
+			t.Fatalf("fingerprint %s, want the payload's SHA-256 %s", got, want)
+		}
+		again, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		var r FuzzySolver
+		if err := r.UnmarshalBinary(again); err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if !sameSolver(&s, &r) {
+			t.Fatal("re-encoded payload decodes to different controllers or bias terms")
+		}
+		if got := s.Fingerprint(); got != want {
+			t.Fatalf("fingerprint moved to %s after MarshalBinary", got)
 		}
 	})
 }

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/fuzzy"
 	"repro/internal/mathx"
@@ -42,9 +42,9 @@ type FuzzySolver struct {
 	// Figure 13 mix.
 	minBiasComp float64
 
-	// fpOnce guards fp, the Fingerprint computed on first use.
-	fpOnce sync.Once
-	fp     string
+	// fp caches the Fingerprint: the hash of the payload UnmarshalBinary
+	// accepted, or of MarshalBinary's first encoding.
+	fp atomic.Pointer[string]
 }
 
 // FreqMax implements Solver. Unknown (subsystem, variant) pairs — which
@@ -386,17 +386,31 @@ func TrainFuzzySolver(cores []*Core, opts TrainOptions) (*FuzzySolver, error) {
 }
 
 // Fingerprint returns the solver's content identity: the hex SHA-256 of
-// its MarshalBinary encoding, or "" if it cannot be encoded. A solver is
-// never modified once trained or decoded, so the digest is computed on
-// the first call and every later call returns it.
+// the bytes the solver came from — the payload UnmarshalBinary accepted
+// for a solver read back from the store, its MarshalBinary encoding for
+// one trained in process — or "" if it cannot be encoded. For every
+// payload MarshalBinary writes the two agree, so a stored solver and its
+// trained original key the same apprun records without re-encoding the
+// stored one. Equal fingerprints imply equal solvers; a payload that
+// decodes but is not MarshalBinary's own can only fingerprint apart
+// from its canonical twin, which costs a cache miss, never a wrong hit.
+// A solver is never modified once trained or decoded, so the digest is
+// taken once and every later call returns it.
 func (s *FuzzySolver) Fingerprint() string {
-	s.fpOnce.Do(func() {
-		if b, err := s.MarshalBinary(); err == nil {
-			sum := sha256.Sum256(b)
-			s.fp = hex.EncodeToString(sum[:])
-		}
-	})
-	return s.fp
+	if fp := s.fp.Load(); fp != nil {
+		return *fp
+	}
+	if _, err := s.MarshalBinary(); err != nil {
+		return ""
+	}
+	return *s.fp.Load()
+}
+
+// fingerprintOf returns the hex SHA-256 of a solver payload.
+func fingerprintOf(payload []byte) *string {
+	sum := sha256.Sum256(payload)
+	fp := hex.EncodeToString(sum[:])
+	return &fp
 }
 
 // ControllerCount reports how many fuzzy controllers the solver holds.
@@ -447,6 +461,7 @@ func (s *FuzzySolver) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON restores a serialized solver.
 func (s *FuzzySolver) UnmarshalJSON(data []byte) error {
+	s.fp.Store(nil)
 	var st solverState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -416,9 +417,11 @@ func TestConcurrentWorkerViewSteady(t *testing.T) {
 	}
 }
 
-// TestPETableExportImportRoundtrip: tables built by one core must import
-// into a fresh core over the same chip and yield bitwise-identical solves
-// without rebuilding (the persistence path cache.go rides on).
+// TestPETableExportImportRoundtrip: tables built by one core, registered
+// as a fresh core's deferred source over the same chip, import whole on
+// its first miss and yield bitwise-identical solves without rebuilding
+// (the persistence path cache.go rides on). The source runs once however
+// many queries follow.
 func TestPETableExportImportRoundtrip(t *testing.T) {
 	builder := buildCore(t, 33, allConfig)
 	q := FreqQuery{THK: thTest, AlphaF: 0.4, Rho: 0.9, Variant: vats.IdentityVariant(), PowerMult: 1}
@@ -431,44 +434,42 @@ func TestPETableExportImportRoundtrip(t *testing.T) {
 		t.Fatal("no PE tables exported after a full solve sweep")
 	}
 
-	cols := 0
-	for _, tb := range tabs {
-		cols += bits.OnesCount8(tb.Mask)
-	}
 	fresh := buildCore(t, 33, allConfig)
-	if n := fresh.ImportPETables(tabs); n != cols {
-		t.Fatalf("imported %d of %d table columns into a cold core", n, cols)
-	}
-	// Re-import must be a no-op: every exported column is already built.
-	if n := fresh.ImportPETables(tabs); n != 0 {
-		t.Fatalf("second import filled %d columns, want 0", n)
-	}
+	reg := obs.NewRegistry()
+	fresh.Obs = reg
+	calls := 0
+	fresh.DeferPETables(func() []PETableSlot { calls++; return tabs })
 	for i := range want {
 		if got := fresh.FreqSolve(i, q); got != want[i] {
 			t.Fatalf("sub %d: imported-table solve %+v != builder's %+v", i, got, want[i])
 		}
 	}
-	// The warmed core exports what it imported (nothing new was built for
-	// this query), so cache.go's "skip write when nothing new" guard holds.
+	if calls != 1 {
+		t.Fatalf("deferred source ran %d times, want 1", calls)
+	}
+	if n, cols := reg.Counter("adapt.pe.imported_columns").Value(), exportedColumns(builder); n != int64(cols) {
+		t.Fatalf("imported %d of %d table columns into a cold core", n, cols)
+	}
+	// The warmed core built nothing and exports what it imported, so
+	// cache.go's "skip write when nothing new" guard holds.
+	if n := fresh.BuiltPEColumns(); n != 0 {
+		t.Fatalf("rebuilt %d columns the import held", n)
+	}
 	if again := fresh.ExportPETables(); len(again) < len(tabs) {
 		t.Fatalf("re-export lost tables: %d < %d", len(again), len(tabs))
 	}
 }
 
-// TestPEColumnsMatchExport: the store's column count, which ReleaseChip
-// reads instead of exporting, always equals the set Mask bits
-// ExportPETables returns — after lazy builds, after concurrent builders
-// on views sharing the store, and after imports over partly built
-// tables.
+// TestPEColumnsMatchExport: the store's built-column count, which
+// ReleaseChip reads instead of exporting, always equals the set Mask bits
+// ExportPETables returns beyond the deferred import — after lazy builds,
+// after concurrent builders on views sharing the store, and after builds
+// over an import.
 func TestPEColumnsMatchExport(t *testing.T) {
-	check := func(label string, c *Core) {
+	check := func(label string, c *Core, imported int) {
 		t.Helper()
-		want := 0
-		for _, tb := range c.ExportPETables() {
-			want += bits.OnesCount8(tb.Mask)
-		}
-		if got := c.PEColumns(); got != want {
-			t.Fatalf("%s: PEColumns = %d, export holds %d columns", label, got, want)
+		if got, want := c.BuiltPEColumns(), exportedColumns(c)-imported; got != want {
+			t.Fatalf("%s: BuiltPEColumns = %d, export holds %d columns beyond %d imported", label, got, want, imported)
 		}
 	}
 	queries := []FreqQuery{
@@ -476,10 +477,10 @@ func TestPEColumnsMatchExport(t *testing.T) {
 		{THK: 66 + 273.15, AlphaF: 0.12, Rho: 0.5, Variant: tech.FULowSlope.Variant(), PowerMult: tech.LowSlopePowerMult},
 	}
 	parent := buildCore(t, 41, allConfig)
-	check("fresh", parent)
+	check("fresh", parent, 0)
 	parent.FreqSolve(0, queries[0])
-	check("lazy build", parent)
-	if parent.PEColumns() == 0 {
+	check("lazy build", parent, 0)
+	if parent.BuiltPEColumns() == 0 {
 		t.Fatal("a solve built no columns")
 	}
 
@@ -495,14 +496,125 @@ func TestPEColumnsMatchExport(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	check("concurrent builders", parent)
+	check("concurrent builders", parent, 0)
 
+	partial := buildCore(t, 41, allConfig)
+	partial.FreqSolve(2, queries[1])
+	tabs := partial.ExportPETables()
 	fresh := buildCore(t, 41, allConfig)
+	reg := obs.NewRegistry()
+	fresh.Obs = reg
+	fresh.DeferPETables(func() []PETableSlot { return tabs })
 	fresh.FreqSolve(2, queries[1])
-	before := fresh.PEColumns()
-	n := fresh.ImportPETables(parent.ExportPETables())
-	check("import over partly built tables", fresh)
-	if fresh.PEColumns() != before+n {
-		t.Fatalf("import filled %d columns, count moved %d -> %d", n, before, fresh.PEColumns())
+	imported := int(reg.Counter("adapt.pe.imported_columns").Value())
+	if imported != exportedColumns(partial) || fresh.BuiltPEColumns() != 0 {
+		t.Fatalf("import of %d columns filled %d and built %d", exportedColumns(partial), imported, fresh.BuiltPEColumns())
+	}
+	check("import", fresh, imported)
+	fresh.FreqSolve(0, queries[0])
+	check("builds over an import", fresh, imported)
+	if fresh.BuiltPEColumns() == 0 {
+		t.Fatal("a new solve over the import built no columns")
+	}
+}
+
+// exportedColumns counts the set Mask bits of c's exported tables.
+func exportedColumns(c *Core) int {
+	n := 0
+	for _, tb := range c.ExportPETables() {
+		n += bits.OnesCount8(tb.Mask)
+	}
+	return n
+}
+
+// TestPEStoreIsLazy: a core's table store holds no array until a column
+// is built or imported, and its deferred source runs on the first miss
+// only: deriving cores, exporting and counting leave it alone.
+func TestPEStoreIsLazy(t *testing.T) {
+	builder := buildCore(t, 35, allConfig)
+	q := FreqQuery{THK: thTest, AlphaF: 0.4, Rho: 0.9, Variant: vats.IdentityVariant(), PowerMult: 1}
+	builder.FreqSolve(3, q)
+	tabs := builder.ExportPETables()
+
+	c := buildCore(t, 35, allConfig)
+	calls := 0
+	c.DeferPETables(func() []PETableSlot { calls++; return tabs })
+	v, err := c.WithConfig(allConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ExportPETables() != nil || c.BuiltPEColumns() != 0 {
+		t.Fatal("an untouched store reports tables")
+	}
+	if calls != 0 || c.pe.tabs.Load() != nil {
+		t.Fatalf("untouched store: source called %d times, array allocated %v", calls, c.pe.tabs.Load() != nil)
+	}
+	if got, want := v.FreqSolve(3, q), builder.FreqSolve(3, q); got != want {
+		t.Fatalf("solve over deferred tables %+v != builder's %+v", got, want)
+	}
+	if calls != 1 || c.pe.tabs.Load() == nil {
+		t.Fatalf("after the first miss: source called %d times, array allocated %v", calls, c.pe.tabs.Load() != nil)
+	}
+	// The deferred tables held every column the repeat solve needs.
+	if c.BuiltPEColumns() != 0 || exportedColumns(c) != exportedColumns(builder) {
+		t.Fatalf("built %d columns beyond an import of %d (store holds %d)",
+			c.BuiltPEColumns(), exportedColumns(builder), exportedColumns(c))
+	}
+	v.FreqSolve(4, q)
+	if calls != 1 || c.BuiltPEColumns() == 0 {
+		t.Fatalf("a new subsystem: source called %d times, %d columns built", calls, c.BuiltPEColumns())
+	}
+}
+
+// TestDeferredImportRunsOnce: cores of one chip on several goroutines hit
+// their first miss together; the deferred source runs once, before any
+// build, and the export holds exactly the imported columns plus the
+// built ones.
+func TestDeferredImportRunsOnce(t *testing.T) {
+	queries := []FreqQuery{
+		{THK: thTest, AlphaF: 0.4, Rho: 0.9, Variant: vats.IdentityVariant(), PowerMult: 1},
+		{THK: 66 + 273.15, AlphaF: 0.12, Rho: 0.5, Variant: tech.FULowSlope.Variant(), PowerMult: tech.LowSlopePowerMult},
+	}
+	builder := buildCore(t, 43, allConfig)
+	builder.FreqSolve(0, queries[0])
+	builder.FreqSolve(1, queries[1])
+	tabs := builder.ExportPETables()
+
+	donor := buildCore(t, 43, allConfig)
+	reg := obs.NewRegistry()
+	donor.Obs = reg
+	var calls atomic.Int32
+	donor.DeferPETables(func() []PETableSlot { calls.Add(1); return tabs })
+	const workers = 6
+	cores := make([]*Core, workers)
+	for w := range cores {
+		var err error
+		if cores[w], err = donor.WithConfig(allConfig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w, c := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := w % 3; i < 6; i += 2 {
+				c.FreqSolve(i, queries[(w+i)%len(queries)])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("deferred source ran %d times, want 1", n)
+	}
+	imported := int(reg.Counter("adapt.pe.imported_columns").Value())
+	if imported != exportedColumns(builder) {
+		t.Fatalf("imported %d columns, the source held %d", imported, exportedColumns(builder))
+	}
+	if got, want := exportedColumns(donor), imported+donor.BuiltPEColumns(); got != want {
+		t.Fatalf("export holds %d columns, want %d imported + %d built", got, imported, donor.BuiltPEColumns())
 	}
 }

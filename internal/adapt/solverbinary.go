@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/fuzzy"
+	"repro/internal/mathx"
 	"repro/internal/vats"
 )
 
@@ -18,7 +19,8 @@ const solverBinVersion = 1
 // store's columnar form — the same shippable tables MarshalJSON writes,
 // with every weight matrix as contiguous little-endian float64 blocks.
 // Entries are sorted like the JSON form, so the encoding is
-// deterministic.
+// deterministic. The first successful encoding also fixes the solver's
+// Fingerprint, so a trained solver that is stored is encoded once.
 func (s *FuzzySolver) MarshalBinary() ([]byte, error) {
 	type entry struct {
 		key fcKey
@@ -54,19 +56,28 @@ func (s *FuzzySolver) MarshalBinary() ([]byte, error) {
 		vdd.AppendBinary(&e)
 		vbb.AppendBinary(&e)
 	}
+	if s.fp.Load() == nil {
+		s.fp.CompareAndSwap(nil, fingerprintOf(e.B))
+	}
 	return e.B, nil
 }
 
-// UnmarshalBinary restores a solver encoded by MarshalBinary.
+// UnmarshalBinary restores a solver encoded by MarshalBinary. The
+// solver's Fingerprint becomes the hash of data itself, so reading a
+// solver back costs no re-encoding.
 func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
+	s.fp.Store(nil)
 	d := artifact.NewDec(data)
 	if v := d.Tag(); d.Err() == nil && v != solverBinVersion {
 		return fmt.Errorf("adapt: corrupt solver state: binary version %d", v)
 	}
 	minBiasComp := d.F64()
 	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<16 {
+	if d.Err() != nil {
 		return fmt.Errorf("adapt: corrupt solver state: %w", d.Err())
+	}
+	if n > 1<<16 || n > uint64(d.Remaining()) || !mathx.AllFinite(minBiasComp) {
+		return fmt.Errorf("adapt: corrupt solver state: %d entries, bias compensation %v", n, minBiasComp)
 	}
 	s.freq = make(map[fcKey]*fuzzy.Controller, n)
 	s.vdd = make(map[fcKey]*fuzzy.Controller, n)
@@ -81,6 +92,9 @@ func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
 			PreserveWall: d.Bool(),
 		}
 		bias := d.F64()
+		if d.Err() == nil && !mathx.AllFinite(variant.MeanScale, variant.SigmaScale, bias) {
+			return fmt.Errorf("adapt: corrupt solver state for sub %d: non-finite variant or bias", sub)
+		}
 		freq, vdd, vbb := new(fuzzy.Controller), new(fuzzy.Controller), new(fuzzy.Controller)
 		for _, fc := range []*fuzzy.Controller{freq, vdd, vbb} {
 			if err := fc.DecodeBinary(d); err != nil {
@@ -96,5 +110,6 @@ func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("adapt: corrupt solver state: %w", err)
 	}
+	s.fp.Store(fingerprintOf(data))
 	return nil
 }

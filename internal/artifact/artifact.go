@@ -164,7 +164,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		flusherDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	index, sizes, garbage, rebuilt := loadIndex(dir, time.Now().UnixNano())
+	index, sizes, garbage, scanned, rebuilt := loadIndex(dir, time.Now().UnixNano())
 	s.index = index
 	s.garbage = garbage
 	segments := 0
@@ -178,6 +178,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if rebuilt {
 		s.obs.Counter("artifact.cache.index_rebuilds").Inc()
 	}
+	s.obs.Counter("artifact.cache.scan_bytes").Add(scanned)
 	s.obs.Gauge("artifact.cache.segments").Set(float64(segments))
 	go s.flusher()
 	return s, nil

@@ -712,3 +712,116 @@ func TestCacheFlags(t *testing.T) {
 		st.Close()
 	}
 }
+
+// TestOpenReadsOnlyUncoveredTails: Open reads no byte of a segment its
+// saved index covers, and only the tail of one that grew after the save.
+// Records appended behind the index (as a crashed writer leaves them)
+// are found at the offsets a full-scan rebuild gives them.
+func TestOpenReadsOnlyUncoveredTails(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Store, *obs.Registry) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		st, err := Open(dir, Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, reg
+	}
+	st, _ := open()
+	var keys []string
+	for i := 0; i < 12; i++ {
+		key, _ := Key(testKind, fmt.Sprintf("covered-%d", i), 1)
+		keys = append(keys, key)
+		get(t, st, key, i)
+	}
+	st.Close()
+
+	st, reg := open()
+	if n := counter(reg, "artifact.cache.scan_bytes"); n != 0 {
+		t.Fatalf("opening a fully covered store read %d pack bytes", n)
+	}
+	if p := get(t, st, keys[3], 99); p.Value != 3 {
+		t.Fatalf("covered record lost: %+v", p)
+	}
+	st.Close()
+
+	// Append records behind the saved index, straight to their segments.
+	var appended int64
+	for i := 12; i < 17; i++ {
+		key, _ := Key(testKind, fmt.Sprintf("tail-%d", i), 1)
+		keys = append(keys, key)
+		body, _ := json.Marshal(payload{Value: i, Blob: "tail"})
+		rec, err := appendRecord(nil, testKind.Name, key, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(packPath(dir, shardOf(key)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		appended += int64(len(rec))
+	}
+
+	locations := func(st *Store) map[string]idxEntry {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		out := make(map[string]idxEntry, len(st.index))
+		for fkey, e := range st.index {
+			e.atime = 0
+			out[fkey] = e
+		}
+		return out
+	}
+	st, reg = open()
+	if n := counter(reg, "artifact.cache.scan_bytes"); n != appended {
+		t.Fatalf("Open read %d pack bytes, want the %d appended behind the index", n, appended)
+	}
+	if n := counter(reg, "artifact.cache.index_rebuilds"); n != 0 {
+		t.Fatalf("index_rebuilds = %d after appends behind an intact index", n)
+	}
+	tailScan := locations(st)
+	for i, key := range keys {
+		if p := get(t, st, key, 99); p.Value != i {
+			t.Fatalf("entry %d lost or wrong after the tail scan: %+v", i, p)
+		}
+	}
+	st.Close()
+
+	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = open()
+	defer st.Close()
+	fullScan := locations(st)
+	if len(tailScan) != len(keys) || len(fullScan) != len(keys) {
+		t.Fatalf("tail scan indexes %d records, full scan %d, want %d", len(tailScan), len(fullScan), len(keys))
+	}
+	for fkey, e := range fullScan {
+		if tailScan[fkey] != e {
+			t.Errorf("%s: tail scan put it at %+v, full scan at %+v", fkey, tailScan[fkey], e)
+		}
+	}
+}
+
+// TestDecRejectsLengthLies: a length prefix that announces more elements
+// than the payload holds fails the decode instead of allocating or
+// slicing past the end, however large it is.
+func TestDecRejectsLengthLies(t *testing.T) {
+	for _, n := range []uint64{17, 1 << 61, 1<<63 - 1, math.MaxUint64} {
+		var e Enc
+		e.Uvarint(n)
+		e.F64(1)
+		e.F64(2)
+		if d := NewDec(e.B); d.F64s(nil) != nil || d.Err() == nil {
+			t.Errorf("F64s accepted a prefix of %d over 2 values", n)
+		}
+		if d := NewDec(e.B); d.Bytes() != nil || d.Err() == nil {
+			t.Errorf("Bytes accepted a prefix of %d over 16 bytes", n)
+		}
+	}
+}

@@ -175,7 +175,7 @@ func (d *Dec) F64s(dst []float64) []float64 {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+8*int(n) > len(d.b) || int(n) < 0 {
+	if n > uint64(d.Remaining())/8 {
 		d.err = errCorrupt
 		return nil
 	}
@@ -204,13 +204,20 @@ func (d *Dec) Bytes() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+int(n) > len(d.b) || int(n) < 0 {
+	if n > uint64(d.Remaining()) {
 		d.err = errCorrupt
 		return nil
 	}
 	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return b
+}
+
+// Remaining returns how many bytes are left to decode: an upper bound on
+// the elements a length prefix may honestly announce, which decoders
+// check before allocating for it.
+func (d *Dec) Remaining() int {
+	return len(d.b) - d.off
 }
 
 // Err reports the first decode failure, nil if every read succeeded.

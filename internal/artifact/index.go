@@ -162,18 +162,25 @@ func decodeIndex(blob []byte) (map[string]idxEntry, [numShards]int64, error) {
 	return index, covered, nil
 }
 
-// scanShard walks shard si's packfile from offset start, indexing every
-// valid record (a later record of the same key supersedes an earlier
-// one, matching append order) and returning the offset of the first
-// invalid byte — the segment's valid length. garbage accumulates the
-// bytes of superseded records seen during the scan.
-func scanShard(dir string, si int, start int64, index map[string]idxEntry, atime int64) (valid int64, garbage int64) {
-	path := packPath(dir, si)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return start, 0
+// scanShard indexes the records of shard si's packfile between offset
+// start and end, the file's length, reading only those bytes (a later
+// record of the same key supersedes an earlier one, matching append
+// order). It returns the offset of the first invalid byte — the
+// segment's valid length — the bytes of superseded records seen during
+// the scan, and how many bytes it read.
+func scanShard(dir string, si int, start, end int64, index map[string]idxEntry, atime int64) (valid, garbage, read int64) {
+	if end <= start {
+		return start, 0, 0
 	}
-	off := start
+	f, err := os.Open(packPath(dir, si))
+	if err != nil {
+		return start, 0, 0
+	}
+	defer f.Close()
+	blob := make([]byte, end-start)
+	n, _ := f.ReadAt(blob, start)
+	blob = blob[:n]
+	off := int64(0)
 	for off < int64(len(blob)) {
 		rec, ok := parseRecord(blob[off:])
 		if !ok {
@@ -183,21 +190,23 @@ func scanShard(dir string, si int, start int64, index map[string]idxEntry, atime
 		if old, exists := index[fkey]; exists && old.shard == si {
 			garbage += old.size
 		}
-		index[fkey] = idxEntry{kind: rec.kind, shard: si, off: off, size: rec.size, atime: atime}
+		index[fkey] = idxEntry{kind: rec.kind, shard: si, off: start + off, size: rec.size, atime: atime}
 		off += rec.size
 	}
-	return off, garbage
+	return start + off, garbage, int64(n)
 }
 
 // loadIndex restores the store's index at Open: the saved index file
-// when intact, a full packfile scan otherwise, plus a tail scan of every
-// segment for records appended after the last save. Segments shorter
-// than their covered length (externally truncated or replaced) are
-// rescanned from zero — the index/segment mismatch rebuild. Returns the
-// index, the per-shard valid lengths, per-shard garbage byte counts
-// (superseded records discovered while scanning), and whether the saved
-// index had to be discarded.
-func loadIndex(dir string, atime int64) (index map[string]idxEntry, sizes, garbage [numShards]int64, rebuilt bool) {
+// when intact, a full packfile scan otherwise, plus a scan of every
+// segment's tail for records appended after the last save. Only the
+// bytes past a segment's covered length are read, so a segment the
+// index covers entirely is not read at all. Segments shorter than their
+// covered length (externally truncated or replaced) are rescanned from
+// zero — the index/segment mismatch rebuild. Returns the index, the
+// per-shard valid lengths, per-shard garbage byte counts (superseded
+// records discovered while scanning), the packfile bytes read, and
+// whether the saved index had to be discarded.
+func loadIndex(dir string, atime int64) (index map[string]idxEntry, sizes, garbage [numShards]int64, scanned int64, rebuilt bool) {
 	index = map[string]idxEntry{}
 	var covered [numShards]int64
 	blob, err := os.ReadFile(filepath.Join(dir, indexName))
@@ -226,9 +235,10 @@ func loadIndex(dir string, atime int64) (index map[string]idxEntry, sizes, garba
 			covered[si] = 0
 			rebuilt = true
 		}
-		valid, g := scanShard(dir, si, covered[si], index, atime)
+		valid, g, n := scanShard(dir, si, covered[si], fileSize, index, atime)
 		sizes[si] = valid
 		garbage[si] += g
+		scanned += n
 		if valid < fileSize {
 			// Truncated-tail recovery: drop the partial record so future
 			// appends land after valid bytes only.
@@ -242,5 +252,5 @@ func loadIndex(dir string, atime int64) (index map[string]idxEntry, sizes, garba
 			rebuilt = true
 		}
 	}
-	return index, sizes, garbage, rebuilt
+	return index, sizes, garbage, scanned, rebuilt
 }

@@ -175,37 +175,35 @@ func (s *Simulator) petableKey(seed int64) string {
 	return storeKey(s.store, petableKind, seed, func() any { return s.opts.Varius })
 }
 
-// loadPETables seeds cpu's dense PE-fmax store from the artifact cache,
-// returning how many table columns were imported (0 with no store or no
-// entry). The petables artifact holds every dense PE-fmax table one run
-// built for one chip. Unlike the other kinds there is no single build
-// call site to wrap — tables accumulate lazily as controller invocations
-// touch grid points — so the store's raw Get/Put surface is used instead
-// of GetOrBuild: AcquireChip loads the tables into the donor core, and
-// ReleaseChip writes the run's accumulated tables back. Table values are
-// exact float64 round-trips, so a warm run's solves are byte-identical
-// to a cold run's.
-func (s *Simulator) loadPETables(cpu *adapt.Core, seed int64) int {
+// loadPETables reads chip seed's PE-fmax tables from the artifact cache
+// (nil with no store, no entry, or a damaged one). The petables artifact
+// holds every dense PE-fmax table earlier runs built for one chip.
+// Unlike the other kinds there is no single build call site to wrap —
+// tables accumulate lazily as controller invocations touch grid points —
+// so the store's raw Get/Put surface is used instead of GetOrBuild: the
+// chip's first table miss imports the record into the donor core's store
+// (AcquireChip defers it), and ReleaseChip writes the run's tables back.
+// Table values are exact float64 round-trips, so a warm run's solves are
+// byte-identical to a cold run's.
+func (s *Simulator) loadPETables(seed int64) []adapt.PETableSlot {
 	key := s.petableKey(seed)
 	if key == "" {
-		return 0
+		return nil
 	}
 	var tabs []adapt.PETableSlot
-	if !s.store.Get(petableKind, key, func(payload []byte) error {
+	s.store.Get(petableKind, key, func(payload []byte) error {
 		var derr error
 		tabs, derr = decodePETables(payload)
 		return derr
-	}) {
-		return 0
-	}
-	return cpu.ImportPETables(tabs)
+	})
+	return tabs
 }
 
-// storePETables writes cpu's built PE-fmax tables back to the artifact
-// cache, skipping the write — and the export — when the run built no
-// columns beyond what loadPETables imported.
-func (s *Simulator) storePETables(cpu *adapt.Core, seed int64, imported int) {
-	if s.store == nil || cpu.PEColumns() <= imported {
+// storePETables writes cpu's PE-fmax tables back to the artifact cache,
+// skipping the write — and the export — when the store built no columns
+// beyond what it imported.
+func (s *Simulator) storePETables(cpu *adapt.Core, seed int64) {
+	if s.store == nil || cpu.BuiltPEColumns() == 0 {
 		return
 	}
 	if key := s.petableKey(seed); key != "" {

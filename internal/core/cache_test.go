@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -36,13 +37,22 @@ func cacheTestConfig() (Options, ExperimentConfig) {
 // (nil counters read as zero for the uncached case).
 func runSummaryWithCache(t *testing.T, dir string) (summary []byte, reg *obs.Registry) {
 	t.Helper()
-	opts, cfg := cacheTestConfig()
+	_, cfg := cacheTestConfig()
+	return runSummaryIn(t, dir, cfg)
+}
+
+// runSummaryIn is runSummaryWithCache for experiment cfg; with a store,
+// the registry also receives the simulator's own metrics.
+func runSummaryIn(t *testing.T, dir string, cfg ExperimentConfig) (summary []byte, reg *obs.Registry) {
+	t.Helper()
+	opts, _ := cacheTestConfig()
 	sim, err := NewSimulator(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dir != "" {
 		reg = obs.NewRegistry()
+		sim.SetObs(reg)
 		store, err := artifact.Open(dir, artifact.Options{Obs: reg})
 		if err != nil {
 			t.Fatal(err)
@@ -96,6 +106,118 @@ func TestArtifactCacheColdWarmGolden(t *testing.T) {
 	uncached, _ := runSummaryWithCache(t, "")
 	if !bytes.Equal(cold, uncached) {
 		t.Fatalf("cached and uncached summaries differ:\n cached   %s\n uncached %s", cold, uncached)
+	}
+}
+
+// TestWarmSummaryReadsNoPETables: a summary whose every unit replays
+// from the store never misses a PE table, so it reads no petables record
+// and its chip's table store stays unallocated: no column is built or
+// imported.
+func TestWarmSummaryReadsNoPETables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	dir := t.TempDir()
+	_, coldReg := runSummaryWithCache(t, dir)
+	if coldReg.Counter("adapt.pe.built_columns").Value() == 0 {
+		t.Fatal("the cold run built no PE table column")
+	}
+	_, warmReg := runSummaryWithCache(t, dir)
+	if n := warmReg.Counter("artifact.cache.misses").Value(); n != 0 {
+		t.Fatalf("warm run rebuilt %d artifacts", n)
+	}
+	for _, name := range []string{"artifact.cache.petables.hits", "artifact.cache.petables.misses",
+		"adapt.pe.imported_columns", "adapt.pe.built_columns"} {
+		if n := warmReg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d in a fully warm run, want 0", name, n)
+		}
+	}
+}
+
+// TestPartlyWarmSummaryImportsTables: a store that holds the chip's PE
+// tables but lacks one apprun record reruns that unit alone. The chip's
+// first table miss imports the stored tables before any column is built,
+// the summary matches the cold one bit for bit, and ReleaseChip writes
+// the tables back only when the rerun built columns the record lacked.
+// The dropped unit is the first its core solves, cold and warm alike.
+func TestPartlyWarmSummaryImportsTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	opts, cfg := cacheTestConfig()
+	cfg.Modes = []Mode{ExhDyn}
+	dir := t.TempDir()
+	cold, _ := runSummaryIn(t, dir, cfg)
+
+	columns := func(tabs []adapt.PETableSlot) int64 {
+		n := 0
+		for _, tb := range tabs {
+			n += bits.OnesCount8(tb.Mask)
+		}
+		return int64(n)
+	}
+	// edit opens the store, makes the first app's unit undecodable (a
+	// rerun, like a missing record), optionally replaces the chip's
+	// tables, and returns the tables the store then holds.
+	edit := func(replace []adapt.PETableSlot) []adapt.PETableSlot {
+		t.Helper()
+		sim, err := NewSimulator(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := artifact.Open(dir, artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		sim.SetArtifacts(store)
+		app, err := workload.ByName(cfg.Apps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Put(apprunKind, sim.appRunKey(cfg.SeedBase, cfg.Envs[0].coreConfig(), app, ExhDyn, "exh", nil, -1), []byte{0})
+		if replace != nil {
+			store.Put(petableKind, sim.petableKey(cfg.SeedBase), encodePETables(replace))
+		}
+		return sim.loadPETables(cfg.SeedBase)
+	}
+
+	stored := edit(nil)
+	if len(stored) < 2 {
+		t.Fatalf("the cold run stored %d PE tables", len(stored))
+	}
+	warm, reg := runSummaryIn(t, dir, cfg)
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("rerunning one unit over stored tables changed the summary:\n cold %s\n warm %s", cold, warm)
+	}
+	if n := reg.Counter("artifact.cache.apprun.misses").Value(); n != 1 {
+		t.Fatalf("%d apprun misses, want the 1 dropped unit", n)
+	}
+	if got, want := reg.Counter("adapt.pe.imported_columns").Value(), columns(stored); got != want {
+		t.Fatalf("imported %d PE columns, the record holds %d", got, want)
+	}
+	if n := reg.Counter("adapt.pe.built_columns").Value(); n != 0 {
+		t.Fatalf("built %d PE columns the record already held", n)
+	}
+	if n := reg.Counter("artifact.cache.bytes").Value(); n >= int64(len(encodePETables(stored))) {
+		t.Fatalf("the run persisted %d bytes; the tables were written back with nothing new", n)
+	}
+
+	half := stored[:len(stored)/2]
+	after := edit(half)
+	if columns(after) != columns(half) {
+		t.Fatal("the store did not take the reduced tables")
+	}
+	warm, reg = runSummaryIn(t, dir, cfg)
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("rerunning one unit over partial tables changed the summary:\n cold %s\n warm %s", cold, warm)
+	}
+	imported, built := reg.Counter("adapt.pe.imported_columns").Value(), reg.Counter("adapt.pe.built_columns").Value()
+	if imported != columns(half) || built == 0 {
+		t.Fatalf("imported %d of %d stored PE columns and built %d", imported, columns(half), built)
+	}
+	if written := edit(nil); columns(written) != imported+built {
+		t.Fatalf("the tables written back hold %d columns, want %d imported + %d built", columns(written), imported, built)
 	}
 }
 
@@ -251,6 +373,14 @@ func TestTrainFuzzyCachedRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("cache-loaded solver serializes differently from the trained one")
+	}
+	// The loaded copy fingerprints as the bytes it was decoded from, which
+	// are the trained solver's encoding: both key the same apprun records.
+	if loaded == trained {
+		t.Fatal("the second call returned the trained solver, not a decoded copy")
+	}
+	if fp := trained.Fingerprint(); fp == "" || loaded.Fingerprint() != fp {
+		t.Fatalf("decoded copy fingerprints %q, trained solver %q", loaded.Fingerprint(), fp)
 	}
 }
 

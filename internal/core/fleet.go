@@ -27,11 +27,10 @@ import (
 // onceEntry); the donor's PE-table store is concurrency-safe by
 // construction (see the adapt package comment).
 type ChipHandle struct {
-	seed     int64
-	chip     *varius.ChipMaps
-	donor    *adapt.Core
-	imported int
-	fvar     float64
+	seed  int64
+	chip  *varius.ChipMaps
+	donor *adapt.Core
+	fvar  float64
 
 	mu      sync.Mutex
 	solvers map[tech.Config]*onceEntry[*adapt.FuzzySolver]
@@ -78,9 +77,12 @@ func (h *ChipHandle) Seed() int64 { return h.seed }
 func (h *ChipHandle) FVar() float64 { return h.fvar }
 
 // AcquireChip builds (or loads) one chip's handle: variation maps,
-// stage-model assembly, PE-table donor seeded from the artifact cache,
-// and the worst-case-safe frequency. Release with ReleaseChip to write
-// accumulated PE tables back.
+// stage-model assembly, the PE-table donor, and the worst-case-safe
+// frequency. The donor's tables are not read here: the chip's petables
+// record is registered as the store's deferred source, which the first
+// table miss imports (see adapt.Core.DeferPETables), so a chip whose
+// units all replay from the artifact cache never reads, decodes or
+// allocates them. Release with ReleaseChip to write built tables back.
 func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	defer s.obs.Timer("core.chip_prep").Start().Stop()
 	h := &ChipHandle{
@@ -96,21 +98,21 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	if h.donor, err = s.BuildCore(h.chip, TS); err != nil {
 		return nil, err
 	}
-	h.imported = s.loadPETables(h.donor, seed)
+	h.donor.DeferPETables(func() []adapt.PETableSlot { return s.loadPETables(seed) })
 	if h.fvar, err = s.ChipFVar(h.chip); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// ReleaseChip retires a handle, persisting any PE-fmax tables its units
-// built beyond what AcquireChip imported. The handle must be quiescent
-// (no unit still running on its cores).
+// ReleaseChip retires a handle, persisting the chip's PE-fmax tables if
+// its units built any beyond the imported record. The handle must be
+// quiescent (no unit still running on its cores).
 func (s *Simulator) ReleaseChip(h *ChipHandle) {
 	if h == nil {
 		return
 	}
-	s.storePETables(h.donor, h.seed, h.imported)
+	s.storePETables(h.donor, h.seed)
 }
 
 // core derives a core for cfg over the handle's stage models and PE-table

@@ -172,8 +172,13 @@ func decodePETables(data []byte) ([]adapt.PETableSlot, error) {
 		return nil, fmt.Errorf("core: corrupt petables payload: binary version %d", v)
 	}
 	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<24 {
+	if d.Err() != nil {
 		return nil, fmt.Errorf("core: corrupt petables payload: %w", d.Err())
+	}
+	// Each slot takes a slot varint, a mask byte and its columns, so the
+	// remaining bytes bound an honest count.
+	if n > uint64(d.Remaining()/(2+8*len(adapt.PETableSlot{}.FMax))) {
+		return nil, fmt.Errorf("core: corrupt petables payload: %d slots in %d bytes", n, d.Remaining())
 	}
 	tabs := make([]adapt.PETableSlot, n)
 	for i := range tabs {

@@ -9,8 +9,8 @@
 // Clients submit ordered batches of Events. A join admits a chip (its
 // variation maps, stage models, and PE-table donor build lazily on
 // first use and are shared by all of its units); a leave retires it,
-// flushing accumulated PE tables back to the artifact store once its
-// in-flight units drain; a run requests one simulation unit — a phase
+// writing back the PE tables its units built once its in-flight units
+// drain; a run requests one simulation unit — a phase
 // change or retuning on an admitted chip, in one Table 1 environment
 // and adaptation mode. Event timestamps (At) drive a virtual clock: the
 // running maximum of submitted times. The clock feeds per-class
@@ -31,7 +31,8 @@
 // assigned in join order (the n-th chip admitted goes to worker n mod
 // Workers), and every unit batch of the chip goes to the owner's queue
 // in ingest order. The owner builds the chip's handle (variation maps,
-// stage models, PE tables) on the chip's first unit, then one core per
+// stage models, a PE-table store that imports the chip's stored tables
+// on its first miss) on the chip's first unit, then one core per
 // environment from it; the cores live on the chip's membership entry
 // and only the owner touches them, so a chip that leaves takes them
 // with it once its units drain. Inside a batch, duplicate (app, phase)

@@ -36,10 +36,12 @@ type Config struct {
 	// name (nil = the full proxy suite). Static-mode points are derived
 	// per class over this universe, matching the batch experiments.
 	Apps []workload.App
-	// Training configures per-chip fuzzy-controller training. Workers
-	// should stay 1 (the default here, unlike the batch experiments):
-	// the fleet already saturates cores with unit parallelism, and
-	// nested training pools would oversubscribe.
+	// Training configures per-chip fuzzy-controller training; the zero
+	// value means adapt.DefaultTrainOptions(). New validates it and
+	// refuses to start on a bad set. Workers should stay 1 (the default
+	// here, unlike the batch experiments): the fleet already saturates
+	// cores with unit parallelism, and nested training pools would
+	// oversubscribe.
 	Training adapt.TrainOptions
 	// Obs, when non-nil, receives fleet.pool.* gauges, event/unit
 	// counters, and the fleet.ingest.lock_wait_ns contention counter.
@@ -266,11 +268,14 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	if cfg.Apps == nil {
 		cfg.Apps = workload.Suite()
 	}
-	if cfg.Training.Examples == 0 {
+	if cfg.Training == (adapt.TrainOptions{}) {
 		cfg.Training = adapt.DefaultTrainOptions()
 	}
 	if cfg.Training.Workers == 0 {
 		cfg.Training.Workers = 1
+	}
+	if err := cfg.Training.Validate(); err != nil {
+		return nil, fmt.Errorf("fleet: training options: %w", err)
 	}
 	f := &Fleet{
 		sim:      sim,

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,6 +287,26 @@ func TestFleetEmissionOrder(t *testing.T) {
 		if s != int64(i+1) {
 			t.Fatalf("result %d has seq %d; emission is out of submission order", i, s)
 		}
+	}
+}
+
+// TestNewValidatesTraining: a zero Training means the default set, and a
+// set that would fail every fuzzy unit — Examples alone, with zero
+// sampling ranges — stops New instead.
+func TestNewValidatesTraining(t *testing.T) {
+	sim := testSim(t, "")
+	f, err := New(sim, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("zero training options: %v", err)
+	}
+	f.Close()
+	bad := Config{Workers: 1}
+	bad.Training.Examples = 60
+	if f, err := New(sim, bad); err == nil {
+		f.Close()
+		t.Fatal("New accepted training options with zero sampling ranges")
+	} else if !strings.Contains(err.Error(), "degenerate sampling ranges") {
+		t.Fatalf("New: %v, want the sampling-range error", err)
 	}
 }
 
@@ -767,8 +788,8 @@ func entryOf(f *Fleet, chip int64) *chipEntry {
 }
 
 // openStore opens the artifact store in dir with reg attached, closed
-// when the test ends.
-func openStore(t *testing.T, dir string, reg *obs.Registry) *core.Simulator {
+// when the test ends, and returns a simulator over it and the store.
+func openStore(t *testing.T, dir string, reg *obs.Registry) (*core.Simulator, *artifact.Store) {
 	t.Helper()
 	store, err := artifact.Open(dir, artifact.Options{Obs: reg})
 	if err != nil {
@@ -777,7 +798,7 @@ func openStore(t *testing.T, dir string, reg *obs.Registry) *core.Simulator {
 	t.Cleanup(store.Close)
 	sim := testSim(t, "")
 	sim.SetArtifacts(store)
-	return sim
+	return sim, store
 }
 
 // TestReplayTableReadsEachUnitOnce: a warm fleet that serves every unit
@@ -823,9 +844,13 @@ func TestReplayTableReadsEachUnitOnce(t *testing.T) {
 		return results, f.Stats()
 	}
 	dir := t.TempDir()
-	play(openStore(t, dir, nil), 1) // populate
+	// Populate, and close the store so the warm one opens on every write.
+	cold, store := openStore(t, dir, nil)
+	play(cold, 1)
+	store.Close()
 	reg := obs.NewRegistry()
-	got, snap := play(openStore(t, dir, reg), rounds)
+	warm, _ := openStore(t, dir, reg)
+	got, snap := play(warm, rounds)
 	want, _ := play(testSim(t, ""), rounds)
 
 	if n := reg.Counter("artifact.cache.apprun.hits").Value(); n != int64(len(round)) {
@@ -873,7 +898,8 @@ func TestReplayTableLifecycle(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	reads := reg.Counter("artifact.cache.apprun.hits")
-	f, err := New(openStore(t, t.TempDir(), reg), Config{Workers: 2, Apps: testApps(t)})
+	sim, _ := openStore(t, t.TempDir(), reg)
+	f, err := New(sim, Config{Workers: 2, Apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

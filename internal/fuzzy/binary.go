@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/artifact"
+	"repro/internal/mathx"
 )
 
 // AppendBinary encodes the controller onto e in the artifact store's
@@ -30,11 +31,13 @@ func (c *Controller) AppendBinary(e *artifact.Enc) {
 }
 
 // DecodeBinary restores a controller encoded by AppendBinary, applying
-// the same structural validation as UnmarshalJSON.
+// the same structural validation as UnmarshalJSON. Like the JSON form,
+// it carries finite values only: a NaN or infinite weight, bound or
+// fallback is corrupt, as training never produces one.
 func (c *Controller) DecodeBinary(d *artifact.Dec) error {
-	rules := int(d.Uvarint())
-	width := int(d.Uvarint())
-	if d.Err() != nil || rules <= 0 || rules > 1<<16 || width < 0 || width > 1<<16 {
+	rules := d.Uvarint()
+	width := d.Uvarint()
+	if d.Err() != nil || rules == 0 || rules > 1<<16 || rules > uint64(d.Remaining()) || width > 1<<16 {
 		return errors.New("fuzzy: corrupt controller state")
 	}
 	mu := make([][]float64, rules)
@@ -52,13 +55,19 @@ func (c *Controller) DecodeBinary(d *artifact.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if len(y) != rules || len(lo) != width || len(hi) != width {
+	if len(y) != int(rules) || len(lo) != int(width) || len(hi) != int(width) {
 		return errors.New("fuzzy: corrupt controller state")
 	}
 	for r := range mu {
 		if len(mu[r]) != len(lo) || len(sigma[r]) != len(lo) {
 			return errors.New("fuzzy: corrupt controller state (rule width)")
 		}
+		if !mathx.AllFinite(mu[r]...) || !mathx.AllFinite(sigma[r]...) {
+			return errors.New("fuzzy: corrupt controller state (non-finite weight)")
+		}
+	}
+	if !mathx.AllFinite(y...) || !mathx.AllFinite(lo...) || !mathx.AllFinite(hi...) || !mathx.AllFinite(fallback) {
+		return errors.New("fuzzy: corrupt controller state (non-finite weight)")
 	}
 	c.mu, c.sigma, c.y, c.lo, c.hi, c.fallback = mu, sigma, y, lo, hi, fallback
 	return nil

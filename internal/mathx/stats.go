@@ -9,6 +9,17 @@ import (
 // ErrEmpty is returned by statistics helpers invoked on empty data.
 var ErrEmpty = errors.New("mathx: empty data")
 
+// AllFinite reports whether every value of xs is finite (neither NaN nor
+// infinite).
+func AllFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
