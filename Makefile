@@ -105,6 +105,9 @@ fuzz-smoke:
 	go test ./internal/core -run '^$$' -fuzz FuzzAppRunKeyVsKey -fuzztime 20s
 	go test ./internal/core -run '^$$' -fuzz FuzzDecodePETables -fuzztime 20s
 	go test ./internal/fleet -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 20s
+	go test ./internal/workload -run '^$$' -fuzz FuzzDecodeTrace -fuzztime 20s
+	go test ./internal/workload -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 20s
+	go test ./internal/pipeline -run '^$$' -fuzz FuzzSimulateMonotone -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,
 # lower, and (for traces) replay byte-identically (see WORKLOADS.md).

@@ -966,8 +966,9 @@ func BenchmarkTimeline(b *testing.B) {
 // chip's owner worker, so the 4 chips keep at most 4 workers busy.
 // Warm replays every unit from a populated artifact store — the steady
 // state of a long-running service; cold has no store, so the untimed
-// setup solves each (chip, phase) once on its owner's core and the
-// timed batches are answered by that core's steady-state memo.
+// setup solves each (chip, phase) once on its owner's core. Either way
+// the timed batches are answered by the chips' replay tables, which
+// keep each unit's first answer, read or computed.
 // Throughput (events/s) and the p50/p99 dispatch→pickup latency are
 // attached as metrics; `make bench-check-fleet` pins the warm/workers=1
 // variant (>= 10k events/s, p99 < 10 ms) and the workers=8 / workers=1

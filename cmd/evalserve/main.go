@@ -131,18 +131,9 @@ func main() {
 		}()
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/batch", handleBatch(fl, reg, *flushBytes, time.Duration(*flushMs)*time.Millisecond))
-	mux.HandleFunc("/v1/stats", handleStats(fl))
-	mux.HandleFunc("/v1/metrics", handleMetrics(fl, reg))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr,
+		Handler: newMux(fl, reg, *flushBytes, time.Duration(*flushMs)*time.Millisecond)}
 
-	// Graceful drain: stop accepting, finish in-flight batches, release
-	// chips (flushing PE tables), then settle the artifact store.
 	done := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -151,11 +142,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "evalserve: %s, draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		if err := drain(ctx, srv, fl, store); err != nil {
 			fmt.Fprintln(os.Stderr, "evalserve: shutdown:", err)
 		}
-		fl.Close()
-		store.Close() // settle queued cache writes; nil-safe
 		close(done)
 	}()
 
@@ -170,6 +159,31 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "evalserve:", err)
 	os.Exit(1)
+}
+
+// newMux routes the service's endpoints to their handlers.
+func newMux(fl *fleet.Fleet, reg *obs.Registry, flushBytes int, flushWait time.Duration) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/batch", handleBatch(fl, reg, flushBytes, flushWait))
+	mux.HandleFunc("/v1/stats", handleStats(fl))
+	mux.HandleFunc("/v1/metrics", handleMetrics(fl, reg))
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+	})
+	return mux
+}
+
+// drain is the graceful shutdown: stop accepting connections and let
+// in-flight batches finish streaming (srv.Shutdown, bounded by ctx),
+// release the remaining chips, flushing their PE tables (fl.Close), and
+// settle queued artifact writes (store.Close; a nil store is fine). It
+// returns Shutdown's error; the fleet and the store close either way.
+func drain(ctx context.Context, srv *http.Server, fl *fleet.Fleet, store *artifact.Store) error {
+	err := srv.Shutdown(ctx)
+	fl.Close()
+	store.Close()
+	return err
 }
 
 // newFleet starts the service's fleet over sim with cfg, training every

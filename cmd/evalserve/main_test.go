@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -431,5 +433,124 @@ func TestClientGoneMidStream(t *testing.T) {
 	}
 	if got := reg.Counter("fleet.emit.dropped").Value(); got != int64(n-lines) {
 		t.Fatalf("next request dropped results: fleet.emit.dropped = %d, want %d", got, n-lines)
+	}
+}
+
+// TestDrainFinishesBatchInFlight: the drain main runs on SIGTERM lets a
+// batch that is already streaming finish. The server listens on a
+// loopback port over an artifact store; a cold batch of joins and exh
+// units is posted, and the drain starts once the first result line has
+// arrived, while the units still run. The response carries one ok line
+// per event, Shutdown returns nil, a new connection is refused, and the
+// store, reopened, answers every unit of the batch as a hit.
+func TestDrainFinishesBatchInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold adaptation units")
+	}
+	dir := t.TempDir()
+	serveOver := func() (*core.Simulator, *artifact.Store) {
+		store, err := artifact.Open(dir, artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := testSim(t)
+		sim.SetArtifacts(store)
+		return sim, store
+	}
+	sim, store := serveOver()
+	reg := obs.NewRegistry()
+	sim.SetObs(reg)
+	fl, err := newFleet(sim, fleet.Config{Workers: 2, Obs: reg}, testExamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: newMux(fl, reg, 64<<10, time.Millisecond)}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	var events []fleet.Event
+	units := 0
+	for _, chip := range []int64{71, 72} {
+		events = append(events, fleet.Event{At: 1, Kind: fleet.KindJoin, Chip: chip})
+	}
+	for _, chip := range []int64{71, 72} {
+		for _, name := range []string{"gcc", "swim", "mcf", "art"} {
+			app, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ph := range app.Phases {
+				events = append(events, fleet.Event{At: 2, Kind: fleet.KindRun, Chip: chip,
+					Env: core.TSASV.String(), Mode: fleet.ModeExh, App: name, Phase: intp(ph)})
+				units++
+			}
+		}
+	}
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/batch", "application/json",
+		strings.NewReader(marshalBody(t, events)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var streamed []fleet.Result
+	drained := make(chan error, 1)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var r fleet.Result
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, r)
+		if len(streamed) == 1 {
+			if snap := fl.Stats(); snap.CacheHits+snap.CacheMisses >= int64(units) {
+				t.Fatalf("every unit solved before the first line arrived; nothing was in flight")
+			}
+			go func() { drained <- drain(context.Background(), srv, fl, store) }()
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream broke after %d lines: %v", len(streamed), err)
+	}
+	if len(streamed) != len(events) {
+		t.Fatalf("streamed %d lines for %d events", len(streamed), len(events))
+	}
+	for _, r := range streamed {
+		if r.Status != fleet.StatusOK || (r.Kind == fleet.KindRun && r.Run == nil) {
+			t.Fatalf("seq %d (%s chip %d): %s %s", r.Seq, r.Kind, r.Chip, r.Status, r.Err)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		conn.Close()
+		t.Fatal("a new connection was accepted after the drain")
+	}
+
+	sim, store = serveOver()
+	t.Cleanup(store.Close)
+	again, err := newFleet(sim, fleet.Config{Workers: 2}, testExamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(again.Close)
+	i := 0
+	if err := again.SubmitBatch(events, func(r fleet.Result) {
+		if r.Kind == fleet.KindRun && (r.Status != fleet.StatusOK || !r.CacheHit || *r.Run != *streamed[i].Run) {
+			t.Errorf("reopened store, seq %d (chip %d %s phase %d): %s, cache hit %v", r.Seq, r.Chip, r.App, *r.Phase, r.Status, r.CacheHit)
+		}
+		i++
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

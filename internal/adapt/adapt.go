@@ -12,16 +12,17 @@
 //
 // # Ownership
 //
-// A Core carries unsynchronized memo maps, so an individual Core must
-// only be driven by one goroutine at a time. It owns two, at two
-// granularities: the Evaluate memo (full SystemStates by exact
-// operating-point + profile key) and the AdaptSteady memo (whole
-// steady-state solves by exact profile + solver key). The PE-fmax table
-// store underneath is different: its lazy builds publish through
-// sync.Once-style atomic flags, so one store may back any number of
-// cores on any number of goroutines concurrently — tables are built at
-// most once and every reader observes a fully-built table. Two sharing
-// patterns follow:
+// A Core carries an unsynchronized memo, so an individual Core must only
+// be driven by one goroutine at a time. It owns one: the Evaluate memo
+// (full SystemStates by exact operating-point + profile key), bounded by
+// a cap. While the memo is below its cap (MemoComplete), solving a phase
+// again returns its first result bit for bit, so a caller that keeps a
+// unit's first answer, as the fleet's per-chip table does, needs no
+// second memo here. The PE-fmax table store underneath is different:
+// its lazy builds publish through sync.Once-style atomic flags, so one
+// store may back any number of cores on any number of goroutines
+// concurrently — tables are built at most once and every reader
+// observes a fully-built table. Two sharing patterns follow:
 //
 //   - WithConfig derives a core for another technique configuration over
 //     the same chip and store (e.g. the six environment cores of one
@@ -30,8 +31,8 @@
 //     harness does. The fleet service keeps one core per (chip,
 //     environment) and drives all of a chip's cores from the chip's owner
 //     worker.
-//   - WorkerView clones a core into a per-goroutine view with empty memo
-//     maps over the shared read-only models and table store; the parallel
+//   - WorkerView clones a core into a per-goroutine view with an empty
+//     memo over the shared read-only models and table store; the parallel
 //     fuzzy-training pipeline hands one view per worker slot.
 //
 // The store lives as long as the cores that share it, and it is lazy
@@ -44,7 +45,7 @@
 // never pay for it. ExportPETables snapshots the store for persistence,
 // and BuiltPEColumns says whether anything beyond the import was built.
 //
-// Besides the memo maps, a Core privately owns a warm-started
+// Besides the memo, a Core privately owns a warm-started
 // thermal.Solver (its scratch buffers carry the previous converged state
 // between Evaluate calls), the key, thermal-input, and stage-curve
 // scratch Evaluate reuses, and the Freq search's combo queue and leakage
@@ -124,10 +125,10 @@ type Core struct {
 	Obs *obs.Registry
 
 	// DisablePruning switches FreqSolve to the reference slow path (the
-	// plain grid-order scan, with no bounds) and bypasses the Evaluate and
-	// AdaptSteady memos. Results are identical either way (the
-	// equivalence tests assert it); the knob exists so the fast path can
-	// always be checked against the scan.
+	// plain grid-order scan, with no bounds) and bypasses the Evaluate
+	// memo, so MemoComplete reads false. Results are identical either way
+	// (the equivalence tests assert it); the knob exists so the fast path
+	// can always be checked against the scan.
 	DisablePruning bool
 
 	pe *peStore
@@ -135,7 +136,7 @@ type Core struct {
 	// solver is the core's private warm-started thermal solver: Evaluate
 	// drives every CoreSteady through it so successive retune probes reuse
 	// the previous converged state. Owned by the core's goroutine, like the
-	// memo maps; WorkerView hands out a fresh one.
+	// memo; WorkerView hands out a fresh one.
 	solver *thermal.Solver
 	// evalMemo caches full Evaluate results by exact operating-point +
 	// profile key; evalKey is the reused scratch buffer the key is encoded
@@ -145,17 +146,10 @@ type Core struct {
 	evalMemo map[string]SystemState
 	evalKey  []byte
 	evalIns  []thermal.SubsystemInput
-	// evalRefused counts Evaluate results the memo declined to store
-	// because it was at its cap; AdaptSteady memoizes a solve only if
-	// this did not move while the solve ran.
-	evalRefused int
 	// evalCurve is the reused stage-curve scratch for evaluate's real
 	// error-rate pass — one Curve per Core instead of one per
 	// (subsystem, evaluation).
 	evalCurve vats.Curve
-	// steadyMemo caches whole AdaptSteady solves by exact profile +
-	// solver key (see AdaptSteady); nil bypasses it.
-	steadyMemo map[steadyKey]steadyEntry
 	// freq is the best-first Freq search's scratch, leakage table included.
 	freq freqScratch
 }
@@ -184,16 +178,15 @@ func NewCore(subs []Subsystem, pw *power.Model, th *thermal.Model,
 		}
 	}
 	return &Core{
-		Subs:       subs,
-		Power:      pw,
-		Thermal:    th,
-		Checker:    chk,
-		Config:     cfg,
-		Limits:     lim,
-		pe:         newPEStore(len(subs)),
-		solver:     thermal.NewSolver(th),
-		evalMemo:   make(map[string]SystemState),
-		steadyMemo: make(map[steadyKey]steadyEntry),
+		Subs:     subs,
+		Power:    pw,
+		Thermal:  th,
+		Checker:  chk,
+		Config:   cfg,
+		Limits:   lim,
+		pe:       newPEStore(len(subs)),
+		solver:   thermal.NewSolver(th),
+		evalMemo: make(map[string]SystemState),
 	}, nil
 }
 
@@ -201,9 +194,9 @@ func NewCore(subs []Subsystem, pw *power.Model, th *thermal.Model,
 func (c *Core) N() int { return len(c.Subs) }
 
 // WithConfig returns a core for technique configuration cfg over this
-// core's subsystems, models, limits, and PE-table store, with empty memos
-// and fresh scratch as WorkerView gives. The tables depend only on the
-// stage models, not on the configuration, so the cores one chip's
+// core's subsystems, models, limits, and PE-table store, with an empty
+// memo and fresh scratch as WorkerView gives. The tables depend only on
+// the stage models, not on the configuration, so the cores one chip's
 // environments get this way share one store and amortize the vats.Curve
 // evaluations. The store is safe for concurrent use, so those cores may
 // run on different goroutines; each individual core still belongs to one
@@ -273,11 +266,11 @@ func (c *Core) BuiltPEColumns() int {
 
 // WorkerView returns a core that shares this core's immutable models
 // (stages, power, thermal, checker, limits) and its concurrency-safe
-// PE-table store, but owns empty memo maps and fresh scratch. Views are
-// how a worker pool divides one chip's solve work: each goroutine drives
-// its own view, warm tables are shared, and the unsynchronized memo maps
-// and scratch buffers are never contended. Solve results are bitwise
-// identical to the parent's.
+// PE-table store, but owns an empty Evaluate memo and fresh scratch.
+// Views are how a worker pool divides one chip's solve work: each
+// goroutine drives its own view, warm tables are shared, and the
+// unsynchronized memo and scratch buffers are never contended. Solve
+// results are bitwise identical to the parent's.
 func (c *Core) WorkerView() *Core {
 	v := *c
 	v.solver = thermal.NewSolver(c.Thermal)
@@ -285,7 +278,6 @@ func (c *Core) WorkerView() *Core {
 	v.evalKey = nil
 	v.evalIns = nil
 	v.evalCurve = vats.Curve{}
-	v.steadyMemo = make(map[steadyKey]steadyEntry)
 	v.freq = freqScratch{}
 	return &v
 }

@@ -344,26 +344,12 @@ func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// appendProfileKey encodes exactly (float bit patterns) the profile
-// fields adaptation reads: the class, the per-subsystem activity, and the
-// CPI and miss terms. The remaining fields (app name, phase index,
-// weight) are labels no solve reads, so they stay out of every memo key.
-func appendProfileKey(b []byte, prof pipeline.Profile) []byte {
-	b = append(b, byte(prof.Class))
-	for _, a := range prof.Activity {
-		b = appendF64(b, a)
-	}
-	b = appendF64(b, prof.CPICompFull)
-	b = appendF64(b, prof.CPICompSmall)
-	b = appendF64(b, prof.Mr)
-	b = appendF64(b, prof.MpNomCycles)
-	return appendF64(b, prof.MispredictsPerInstr)
-}
-
 // evalMemoKey encodes everything Evaluate's result depends on besides the
 // core's immutable models: the full operating point and the profile fields
-// Evaluate reads. The encoding is exact (float bit patterns), so a hit can
-// only occur for a bitwise-identical query. The key is built in a reused
+// adaptation reads (the class, the per-subsystem activity, and the CPI and
+// miss terms; the app name, phase index and weight are labels no solve
+// reads). The encoding is exact (float bit patterns), so a hit can only
+// occur for a bitwise-identical query. The key is built in a reused
 // buffer; map lookups via string(key) do not allocate.
 func (c *Core) evalMemoKey(op OperatingPoint, prof pipeline.Profile) []byte {
 	k := c.evalKey[:0]
@@ -373,7 +359,15 @@ func (c *Core) evalMemoKey(op OperatingPoint, prof pipeline.Profile) []byte {
 		k = appendF64(k, op.VbbV[i])
 	}
 	k = append(k, byte(op.Queue), byte(op.FU))
-	k = appendProfileKey(k, prof)
+	k = append(k, byte(prof.Class))
+	for _, a := range prof.Activity {
+		k = appendF64(k, a)
+	}
+	k = appendF64(k, prof.CPICompFull)
+	k = appendF64(k, prof.CPICompSmall)
+	k = appendF64(k, prof.Mr)
+	k = appendF64(k, prof.MpNomCycles)
+	k = appendF64(k, prof.MispredictsPerInstr)
 	c.evalKey = k
 	return k
 }
@@ -386,8 +380,8 @@ func (c *Core) evalMemoKey(op OperatingPoint, prof pipeline.Profile) []byte {
 // re-probe the same (operating point, profile) pairs constantly, and
 // repeated phases across the environment sweep land on identical keys, so
 // repeats are table lookups ("core.memo.evaluate_hits"). Once the memo
-// holds evalMemoCap entries it stores nothing more and counts each
-// refusal. DisablePruning routes around the memo, like the steady memo.
+// holds evalMemoCap entries it stores nothing more, and MemoComplete
+// reads false from then on. DisablePruning routes around the memo.
 func (c *Core) Evaluate(op OperatingPoint, prof pipeline.Profile) (SystemState, error) {
 	memo := !c.DisablePruning && c.evalMemo != nil
 	var key []byte
@@ -400,14 +394,21 @@ func (c *Core) Evaluate(op OperatingPoint, prof pipeline.Profile) (SystemState, 
 		c.Obs.Counter("core.memo.evaluate_misses").Inc()
 	}
 	st := c.evaluate(op, prof)
-	if memo {
-		if len(c.evalMemo) < evalMemoCap {
-			c.evalMemo[string(key)] = st
-		} else {
-			c.evalRefused++
-		}
+	if memo && len(c.evalMemo) < evalMemoCap {
+		c.evalMemo[string(key)] = st
 	}
 	return st, nil
+}
+
+// MemoComplete reports whether the Evaluate memo holds every state the
+// core has evaluated: it is on (DisablePruning stays off) and below its
+// cap, so it has refused no insert. Solving again a unit the core has
+// already solved then hits the memo at every probe, which leaves the
+// thermal warm start untouched, and Propose's Freq/Power scans are pure,
+// so the solve returns its first result bit for bit. A caller that kept
+// that result may return it instead of solving.
+func (c *Core) MemoComplete() bool {
+	return !c.DisablePruning && c.evalMemo != nil && len(c.evalMemo) < evalMemoCap
 }
 
 // evaluate is the uncached Evaluate body.

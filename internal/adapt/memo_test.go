@@ -3,7 +3,6 @@ package adapt
 import (
 	"math/bits"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,184 +188,86 @@ func steadyProfiles(t *testing.T) (u1, u2, u3 pipeline.Profile) {
 	return gcc, swim, u3
 }
 
-// TestSteadyMemoMatchesRecompute: a view answering the recurring phases of
-// u1, u2, u1, u3, u1 from its steady memo returns, position by position,
-// exactly what a twin view that recomputes every solve returns.
+// TestSteadyMemoMatchesRecompute: on a core whose Evaluate memo is
+// complete, AdaptSteady over the recurring phases u1, u2, u1, u3, u1
+// returns, position by position, exactly what a twin core running u1,
+// u2, u3 once each returns. A repeat hits the memo at every probe, so it
+// reproduces its first solve and leaves the thermal warm start where the
+// next new phase expects it. This is the property that lets the fleet
+// answer a recurring unit from its first result.
 func TestSteadyMemoMatchesRecompute(t *testing.T) {
 	u1, u2, u3 := steadyProfiles(t)
+	profs := []pipeline.Profile{u1, u2, u3}
 	parent := buildCore(t, 34, preferred)
-	view, twin := parent.WorkerView(), parent.WorkerView()
-	twin.steadyMemo = nil
-	reg := obs.NewRegistry()
-	view.Obs = reg
-	for pos, prof := range []pipeline.Profile{u1, u2, u1, u3, u1} {
-		got, err := view.AdaptSteady(prof, Exhaustive{})
+	core, twin := parent.WorkerView(), parent.WorkerView()
+	want := make([]RetuneResult, len(profs))
+	for i, prof := range profs {
+		res, err := twin.AdaptSteady(prof, Exhaustive{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := twin.AdaptSteady(prof, Exhaustive{})
+		want[i] = res
+	}
+	for pos, i := range []int{0, 1, 0, 2, 0} {
+		got, err := core.AdaptSteady(profs[i], Exhaustive{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRetune(got, want) {
-			t.Fatalf("position %d: memoized solve %+v != recomputed %+v", pos, got, want)
+		if !sameRetune(got, want[i]) {
+			t.Errorf("position %d (u%d): solve %+v != twin's %+v", pos, i+1, got, want[i])
 		}
 	}
-	if hits, misses := reg.Counter("adapt.steady.memo_hits").Value(),
-		reg.Counter("adapt.steady.memo_misses").Value(); hits != 2 || misses != 3 {
-		t.Errorf("steady memo hits/misses = %d/%d, want 2/3", hits, misses)
-	}
-	// A hit hands out its own operating point: mutating it must not
-	// reach the memo.
-	first, err := view.AdaptSteady(u1, Exhaustive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Point.VddV[0] = -1
-	again, err := view.AdaptSteady(u1, Exhaustive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Point.VddV[0] == -1 {
-		t.Error("steady memo hit aliases the caller's operating point")
+	if !core.MemoComplete() {
+		t.Fatal("core's Evaluate memo is not complete; the test proves nothing")
 	}
 }
 
-// TestSteadyMemoKeysSolver: the memo keys the solver's identity, so the
-// same phase under Exhaustive and under two distinct fuzzy solvers is
-// three solves. Untrained fuzzy solvers fall back to Exhaustive answers,
-// so only the key tells them apart.
-func TestSteadyMemoKeysSolver(t *testing.T) {
-	u1, _, _ := steadyProfiles(t)
-	core := buildCore(t, 34, preferred)
-	reg := obs.NewRegistry()
-	core.Obs = reg
-	fs1, fs2 := &FuzzySolver{}, &FuzzySolver{}
-	for _, s := range []Solver{Exhaustive{}, fs1, fs2, fs1, Exhaustive{}} {
-		if _, err := core.AdaptSteady(u1, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := reg.Counter("adapt.steady.memo_hits").Value(),
-		reg.Counter("adapt.steady.memo_misses").Value(); hits != 2 || misses != 3 {
-		t.Errorf("steady memo hits/misses = %d/%d, want 2/3", hits, misses)
-	}
-}
-
-// TestSteadyMemoBypass: solvers the memo cannot key, and the reference
-// mode, recompute every solve.
-func TestSteadyMemoBypass(t *testing.T) {
-	u1, _, _ := steadyProfiles(t)
-	type wrapped struct{ Exhaustive }
-	for name, tc := range map[string]struct {
-		solver    Solver
-		reference bool
-	}{
-		"other solver": {solver: wrapped{}},
-		"reference":    {solver: Exhaustive{}, reference: true},
-	} {
-		core := buildCore(t, 34, preferred)
-		core.DisablePruning = tc.reference
-		reg := obs.NewRegistry()
-		core.Obs = reg
-		for i := 0; i < 2; i++ {
-			if _, err := core.AdaptSteady(u1, tc.solver); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := len(core.steadyMemo); n != 0 {
-			t.Errorf("%s: steady memo holds %d entries, want 0", name, n)
-		}
-		if hits := reg.Counter("adapt.steady.memo_hits").Value(); hits != 0 {
-			t.Errorf("%s: %d steady memo hits, want 0", name, hits)
-		}
-	}
-}
-
-// TestSteadyMemoSkipsRefusedSolves: a solve during which the Evaluate memo
-// refused an insert at its cap is not memoized, because a recompute would
-// re-solve those probes from a different thermal warm start. A solve whose
-// probes all hit the full memo refused nothing and is memoized.
-func TestSteadyMemoSkipsRefusedSolves(t *testing.T) {
+// TestMemoCompleteAtCap: MemoComplete holds on a fresh core and after
+// solves below the cap. It reads false once the Evaluate memo holds
+// evalMemoCap entries, because the memo then refuses every new state and
+// a repeat of a refused probe would re-solve from another thermal warm
+// start, and under DisablePruning, which bypasses the memo.
+func TestMemoCompleteAtCap(t *testing.T) {
 	u1, u2, _ := steadyProfiles(t)
 	core := buildCore(t, 35, preferred)
-	reg := obs.NewRegistry()
-	core.Obs = reg
+	if !core.MemoComplete() {
+		t.Fatal("fresh core: memo not complete")
+	}
 	if _, err := core.AdaptSteady(u1, Exhaustive{}); err != nil {
 		t.Fatal(err)
 	}
-	clear(core.steadyMemo)
-	for i := 0; len(core.evalMemo) < evalMemoCap; i++ {
+	if !core.MemoComplete() {
+		t.Fatal("memo not complete after one solve")
+	}
+	for i := 0; len(core.evalMemo) < evalMemoCap-1; i++ {
 		core.evalMemo["placeholder "+strconv.Itoa(i)] = SystemState{}
 	}
-
-	// u2 was never evaluated: its probes miss the full Evaluate memo.
-	for i := 0; i < 2; i++ {
-		if _, err := core.AdaptSteady(u2, Exhaustive{}); err != nil {
-			t.Fatal(err)
-		}
+	if !core.MemoComplete() {
+		t.Fatal("memo one entry below its cap reads incomplete")
 	}
-	if n := len(core.steadyMemo); n != 0 {
-		t.Fatalf("solve with refused Evaluate inserts was memoized (%d entries)", n)
-	}
-	if hits := reg.Counter("adapt.steady.memo_hits").Value(); hits != 0 {
-		t.Fatalf("%d steady memo hits after refused solves, want 0", hits)
-	}
-
-	// u1's probes are all in the Evaluate memo: nothing is refused.
-	if _, err := core.AdaptSteady(u1, Exhaustive{}); err != nil {
+	// u2 was never evaluated: its first probe fills the last slot, and
+	// the memo refuses the rest.
+	if _, err := core.AdaptSteady(u2, Exhaustive{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(core.steadyMemo); n != 1 {
-		t.Fatalf("solve served wholly from the Evaluate memo left %d steady entries, want 1", n)
+	if n := len(core.evalMemo); n != evalMemoCap {
+		t.Fatalf("memo holds %d entries, want its cap %d", n, evalMemoCap)
 	}
-}
+	if core.MemoComplete() {
+		t.Fatal("memo at its cap reads complete")
+	}
 
-// TestSteadyMemoReplaysCounters: k identical solves book k times one
-// solve's retune and outcome counts, k-1 of them from the memo.
-func TestSteadyMemoReplaysCounters(t *testing.T) {
-	u1, _, _ := steadyProfiles(t)
-	const k = 4
-	counts := func(calls int) (map[string]int64, *obs.Registry) {
-		core := buildCore(t, 36, allConfig)
-		reg := obs.NewRegistry()
-		core.Obs = reg
-		for i := 0; i < calls; i++ {
-			if _, err := core.AdaptSteady(u1, Exhaustive{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := make(map[string]int64)
-		for _, m := range reg.Snapshot() {
-			if m.Kind == "counter" && (strings.HasPrefix(m.Name, "adapt.retune.") ||
-				strings.HasPrefix(m.Name, "adapt.outcome.")) {
-				out[m.Name] = m.Count
-			}
-		}
-		return out, reg
-	}
-	one, _ := counts(1)
-	many, reg := counts(k)
-	if one["adapt.retune.invocations"] == 0 {
-		t.Fatal("one solve recorded no retune invocations")
-	}
-	if len(many) != len(one) {
-		t.Errorf("%d solves registered counters %v, one solve %v", k, many, one)
-	}
-	for name, v := range one {
-		if many[name] != k*v {
-			t.Errorf("%s = %d after %d solves, want %d x %d", name, many[name], k, k, v)
-		}
-	}
-	if hits := reg.Counter("adapt.steady.memo_hits").Value(); hits != k-1 {
-		t.Errorf("adapt.steady.memo_hits = %d, want %d", hits, k-1)
+	ref := buildCore(t, 35, preferred)
+	ref.DisablePruning = true
+	if ref.MemoComplete() {
+		t.Fatal("DisablePruning core reads complete")
 	}
 }
 
 // TestConcurrentWorkerViewSteady drives per-worker views, each with its
-// own steady memo, from racing goroutines over a parent that has already
-// solved: every view starts with an empty memo and answers its recurring
-// phases exactly as a fresh serial core does.
+// own Evaluate memo, from racing goroutines over a parent that has
+// already solved: every view starts with an empty memo and answers its
+// recurring phases exactly as a fresh serial core does.
 func TestConcurrentWorkerViewSteady(t *testing.T) {
 	u1, u2, _ := steadyProfiles(t)
 	seq := []pipeline.Profile{u1, u2, u1, u2}
@@ -383,8 +284,6 @@ func TestConcurrentWorkerViewSteady(t *testing.T) {
 	if _, err := parent.AdaptSteady(u1, Exhaustive{}); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	parent.Obs = reg
 	const workers = 4
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
@@ -410,10 +309,6 @@ func TestConcurrentWorkerViewSteady(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-	if hits, misses := reg.Counter("adapt.steady.memo_hits").Value(),
-		reg.Counter("adapt.steady.memo_misses").Value(); hits != 2*workers || misses != 2*workers {
-		t.Errorf("steady memo hits/misses = %d/%d, want %d/%d", hits, misses, 2*workers, 2*workers)
 	}
 }
 

@@ -161,50 +161,12 @@ func (c *Core) AdaptPhase(prof pipeline.Profile, thK float64, solver Solver) (Re
 // sensed TH reproduces that TH. The returned outcome is that of the last
 // (steady) controller invocation.
 //
-// A recurring phase reuses its saved configuration instead of re-running
-// the controller (§4.3.3): solves are memoized per core by the exact
-// profile key and the solver's identity (Exhaustive, or the *FuzzySolver
-// pointer; any other Solver bypasses the memo, as does DisablePruning).
-// A solve is stored only if the Evaluate memo refused no insert while it
-// ran. A recompute on this core would then hit the Evaluate memo at every
-// probe, and Propose's Freq/Power scans are pure, so it would reproduce
-// the stored result bit for bit — a hit is exactly a recompute, thermal
-// warm start included. A hit replays the adapt.retune.* and
-// adapt.outcome.* counts the stored solve recorded, so those counters
-// still show every invocation ("adapt.steady.memo_hits" tells them apart).
+// Every call runs the controller. A recurring phase reuses its saved
+// configuration (§4.3.3) one level up: the fleet's per-chip table keeps
+// a unit's first answer, which on a core whose Evaluate memo is complete
+// is exactly what solving the unit again would return (see
+// MemoComplete).
 func (c *Core) AdaptSteady(prof pipeline.Profile, solver Solver) (RetuneResult, error) {
-	fuzzy, memo := steadySolverKey(solver)
-	memo = memo && c.steadyMemo != nil && !c.DisablePruning
-	var key steadyKey
-	if memo {
-		c.evalKey = appendProfileKey(c.evalKey[:0], prof)
-		key = steadyKey{fuzzy: fuzzy, prof: string(c.evalKey)}
-		if e, ok := c.steadyMemo[key]; ok {
-			c.Obs.Counter("adapt.steady.memo_hits").Inc()
-			c.replay(&e)
-			res := e.res
-			res.Point = res.Point.Clone()
-			return res, nil
-		}
-		c.Obs.Counter("adapt.steady.memo_misses").Inc()
-	}
-	refused := c.evalRefused
-	var e steadyEntry
-	res, err := c.adaptSteady(prof, solver, &e)
-	if err != nil {
-		return RetuneResult{}, err
-	}
-	if memo && c.evalRefused == refused && len(c.steadyMemo) < evalMemoCap {
-		e.res = res
-		e.res.Point = res.Point.Clone()
-		c.steadyMemo[key] = e
-	}
-	return res, nil
-}
-
-// adaptSteady is the unmemoized AdaptSteady loop; it tallies each
-// controller invocation's retune record into e.
-func (c *Core) adaptSteady(prof pipeline.Profile, solver Solver, e *steadyEntry) (RetuneResult, error) {
 	th := c.Thermal.Params().THBaseK + 10 // initial sensor reading guess
 	var res RetuneResult
 	var err error
@@ -213,8 +175,6 @@ func (c *Core) adaptSteady(prof pipeline.Profile, solver Solver, e *steadyEntry)
 		if err != nil {
 			return RetuneResult{}, err
 		}
-		e.cycles += int64(res.Steps)
-		e.outcomes[res.Outcome]++
 		newTH := res.State.Core.THK
 		if newTH == 0 || math.IsInf(newTH, 0) {
 			// Unconverged thermal state: treat the previous sensed value
@@ -227,48 +187,4 @@ func (c *Core) adaptSteady(prof pipeline.Profile, solver Solver, e *steadyEntry)
 		th = 0.5*th + 0.5*newTH
 	}
 	return res, nil
-}
-
-// steadyKey identifies one memoized AdaptSteady solve: the solver (a nil
-// fuzzy pointer stands for Exhaustive) and the exact profile encoding.
-// A FuzzySolver is never modified once trained or decoded, so its pointer
-// identifies its answers.
-type steadyKey struct {
-	fuzzy *FuzzySolver
-	prof  string
-}
-
-// steadyEntry is one memoized AdaptSteady result plus the retune records
-// of the controller invocations behind it.
-type steadyEntry struct {
-	res      RetuneResult
-	cycles   int64
-	outcomes [NumOutcomes]int64
-}
-
-// steadySolverKey returns the solver's memo identity, or false for a
-// solver the steady memo cannot key.
-func steadySolverKey(s Solver) (*FuzzySolver, bool) {
-	switch s := s.(type) {
-	case Exhaustive:
-		return nil, true
-	case *FuzzySolver:
-		return s, s != nil
-	}
-	return nil, false
-}
-
-// replay books a memoized solve's retune records as record did when the
-// solve ran. Outcomes it never recorded stay untouched, so the retune and
-// outcome counters read exactly as if the solve had been recomputed.
-func (c *Core) replay(e *steadyEntry) {
-	var n int64
-	for o, k := range e.outcomes {
-		if k > 0 {
-			c.Obs.Counter(outcomeCounters[o]).Add(k)
-			n += k
-		}
-	}
-	c.Obs.Counter("adapt.retune.invocations").Add(n)
-	c.Obs.Counter("adapt.retune.cycles").Add(e.cycles)
 }

@@ -41,15 +41,18 @@
 // Result.CacheHit is the hit bit of the read that serves it
 // (core.AppRun.CacheHit), so a record that fails its checksum or its
 // decoder, which the store rebuilds, is served and counted as a miss.
-// A unit the chip has already read from the store during this admission
-// replays from the chip entry's table: it derives no apprun key, reads
-// no record, and counts as a cache hit, since the hit bit of a replayed
-// group is that of the unit's first read during the admission. A record
-// evicted or damaged after that read is not read again until the chip
-// rejoins. Only store hits enter the table, and a hit never drives a
-// core, so computed units, uncacheable units and store-less fleets
-// never do, and every core runs the same units in the same order as it
-// would without the table.
+// A unit the chip has already answered during this admission replays
+// from the chip entry's table: it derives no apprun key, reads no
+// record, drives no core, and counts as a cache hit, however it was
+// first answered. A unit read from the store enters the table, since a
+// store hit never drives a core; so does a computed unit whose core's
+// Evaluate memo is still complete (adapt.Core.MemoComplete), since
+// solving it again there would hit the memo at every probe and return
+// the same result without moving the thermal warm start. Either way
+// every core runs as it would without the table, and the table is the
+// one memo that answers a recurring unit, with a store or without one.
+// A record evicted or damaged after the chip read it is not read again
+// until the chip rejoins.
 // The price of ownership: a chip's units never run on two workers at
 // once, so a fleet with fewer resident chips than workers leaves
 // workers idle.
@@ -76,14 +79,16 @@
 //
 // Units are not pure. A unit's value still depends on the units the
 // chip ran before it in the same environment: the core's warm-started
-// thermal solve and its memos carry state from one unit to the next
-// (ROADMAP item 1). Ownership makes that history a function of the
+// thermal solve and its memo carry state from one unit to the next
+// (ROADMAP item 2). Ownership makes that history a function of the
 // trace rather than of the placement: a chip's unit batches run in
 // ingest order on one core per environment, whichever worker owns the
 // chip. A store written by a different trace replays that trace's
 // history, so the contract does not extend to one. The determinism test
-// plays a long mixed-mode history trace at workers {1, 2, 8}, each on a
+// plays a long mixed-mode history trace and then its run events again,
+// so every unit recurs on its core, at workers {1, 2, 8}, each on a
 // fresh simulator without a store, then a cold run into a fresh store
 // and a warm run from the reopened store, and compares canonical JSON
-// byte-for-byte.
+// byte-for-byte; on amd64 the workers=1 stream must also match a
+// recorded SHA-256.
 package fleet

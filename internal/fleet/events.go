@@ -90,10 +90,11 @@ type Result struct {
 	// excluded from Canonical(), which is what the determinism contract
 	// covers.
 
-	// CacheHit reports that the unit came from the artifact store. For a
-	// group the chip's replay table answered, it is the hit bit of the
-	// unit's first read during the chip's admission: a record evicted or
-	// damaged after that read is not read again until the chip rejoins.
+	// CacheHit reports that no core solved the unit for this request:
+	// it came from the artifact store or from the chip's replay table,
+	// which holds every unit this admission of the chip has already
+	// answered, computed or read. A record evicted or damaged after the
+	// chip read it is not read again until the chip rejoins.
 	CacheHit bool    `json:"cache_hit,omitempty"`
 	Batched  int     `json:"batched,omitempty"`
 	Worker   int     `json:"worker,omitempty"`

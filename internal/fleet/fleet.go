@@ -115,8 +115,9 @@ type chipEntry struct {
 	cores [core.NumEnvironments]*adapt.Core
 
 	// replay holds the payload of every unit this admission of the chip
-	// has read from the artifact store, touched only by the owner and
-	// freed with the entry (see solveGroups).
+	// has read from the artifact store or computed on a core whose
+	// Evaluate memo is complete, touched only by the owner and freed
+	// with the entry (see solveGroups).
 	replay map[replayKey]RunPayload
 }
 

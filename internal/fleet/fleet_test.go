@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -140,9 +142,27 @@ func historyTrace(apps []workload.App) [][]Event {
 	return append(batches, events)
 }
 
-// runTrace plays testTrace and then historyTrace, over the six apps the
-// repository benchmark runs, through a fresh fleet over sim and returns
-// every result in emission order.
+// rerunTrace returns the run events of history once more, in the same
+// batches and with the clock advanced past them, so every (chip, mode,
+// unit) of the history recurs on its core after other units ran there.
+func rerunTrace(history [][]Event) [][]Event {
+	var batches [][]Event
+	for _, batch := range history {
+		var runs []Event
+		for _, ev := range batch {
+			if ev.Kind == KindRun {
+				ev.At += 100
+				runs = append(runs, ev)
+			}
+		}
+		batches = append(batches, runs)
+	}
+	return batches
+}
+
+// runTrace plays testTrace, historyTrace and its rerun, over the six
+// apps the repository benchmark runs, through a fresh fleet over sim and
+// returns every result in emission order.
 func runTrace(t *testing.T, sim *core.Simulator, workers int) []Result {
 	t.Helper()
 	apps := testApps(t, "gcc", "crafty", "mcf", "swim", "sixtrack", "art")
@@ -161,8 +181,9 @@ func runTrace(t *testing.T, sim *core.Simulator, workers int) []Result {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	history := historyTrace(apps)
 	var results []Result
-	for _, batch := range append(testTrace(), historyTrace(apps)...) {
+	for _, batch := range slices.Concat(testTrace(), history, rerunTrace(history)) {
 		if err := f.SubmitBatch(batch, func(r Result) { results = append(results, r) }); err != nil {
 			t.Fatal(err)
 		}
@@ -184,14 +205,23 @@ func canonicalLines(t *testing.T, results []Result) []string {
 	return lines
 }
 
+// fleetDeterminismDigest is the SHA-256 of the workers=1 store-less
+// canonical stream of runTrace, one JSON line per result, each ended by
+// a newline, as recorded on amd64.
+const fleetDeterminismDigest = "d9d065d37a77264a6a95ddccbf4ea1db131333611af3d33478e0d66afad9b6a9"
+
 // TestFleetDeterminism is the headline contract: at a fixed seed and
 // fixed event trace, canonical results are byte-identical at every
 // worker count, with no store or with a store that starts empty. Each
 // no-store run gets a fresh simulator, so nothing but the chips' own
 // earlier units can shape a result; the history trace is long enough
 // that a unit's value depends on the units its core ran before it, so
-// any placement that changed that order would show. A store written by
-// the same trace then replays the same bytes.
+// any placement that changed that order would show, and its rerun makes
+// every unit recur on its core after others ran there. The workers=1
+// stream is pinned to a recorded digest (on amd64, where Go never fuses
+// a multiply-add), so a recurring unit answered differently than when
+// the digest was recorded fails too. A store written by the same trace
+// then replays the same bytes.
 func TestFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
@@ -202,6 +232,15 @@ func TestFleetDeterminism(t *testing.T) {
 		got := canonicalLines(t, results)
 		if want == nil {
 			want = got
+			if runtime.GOARCH == "amd64" {
+				h := sha256.New()
+				for _, line := range got {
+					h.Write([]byte(line + "\n"))
+				}
+				if sum := hex.EncodeToString(h.Sum(nil)); sum != fleetDeterminismDigest {
+					t.Errorf("workers=1 canonical stream digest = %s, want %s", sum, fleetDeterminismDigest)
+				}
+			}
 			// The trace must actually exercise results, errors, and
 			// rejections or the sweep proves nothing.
 			var okRuns, errs, rejects int
@@ -873,12 +912,13 @@ func TestReplayTableReadsEachUnitOnce(t *testing.T) {
 }
 
 // TestReplayTableLifecycle follows one unit through a cold store: the
-// first request computes it (a miss), the second reads the record (a
-// hit) and fills the chip's replay table, the third replays from the
-// table without reading the store. A caller mutating a served payload
-// does not reach the table. A chip that leaves and rejoins starts with
-// an empty table and reads the store again. A store-less fleet's table
-// stays empty.
+// first request computes it (a miss), and since its core's Evaluate
+// memo is complete, the unit enters the chip's replay table; the second
+// and third replay from the table without reading the store. A caller
+// mutating a served payload does not reach the table. A chip that
+// leaves and rejoins starts with an empty table and reads the store. A
+// store-less fleet answers its repeats from the table too: a cache hit,
+// no new adaptation, and the first payload bit for bit.
 func TestReplayTableLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
@@ -905,41 +945,54 @@ func TestReplayTableLifecycle(t *testing.T) {
 	}
 	defer f.Close()
 	serve(f, Event{At: 1, Kind: KindJoin, Chip: chip})
-	step := func(label string, wantHit bool, wantReads int64, wantTable int) Result {
+	step := func(label string, wantHit bool, wantReads int64) Result {
 		t.Helper()
 		r := serve(f, unit)
-		if r.CacheHit != wantHit || reads.Value() != wantReads || len(entryOf(f, chip).replay) != wantTable {
-			t.Fatalf("%s: cache hit %v, %d apprun reads, %d table entries; want %v, %d, %d",
-				label, r.CacheHit, reads.Value(), len(entryOf(f, chip).replay), wantHit, wantReads, wantTable)
+		if r.CacheHit != wantHit || reads.Value() != wantReads || len(entryOf(f, chip).replay) != 1 {
+			t.Fatalf("%s: cache hit %v, %d apprun reads, %d table entries; want %v, %d, 1",
+				label, r.CacheHit, reads.Value(), len(entryOf(f, chip).replay), wantHit, wantReads)
 		}
 		return r
 	}
-	step("computed", false, 0, 0)
-	read := step("read", true, 1, 1)
-	saved := *read.Run
-	read.Run.FRel, read.Run.PE = -1, -1
-	replayed := step("replayed", true, 1, 1)
+	computed := step("computed", false, 0)
+	saved := *computed.Run
+	computed.Run.FRel, computed.Run.PE = -1, -1
+	replayed := step("replayed", true, 0)
 	if *replayed.Run != saved {
 		t.Fatalf("replay after mutating the served payload: %+v, want %+v", *replayed.Run, saved)
 	}
 	replayed.Run.Perf = -1
-	if again := step("replayed again", true, 1, 1); *again.Run != saved {
+	if again := step("replayed again", true, 0); *again.Run != saved {
 		t.Fatalf("second replay: %+v, want %+v", *again.Run, saved)
 	}
 	serve(f, Event{At: 3, Kind: KindLeave, Chip: chip}, Event{At: 3, Kind: KindJoin, Chip: chip})
-	if r := step("rejoined", true, 2, 1); *r.Run != saved {
+	if r := step("rejoined", true, 1); *r.Run != saved {
 		t.Fatalf("after rejoin: %+v, want %+v", *r.Run, saved)
 	}
 
-	bare, err := New(testSim(t, ""), Config{Workers: 2, Apps: testApps(t)})
+	bareReg := obs.NewRegistry()
+	adapts := bareReg.Timer("core.phase.adapt")
+	bareSim := testSim(t, "")
+	bareSim.SetObs(bareReg)
+	bare, err := New(bareSim, Config{Workers: 2, Apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bare.Close()
 	serve(bare, Event{At: 1, Kind: KindJoin, Chip: chip})
-	for i := 0; i < 3; i++ {
-		if r := serve(bare, unit); r.CacheHit || len(entryOf(bare, chip).replay) != 0 {
-			t.Fatalf("store-less request %d: cache hit %v, %d table entries", i+1, r.CacheHit, len(entryOf(bare, chip).replay))
+	first := serve(bare, unit)
+	if first.CacheHit || adapts.Count() != 1 || len(entryOf(bare, chip).replay) != 1 {
+		t.Fatalf("store-less first request: cache hit %v, %d adaptations, %d table entries; want false, 1, 1",
+			first.CacheHit, adapts.Count(), len(entryOf(bare, chip).replay))
+	}
+	if *first.Run != saved {
+		t.Fatalf("store-less first request: %+v, stored run %+v", *first.Run, saved)
+	}
+	for i := 2; i <= 3; i++ {
+		r := serve(bare, unit)
+		if !r.CacheHit || adapts.Count() != 1 || *r.Run != saved {
+			t.Fatalf("store-less request %d: cache hit %v, %d adaptations, payload %+v; want true, 1, %+v",
+				i, r.CacheHit, adapts.Count(), *r.Run, saved)
 		}
 	}
 }

@@ -113,16 +113,19 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 // store, private memos and scratch). Only the owner touches those cores,
 // so a chip's units run on them in ingest order.
 //
-// A unit whose record this admission of the chip has already read from
-// the store replays from the entry's table, deriving no apprun key and
-// reading no record. On one chip, (environment, mode, app, phase)
-// determines the apprun key: the app universe is fixed, the fleet trains
-// every fuzzy controller with its one TrainOptions and the handle
-// memoizes it per configuration, and the handle memoizes static points
-// per (chip, configuration, class). Only store hits enter the table. A
-// hit never drives a core, so replaying it from the table leaves every
-// core running the same units in the same order; computed and
-// uncacheable units, and so every unit of a store-less fleet, stay out.
+// A unit this admission of the chip has already answered replays from
+// the entry's table, deriving no apprun key, reading no record and
+// driving no core. On one chip, (environment, mode, app, phase)
+// determines the unit: the app universe is fixed, the fleet trains every
+// fuzzy controller with its one TrainOptions and the handle memoizes it
+// per configuration, and the handle memoizes static points per (chip,
+// configuration, class). A unit read from the store enters the table,
+// since a store hit never drives a core. So does a computed unit whose
+// core's Evaluate memo is still complete (adapt.Core.MemoComplete):
+// solving it again there would hit the memo at every probe, return the
+// same result and leave the core's thermal warm start untouched. Either
+// way a replay leaves every core where solving the unit again would, so
+// the table changes no result, with a store or without one.
 func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 	groups := sc.groups
 	handle, err := t.entry.ensure(f.sim)
@@ -222,7 +225,7 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 			continue
 		}
 		g.payload = &RunPayload{FRel: run.FRel, Perf: run.Perf, PowerW: run.PowerW, PE: run.PE}
-		if g.hit {
+		if g.hit || cpu.MemoComplete() {
 			if t.entry.replay == nil {
 				t.entry.replay = make(map[replayKey]RunPayload)
 			}

@@ -210,6 +210,46 @@ func TestBuildProfile(t *testing.T) {
 	}
 }
 
+// TestBuildProfileSmallQueueRounding is the counterexample BuildProfile's
+// remaining clamp exists for. On swim's phase 3 at 6000 instructions,
+// with the seed internal/core derives for that phase, the 3/4 FP queue
+// costs no cycles at all, yet rSmall.CPI - mr*mpNom rounds one ulp below
+// rComp.CPI. No monotonicity property fails, so the profile is built, and
+// the clamp reports the small queue's CPIcomp equal to the full one's.
+func TestBuildProfileSmallQueueRounding(t *testing.T) {
+	app, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, seed = 6000, -1471056194233477973
+	ph := app.Phases[3]
+	trace := GenerateTrace(ph.Mix, n, mathx.NewRNG(seed))
+	full := DefaultConfig()
+	small, squash := full, full
+	small.FPQEntries = int(float64(full.FPQEntries) * tech.QueueSmallFrac)
+	squash.SquashL2Misses = true
+	var r [3]Result
+	for i, cfg := range []Config{full, small, squash} {
+		if r[i], err = Simulate(trace, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mr := r[0].L2MissesPerInstr
+	if r[1].Cycles != r[0].Cycles || mr == 0 {
+		t.Fatalf("small queue %d cycles, full %d, mr %v: not the rounding case", r[1].Cycles, r[0].Cycles, mr)
+	}
+	if unclamped := r[1].CPI - mr*((r[0].CPI-r[2].CPI)/mr); !(unclamped < r[2].CPI) {
+		t.Fatalf("unclamped small-queue CPIcomp %v is not below %v: not the rounding case", unclamped, r[2].CPI)
+	}
+	p, err := BuildProfile(app, ph, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.CPICompSmall != p.CPICompFull {
+		t.Errorf("CPIcomp small %v, full %v; want them equal", p.CPICompSmall, p.CPICompFull)
+	}
+}
+
 func TestBuildProfileDeterministic(t *testing.T) {
 	app, _ := workload.ByName("gzip")
 	a, err := BuildProfile(app, app.Phases[0], 20000, 7)

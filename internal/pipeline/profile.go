@@ -58,7 +58,10 @@ const DefaultTraceLen = 60000
 // BuildProfile measures one phase of one application by simulating the
 // same synthetic trace through three machine configurations: full queues,
 // class-side queue at 3/4, and full queues with L2 misses squashed (to
-// isolate CPIcomp).
+// isolate CPIcomp). The decomposition assumes the smaller queue never
+// runs the trace faster and squashing never runs it slower
+// (FuzzSimulateMonotone checks both on arbitrary traces); a phase whose
+// own trace breaks either is an error that names the app and phase.
 func BuildProfile(app workload.App, ph workload.Phase, nInstr int, seed int64) (Profile, error) {
 	if nInstr <= 0 {
 		nInstr = DefaultTraceLen
@@ -89,19 +92,26 @@ func BuildProfile(app workload.App, ph workload.Phase, nInstr int, seed int64) (
 		return Profile{}, fmt.Errorf("pipeline: squashed run: %w", err)
 	}
 
+	if rComp.Cycles > rFull.Cycles {
+		return Profile{}, fmt.Errorf("pipeline: %s phase %d: squashing L2 misses ran slower (%d > %d cycles)",
+			app.Name, ph.Index, rComp.Cycles, rFull.Cycles)
+	}
+	if rSmall.Cycles < rFull.Cycles {
+		return Profile{}, fmt.Errorf("pipeline: %s phase %d: the 3/4 queue ran faster (%d < %d cycles)",
+			app.Name, ph.Index, rSmall.Cycles, rFull.Cycles)
+	}
+
 	mr := rFull.L2MissesPerInstr
 	mpNom := 0.0
 	if mr > 0 {
 		mpNom = (rFull.CPI - rComp.CPI) / mr
-		if mpNom < 0 {
-			mpNom = 0
-		}
 	}
 	cpiFull := rComp.CPI
 	cpiSmall := rSmall.CPI - mr*mpNom
 	if cpiSmall < cpiFull {
-		// The smaller queue can never help computation in this machine;
-		// differences below measurement noise are clamped.
+		// Only rounding gets here: mr*mpNom need not equal rFull.CPI -
+		// rComp.CPI exactly, so a queue that costs no cycles can land an
+		// ulp below (TestBuildProfileSmallQueueRounding).
 		cpiSmall = cpiFull
 	}
 

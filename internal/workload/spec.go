@@ -200,6 +200,13 @@ type Spec struct {
 	Clients []ClientSpec `json:"clients"`
 }
 
+// MaxExpectedArrivals bounds a spec's expected request count: the sum
+// over its clients of rate_per_s × window_s × windows (duty cycle
+// ignored). Generate draws every arrival, so this bound is what keeps
+// generation cheap: a spec at the bound generates in tens of
+// milliseconds.
+const MaxExpectedArrivals = 1e6
+
 // Validate checks the spec and every client in it.
 func (s Spec) Validate() error {
 	if s.Name == "" {
@@ -212,6 +219,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: spec %q has no clients", s.Name)
 	}
 	seen := make(map[string]bool, len(s.Clients))
+	expected := 0.0
 	for _, c := range s.Clients {
 		if err := c.Validate(); err != nil {
 			return fmt.Errorf("workload: spec %q: %w", s.Name, err)
@@ -220,6 +228,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("workload: spec %q: duplicate client name %q", s.Name, c.Name)
 		}
 		seen[c.Name] = true
+		expected += c.Arrival.RatePerS * s.windowS() * float64(c.windows())
+	}
+	if expected > MaxExpectedArrivals {
+		return fmt.Errorf("workload: spec %q expects %.3g arrivals (sum of rate_per_s × window_s × windows), over the bound of %g",
+			s.Name, expected, MaxExpectedArrivals)
 	}
 	return nil
 }

@@ -51,6 +51,29 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecBoundsExpectedArrivals: a spec whose expected arrivals exceed
+// MaxExpectedArrivals is rejected before any arrival is drawn (at 1e9
+// requests per second this spec used to generate for minutes), and one
+// exactly at the bound is accepted.
+func TestSpecBoundsExpectedArrivals(t *testing.T) {
+	hot := `{"name":"hot","window_s":10,"clients":[{"name":"a","class":"memory-wall","arrival":{"process":"poisson","rate_per_s":1e9}}]}`
+	if _, err := DecodeSpec([]byte(hot)); err == nil || !strings.Contains(err.Error(), "arrivals") {
+		t.Fatalf("1e9 requests/s for 4 windows of 10 s: got %v, want the arrival bound", err)
+	}
+	spec := testSpec()
+	spec.Clients = spec.Clients[:1]
+	spec.WindowS = 10
+	spec.Clients[0].Arrival.RatePerS = MaxExpectedArrivals / (10 * 4)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec at the bound rejected: %v", err)
+	}
+	spec.Clients = append(spec.Clients, ClientSpec{Name: "one-more", Class: GenServerMix,
+		Arrival: Arrival{Process: Poisson, RatePerS: 0.1}})
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "arrivals") {
+		t.Fatalf("spec past the bound by its second client: got %v, want the arrival bound", err)
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	spec := testSpec()
 	a, err := Generate(spec, 42)
