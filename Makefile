@@ -108,6 +108,8 @@ fuzz-smoke:
 	go test ./internal/workload -run '^$$' -fuzz FuzzDecodeTrace -fuzztime 20s
 	go test ./internal/workload -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 20s
 	go test ./internal/pipeline -run '^$$' -fuzz FuzzSimulateMonotone -fuzztime 20s
+	go test ./internal/artifact -run '^$$' -fuzz FuzzParseRecord -fuzztime 20s
+	go test ./internal/artifact -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,
 # lower, and (for traces) replay byte-identically (see WORKLOADS.md).

@@ -554,3 +554,81 @@ func TestDrainFinishesBatchInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdmissionUnderOverload: a server built as main builds it with
+// -rate noisy=5:10 takes one batch of 200 noisy run events at one tick
+// with 20 unthrottled ones among them. Exactly the bucket's burst of
+// noisy events is served and the rest are rejected with the admission
+// error; every unthrottled event is served; the stream has one line per
+// event, in order; and /v1/stats counts the rejections.
+func TestAdmissionUnderOverload(t *testing.T) {
+	admission, err := parseRates("noisy=5:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst, noisy, quiet = 10, 200, 20
+	sim := testSim(t)
+	reg := obs.NewRegistry()
+	sim.SetObs(reg)
+	fl, err := newFleet(sim, fleet.Config{Workers: 2, Admission: admission, Obs: reg}, testExamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fl.Close)
+	mux := newMux(fl, reg, 64<<10, 25*time.Millisecond)
+
+	events := []fleet.Event{{At: 1, Kind: fleet.KindJoin, Chip: 41}}
+	for i := 0; i < noisy+quiet; i++ {
+		ev := fleet.Event{At: 2, Kind: fleet.KindRun, Class: "noisy", Chip: 41, Mode: fleet.ModeBaseline, App: "gcc"}
+		if i%((noisy+quiet)/quiet) == 0 {
+			ev.Class = "quiet"
+		}
+		events = append(events, ev)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(marshalBody(t, events))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var results []fleet.Result
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var r fleet.Result
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("line %d: %v", len(results)+1, err)
+		}
+		results = append(results, r)
+	}
+	if len(results) != len(events) {
+		t.Fatalf("streamed %d lines for %d events", len(results), len(events))
+	}
+	served := map[string]int{}
+	for i, r := range results {
+		if r.Seq != int64(i+1) {
+			t.Fatalf("line %d has seq %d", i+1, r.Seq)
+		}
+		switch {
+		case r.Status == fleet.StatusOK:
+			served[events[i].Class]++
+		case events[i].Class == "noisy" && r.Status == fleet.StatusRejected && r.Err == "admission: class rate exceeded":
+		default:
+			t.Fatalf("seq %d (class %q): %s %q", r.Seq, events[i].Class, r.Status, r.Err)
+		}
+	}
+	if served["noisy"] != burst || served["quiet"] != quiet {
+		t.Fatalf("served %d noisy and %d unthrottled events, want %d and %d", served["noisy"], served["quiet"], burst, quiet)
+	}
+
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var snap fleet.Snapshot
+	if err := json.NewDecoder(rec.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Classes["noisy"]; got.Rejected != noisy-burst || got.OK != burst {
+		t.Errorf("/v1/stats noisy class: %d ok, %d rejected; want %d and %d", got.OK, got.Rejected, burst, noisy-burst)
+	}
+	if got := snap.Classes["quiet"]; got.Rejected != 0 || got.OK != quiet {
+		t.Errorf("/v1/stats unthrottled class: %d ok, %d rejected; want %d and 0", got.OK, got.Rejected, quiet)
+	}
+}

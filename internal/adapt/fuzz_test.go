@@ -135,8 +135,9 @@ func sameSolver(a, b *FuzzySolver) bool {
 // never panics, and a payload it accepts fingerprints as its own SHA-256
 // and re-encodes to a payload that decodes to the same controllers and
 // bias terms, without moving the fingerprint. The seeds are a real
-// record, its truncations, length lies in the entry and rule counts, and
-// trailing bytes.
+// record, its truncations, length lies in the entry and rule counts,
+// trailing bytes, and controller headers whose rules×width the payload
+// cannot hold (the decoder must reject them before allocating).
 func FuzzSolverPayload(f *testing.F) {
 	rec, err := tinySolver(f).MarshalBinary()
 	if err != nil {
@@ -161,6 +162,13 @@ func FuzzSolverPayload(f *testing.F) {
 	}
 	f.Add(append(append([]byte(nil), rec...), 0))
 	f.Add(append(append([]byte(nil), rec...), rec[:12]...))
+	// Bytes 37 and 38 are the first controller's rules (2) and width (6):
+	// 25 rules of 16,383 inputs, 65,535 rules of 7, and both limits.
+	for _, hdr := range [][]byte{
+		{25, 0xff, 0x7f}, {0xff, 0xff, 0x03, 7}, {0x80, 0x80, 0x04, 0x80, 0x80, 0x04}, {2, 0x80, 0x80, 0x04},
+	} {
+		f.Add(append(append(append([]byte(nil), rec[:37]...), hdr...), rec[39:]...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s FuzzySolver
 		if s.UnmarshalBinary(data) != nil {

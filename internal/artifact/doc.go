@@ -35,13 +35,14 @@
 // Key is the definition. A producer that keys many values sharing large
 // sub-structures may encode those once and hand the pieces to
 // EncodedKey, which hashes the same envelope around them and returns
-// the same key. The core package's apprun keys work this way: each
-// pre-image is assembled from the machine block (encoded once per
-// technique configuration), the app block (encoded once per app, and
-// again when its phases change) and a few per-unit fields, and is
-// byte-identical to Key's encoding of the whole params struct; a fuzz
-// target holds the two to the same bytes, and params that encoding/json
-// rejects (NaN, ±Inf) still leave the unit without a key.
+// the same key. The core package's apprun, profile, staticpt and solver
+// keys work this way: each pre-image is assembled from the machine
+// block (encoded once per technique configuration), an app's block and
+// its phases' profile encodings (encoded once per app, and again when
+// its phases change) and a few per-call fields, and is byte-identical
+// to Key's encoding of the whole params struct; a fuzz target holds
+// each to the same bytes, and params that encoding/json rejects (NaN,
+// ±Inf) still leave the value without a key.
 //
 // The pre-image "schema" is keySchema, pinned at 1; it is NOT
 // SchemaVersion, which versions the storage layout below. Bumping it
@@ -99,6 +100,15 @@
 // identically. The covered lengths record how much of each segment the
 // index describes; Open scans each segment's bytes beyond them (the
 // tail scan) to recover records appended after the last index save.
+//
+// Both decoders treat their bytes as hostile: every length prefix is
+// bounded by the bytes left before it is sliced, added to an offset or
+// allocated for. A record whose payload length passes the data is a
+// truncated tail; an index with a kind or entry count its body cannot
+// hold, or a covered length, entry offset or entry size that is
+// negative as an int64, a zero size, or an end that overflows, is a
+// corrupt index and takes the full rescan below (FuzzParseRecord,
+// FuzzDecodeIndex).
 //
 // The store reads and writes this layout only. A directory in the older
 // layout (one JSON envelope file per entry under dir/<kind>/<key[:2]>/)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -100,9 +101,21 @@ func encodeIndex(index map[string]idxEntry, covered [numShards]int64) []byte {
 
 var errBadIndex = errors.New("artifact: corrupt index file")
 
+// minIndexEntry is the fewest bytes one encoded index entry takes: a
+// one-byte kind ref, the raw key, and four one-byte varints.
+const minIndexEntry = 1 + rawKeyLen + 4
+
+// fileOffset returns v as a packfile offset or length, false when it does
+// not fit an int64.
+func fileOffset(v uint64) (int64, bool) {
+	return int64(v), v <= math.MaxInt64
+}
+
 // decodeIndex parses an index file. Any damage — bad magic, wrong
-// schema, short body, checksum mismatch — returns an error and the
-// caller falls back to a full packfile scan.
+// schema, short body, checksum mismatch, a count past the bytes left, or
+// an offset, size or covered length that is negative, zero-sized or
+// overflows — returns an error and the caller falls back to a full
+// packfile scan.
 func decodeIndex(blob []byte) (map[string]idxEntry, [numShards]int64, error) {
 	var covered [numShards]int64
 	if len(blob) < len(indexMagic)+4 {
@@ -123,10 +136,14 @@ func decodeIndex(blob []byte) (map[string]idxEntry, [numShards]int64, error) {
 		return nil, covered, errBadIndex
 	}
 	for i := range covered {
-		covered[i] = int64(d.Uvarint())
+		c, ok := fileOffset(d.Uvarint())
+		if !ok {
+			return nil, covered, errBadIndex
+		}
+		covered[i] = c
 	}
 	nKinds := d.Uvarint()
-	if d.Err() != nil || nKinds > 1<<16 {
+	if d.Err() != nil || nKinds > 1<<16 || nKinds > uint64(d.Remaining()) {
 		return nil, covered, errBadIndex
 	}
 	kinds := make([]string, nKinds)
@@ -134,7 +151,7 @@ func decodeIndex(blob []byte) (map[string]idxEntry, [numShards]int64, error) {
 		kinds[i] = d.String()
 	}
 	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<28 {
+	if d.Err() != nil || n > uint64(d.Remaining())/minIndexEntry {
 		return nil, covered, errBadIndex
 	}
 	index := make(map[string]idxEntry, n)
@@ -145,15 +162,16 @@ func decodeIndex(blob []byte) (map[string]idxEntry, [numShards]int64, error) {
 			raw[b] = d.U8()
 		}
 		sh := d.Uvarint()
-		off := d.Uvarint()
-		size := d.Uvarint()
+		off, offOK := fileOffset(d.Uvarint())
+		size, sizeOK := fileOffset(d.Uvarint())
 		at := d.Uvarint()
-		if d.Err() != nil || ki >= nKinds || sh >= numShards {
+		if d.Err() != nil || ki >= nKinds || sh >= numShards ||
+			!offOK || !sizeOK || size == 0 || off > math.MaxInt64-size {
 			return nil, covered, errBadIndex
 		}
 		key := hex.EncodeToString(raw[:])
 		index[fkeyOf(kinds[ki], key)] = idxEntry{
-			kind: kinds[ki], shard: int(sh), off: int64(off), size: int64(size), atime: int64(at),
+			kind: kinds[ki], shard: int(sh), off: off, size: size, atime: int64(at),
 		}
 	}
 	if d.Err() != nil {

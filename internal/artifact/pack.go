@@ -74,8 +74,10 @@ type record struct {
 }
 
 // parseRecord decodes the record at the head of data. A short buffer,
-// bad magic, or checksum mismatch returns ok=false — at a segment tail
-// that means "truncated here", mid-file it means corruption.
+// bad magic, a length prefix past the bytes left, or checksum mismatch
+// returns ok=false — at a segment tail that means "truncated here",
+// mid-file it means corruption. Every length is bounded by the bytes
+// left before it is added to an offset, so no prefix can overflow one.
 func parseRecord(data []byte) (rec record, ok bool) {
 	if len(data) < len(recordMagic) || string(data[:4]) != string(recordMagic[:]) {
 		return rec, false
@@ -98,7 +100,7 @@ func parseRecord(data []byte) (rec record, ok bool) {
 		return rec, false
 	}
 	off += n
-	if int(payLen) < 0 || off+int(payLen)+4 > len(data) {
+	if left := uint64(len(data) - off); left < 4 || payLen > left-4 {
 		return rec, false
 	}
 	payload := data[off : off+int(payLen)]

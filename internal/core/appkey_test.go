@@ -57,6 +57,75 @@ func refAppRunKey(s *Simulator, seed int64, cfg tech.Config, app workload.App,
 	})
 }
 
+// staticPointParams is the staticpt key material as one struct, the
+// reference staticPointKey's spliced pre-image must match.
+type staticPointParams struct {
+	machineParams
+	TraceLen int `json:"trace_len"`
+
+	Class workload.Class  `json:"class"`
+	Suite []profileParams `json:"suite"`
+}
+
+// refStaticPointKey is the reference staticpt key: artifact.Key over
+// staticPointParams.
+func refStaticPointKey(s *Simulator, seed int64, cfg tech.Config, class workload.Class, apps []workload.App) string {
+	return storeKey(s.store, staticptKind, seed, func() any {
+		return staticPointParams{
+			machineParams: s.machineParams(cfg),
+			TraceLen:      s.opts.TraceLen,
+			Class:         class,
+			Suite:         s.suiteParams(apps, func(app workload.App) bool { return app.Class == class }),
+		}
+	})
+}
+
+// solverParams is the solver key material as one struct, the reference
+// solverKey's spliced pre-image must match.
+type solverParams struct {
+	machineParams
+
+	ChipSeeds []int64 `json:"chip_seeds"`
+
+	Examples     int     `json:"examples"`
+	Rules        int     `json:"rules"`
+	LearningRate float64 `json:"learning_rate"`
+	Epochs       int     `json:"epochs"`
+	SigmaInit    float64 `json:"sigma_init"`
+	FuzzySeed    int64   `json:"fuzzy_seed"`
+	MinBiasComp  float64 `json:"min_bias_comp"`
+	THLoK        float64 `json:"th_lo_k"`
+	THHiK        float64 `json:"th_hi_k"`
+	AlphaLo      float64 `json:"alpha_lo"`
+	AlphaHi      float64 `json:"alpha_hi"`
+	CPILo        float64 `json:"cpi_lo"`
+	CPIHi        float64 `json:"cpi_hi"`
+}
+
+// refSolverKey is the reference solver key: artifact.Key over
+// solverParams.
+func refSolverKey(s *Simulator, cfg tech.Config, chipSeeds []int64, opts adapt.TrainOptions) string {
+	return storeKey(s.store, solverKind, opts.Seed, func() any {
+		return solverParams{
+			machineParams: s.machineParams(cfg),
+			ChipSeeds:     chipSeeds,
+			Examples:      opts.Examples,
+			Rules:         opts.Fuzzy.Rules,
+			LearningRate:  opts.Fuzzy.LearningRate,
+			Epochs:        opts.Fuzzy.Epochs,
+			SigmaInit:     opts.Fuzzy.SigmaInit,
+			FuzzySeed:     opts.Fuzzy.Seed,
+			MinBiasComp:   opts.MinBiasComp,
+			THLoK:         opts.THLoK,
+			THHiK:         opts.THHiK,
+			AlphaLo:       opts.AlphaLo,
+			AlphaHi:       opts.AlphaHi,
+			CPILo:         opts.CPILo,
+			CPIHi:         opts.CPIHi,
+		}
+	})
+}
+
 // keyStore opens a store for key derivation only (appRunKey keys nothing
 // without one).
 func keyStore(tb testing.TB, dir string) *artifact.Store {
@@ -76,18 +145,27 @@ func configOf(bits uint8) tech.Config {
 		QueueResize: bits&8 != 0, FUReplication: bits&16 != 0}
 }
 
-// FuzzAppRunKeyVsKey: the assembled apprun key equals artifact.Key over
-// the whole params struct, for app names and traces JSON must escape or
-// repair, every mode, phases -1 through len (len is uncacheable), empty
-// and non-empty solver fingerprints, static points holding any float,
-// any technique configuration, and options holding any float; and
-// wherever encoding/json rejects the material, both keys are empty. Each
-// input also keys the app under the same name with one phase field
-// replaced by x, then by -x, with another trace, with another class, and
-// then as it was, so a stale app block shows.
+// FuzzAppRunKeyVsKey: every spliced key — apprun, profile, staticpt and
+// solver — equals artifact.Key over its whole params struct, for app
+// names and traces JSON must escape or repair, every mode, phases -1
+// through len (len is uncacheable), empty and non-empty solver
+// fingerprints, static points holding any float, any technique
+// configuration, and options holding any float; and wherever
+// encoding/json rejects the material, both keys are empty. Each input
+// also keys the app under the same name with one phase field replaced by
+// x, then by -x, with another trace, with another class, and then as it
+// was, so a stale app encoding shows. The profile key is checked for
+// every phase at its position and for one moved off it; the staticpt key
+// for both classes over the app alone (one class has no apps: a null
+// suite) and with a suite app of the other class; the solver key with x
+// as a training option, for one chip seed and for none.
 func FuzzAppRunKeyVsKey(f *testing.F) {
 	store := keyStore(f, f.TempDir())
 	gcc, err := workload.ByName("gcc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	swim, err := workload.ByName("swim")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -110,10 +188,35 @@ func FuzzAppRunKeyVsKey(f *testing.F) {
 		case 2:
 			static = &adapt.OperatingPoint{FCore: 1.1, VddV: []float64{1, x}, Queue: tech.QueueThreeQuarter, FU: tech.FULowSlope}
 		}
+		training := adapt.DefaultTrainOptions()
+		training.THHiK = x
+		var chipSeeds []int64
+		if phaseSel%2 == 1 {
+			chipSeeds = []int64{seed}
+		}
 		check := func(label string, app workload.App) {
 			want := refAppRunKey(sim, seed, cfg, app, mode, solverFP, static, phase)
 			if got := sim.appRunKey(seed, cfg, app, mode, solverFP, static, phase); got != want {
 				t.Fatalf("%s: appRunKey = %q, artifact.Key gives %q", label, got, want)
+			}
+			for i, ph := range app.Phases {
+				for _, p := range []workload.Phase{ph, {Index: i + 1, Weight: ph.Weight, Mix: ph.Mix}} {
+					want := storeKey(store, profileKind, seed, func() any { return sim.profileParams(app, p) })
+					if got := sim.profileKey(app, p, seed); got != want {
+						t.Fatalf("%s phase %d (index %d): profileKey = %q, artifact.Key gives %q", label, i, p.Index, got, want)
+					}
+				}
+			}
+			for _, apps := range [][]workload.App{{app}, {swim, app}} {
+				for _, class := range []workload.Class{workload.Int, workload.FP} {
+					want := refStaticPointKey(sim, seed, cfg, class, apps)
+					if got := sim.staticPointKey(seed, cfg, class, apps); got != want {
+						t.Fatalf("%s, %d apps, class %v: staticPointKey = %q, artifact.Key gives %q", label, len(apps), class, got, want)
+					}
+				}
+			}
+			if got, want := sim.solverKey(cfg, chipSeeds, training), refSolverKey(sim, cfg, chipSeeds, training); got != want {
+				t.Fatalf("%s: solverKey = %q, artifact.Key gives %q", label, got, want)
 			}
 		}
 		edit := func(v float64) workload.App {

@@ -154,8 +154,18 @@ func (s *Simulator) suiteParams(apps []workload.App, keep func(workload.App) boo
 	return suite
 }
 
-// profileKey keys one phase profile by its identity and trace seed.
+// profileKey keys one phase profile by its identity and trace seed. A
+// phase of app at its own position hashes the encoding appEncoding
+// keeps for it; any other phase is encoded afresh.
 func (s *Simulator) profileKey(app workload.App, ph workload.Phase, seed int64) string {
+	if s.store == nil {
+		return ""
+	}
+	if i := ph.Index; i >= 0 && i < len(app.Phases) && samePhase(&app.Phases[i], &ph) {
+		if e := s.appEncoding(app); e != nil {
+			return artifact.EncodedKey(profileKind, seed, e.profiles[i])
+		}
+	}
 	return storeKey(s.store, profileKind, seed, func() any { return s.profileParams(app, ph) })
 }
 
@@ -213,9 +223,9 @@ func (s *Simulator) storePETables(cpu *adapt.Core, seed int64) {
 
 // machineParams is the machine-model slice of key material every
 // result-level artifact shares: everything that shapes a core's physics
-// besides the technique configuration. The staticpt and solver params
-// embed it, and apprun pre-images splice its encoding in (see
-// appRunKey), so its fields encode inline, first and in this order.
+// besides the technique configuration. The apprun, staticpt and solver
+// pre-images splice its encoding in (see machineBlock), so its fields
+// encode inline, first and in this order.
 type machineParams struct {
 	Varius  varius.Params  `json:"varius"`
 	Power   power.Params   `json:"power"`
@@ -276,7 +286,7 @@ func solverFingerprint(solver adapt.Solver) string {
 // ones. phase_only is absent for whole-app runs, so their keys match
 // the ones stored before phase-granular units existed. The machine block
 // is encoded once per technique configuration (machineBlock) and the app
-// block once per app (appBlock); only the small per-unit fields are
+// block once per app (appEncoding); only the small per-unit fields are
 // encoded per call, and artifact.EncodedKey hashes the envelope around
 // the pieces, byte-identical to artifact.Key over the whole.
 func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
@@ -285,7 +295,7 @@ func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 		return ""
 	}
 	machine := s.machineBlock(cfg)
-	appEnc := s.appBlock(app)
+	appEnc := s.appEncoding(app)
 	if machine == nil || appEnc == nil {
 		return ""
 	}
@@ -312,7 +322,7 @@ func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 		b = append(append(b, `,"static":`...), enc...)
 	}
 	b = append(b, '}')
-	return artifact.EncodedKey(apprunKind, seed, machine, b[:mid], appEnc, b[mid:])
+	return artifact.EncodedKey(apprunKind, seed, machine, b[:mid], appEnc.block, b[mid:])
 }
 
 // appIdentity is the app block's fields, in appRunKey's params order.
@@ -323,11 +333,13 @@ type appIdentity struct {
 	Phases []workload.Phase `json:"phases"`
 }
 
-// encodedApp is one app's block and the identity it encodes (Phases a
-// private copy). Stored entries are never modified.
+// encodedApp is one app's key material, encoded: its block, each
+// phase's profileParams object (in phase order), and the identity they
+// encode (Phases a private copy). Stored entries are never modified.
 type encodedApp struct {
-	id  appIdentity
-	enc []byte
+	id       appIdentity
+	block    []byte
+	profiles [][]byte
 }
 
 // machineBlock returns the params object's opening brace and the inline
@@ -347,26 +359,33 @@ func (s *Simulator) machineBlock(cfg tech.Config) []byte {
 	return enc
 }
 
-// appBlock returns app's block — the appIdentity fields without braces —
-// or nil when its phases do not encode. A stored block is reused only
-// while the app's trace, class and phases are bit-identical to those it
-// was encoded from; otherwise the block is encoded afresh and replaces
-// it.
-func (s *Simulator) appBlock(app workload.App) []byte {
-	if v, ok := s.appBlocks.Load(app.Name); ok {
+// appEncoding returns app's encoded key material — its block, the
+// appIdentity fields without braces, and its phases' profileParams — or
+// nil when its phases do not encode. A stored entry is reused only while
+// the app's trace, class and phases are bit-identical to those it was
+// encoded from; otherwise the app is encoded afresh and replaces it.
+func (s *Simulator) appEncoding(app workload.App) *encodedApp {
+	if v, ok := s.appEncodings.Load(app.Name); ok {
 		e := v.(*encodedApp)
 		if e.id.Trace == app.Trace && e.id.Class == app.Class && samePhases(e.id.Phases, app.Phases) {
-			return e.enc
+			return e
 		}
 	}
-	id := appIdentity{App: app.Name, Trace: app.Trace, Class: app.Class, Phases: slices.Clone(app.Phases)}
-	enc, err := json.Marshal(id)
+	e := &encodedApp{id: appIdentity{App: app.Name, Trace: app.Trace, Class: app.Class, Phases: slices.Clone(app.Phases)}}
+	enc, err := json.Marshal(e.id)
 	if err != nil {
 		return nil
 	}
-	enc = enc[1 : len(enc)-1]
-	s.appBlocks.Store(app.Name, &encodedApp{id: id, enc: enc})
-	return enc
+	e.block = enc[1 : len(enc)-1]
+	for _, ph := range e.id.Phases {
+		enc, err := json.Marshal(s.profileParams(app, ph))
+		if err != nil {
+			return nil
+		}
+		e.profiles = append(e.profiles, enc)
+	}
+	s.appEncodings.Store(app.Name, e)
+	return e
 }
 
 // samePhases reports whether a and b encode identically: both nil or
@@ -377,53 +396,82 @@ func samePhases(a, b []workload.Phase) bool {
 		return false
 	}
 	for i := range a {
-		p, q := &a[i], &b[i]
-		if p.Index != q.Index || p.Signature != q.Signature || !sameBits(p.Weight, q.Weight) ||
-			!sameBits(p.Mix.LoadFrac, q.Mix.LoadFrac) || !sameBits(p.Mix.StoreFrac, q.Mix.StoreFrac) ||
-			!sameBits(p.Mix.BranchFrac, q.Mix.BranchFrac) || !sameBits(p.Mix.FPFrac, q.Mix.FPFrac) ||
-			!sameBits(p.Mix.DepDistMean, q.Mix.DepDistMean) ||
-			!sameBits(p.Mix.BranchMispredictRate, q.Mix.BranchMispredictRate) ||
-			!sameBits(p.Mix.L1MissRate, q.Mix.L1MissRate) || !sameBits(p.Mix.L2MissRate, q.Mix.L2MissRate) ||
-			!sameBits(p.Mix.MemOverlap, q.Mix.MemOverlap) {
+		if !samePhase(&a[i], &b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
+// samePhase reports whether p and q encode identically, field by field
+// bit-identical.
+func samePhase(p, q *workload.Phase) bool {
+	return p.Index == q.Index && p.Signature == q.Signature && sameBits(p.Weight, q.Weight) &&
+		sameBits(p.Mix.LoadFrac, q.Mix.LoadFrac) && sameBits(p.Mix.StoreFrac, q.Mix.StoreFrac) &&
+		sameBits(p.Mix.BranchFrac, q.Mix.BranchFrac) && sameBits(p.Mix.FPFrac, q.Mix.FPFrac) &&
+		sameBits(p.Mix.DepDistMean, q.Mix.DepDistMean) &&
+		sameBits(p.Mix.BranchMispredictRate, q.Mix.BranchMispredictRate) &&
+		sameBits(p.Mix.L1MissRate, q.Mix.L1MissRate) && sameBits(p.Mix.L2MissRate, q.Mix.L2MissRate) &&
+		sameBits(p.Mix.MemOverlap, q.Mix.MemOverlap)
+}
+
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// staticPointParams is the staticpt artifact's key material: the machine
-// model, the technique configuration, and the identities of every class
-// profile the conservative worst-case profile folds over, in fold order.
-type staticPointParams struct {
-	machineParams
-	TraceLen int `json:"trace_len"`
-
-	Class workload.Class  `json:"class"`
-	Suite []profileParams `json:"suite"`
-}
-
-// staticPointKey keys StaticPoint(core, class, apps) for chip seed.
+// staticPointKey keys StaticPoint(core, class, apps) for chip seed. The
+// key material is the machine model, the technique configuration, and
+// the identities of every class profile the conservative worst-case
+// profile folds over, in fold order; the params object encodes as
+//
+//	{<machineParams fields>,"trace_len":…,"class":…,"suite":[…]}
+//
+// with a null suite when no app is of the class — what json.Marshal gives
+// for a struct embedding machineParams followed by those fields, with
+// the suite a []profileParams. The pre-image is spliced from the machine
+// block and the class apps' profile encodings (appEncoding), so no
+// call encodes more than its three small fields.
 func (s *Simulator) staticPointKey(seed int64, cfg tech.Config, class workload.Class, apps []workload.App) string {
-	return storeKey(s.store, staticptKind, seed, func() any {
-		return staticPointParams{
-			machineParams: s.machineParams(cfg),
-			TraceLen:      s.opts.TraceLen,
-			Class:         class,
-			Suite:         s.suiteParams(apps, func(app workload.App) bool { return app.Class == class }),
+	if s.store == nil {
+		return ""
+	}
+	machine := s.machineBlock(cfg)
+	if machine == nil {
+		return ""
+	}
+	var buf [64]byte
+	b := append(buf[:0], `,"trace_len":`...)
+	b = strconv.AppendInt(b, int64(s.opts.TraceLen), 10)
+	b = append(b, `,"class":`...)
+	b = strconv.AppendInt(b, int64(class), 10)
+	b = append(b, `,"suite":`...)
+	pieces := [][]byte{machine, b}
+	comma := []byte(",")
+	sep := []byte("[")
+	for _, app := range apps {
+		if app.Class != class {
+			continue
 		}
-	})
+		e := s.appEncoding(app)
+		if e == nil {
+			return ""
+		}
+		for _, p := range e.profiles {
+			pieces = append(pieces, sep, p)
+			sep = comma
+		}
+	}
+	if len(pieces) == 2 {
+		pieces = append(pieces, []byte("null}"))
+	} else {
+		pieces = append(pieces, []byte("]}"))
+	}
+	return artifact.EncodedKey(staticptKind, seed, pieces...)
 }
 
-// solverParams is the solver artifact's key material: every input that
-// shapes the trained weights — the machine models behind the training
-// cores, the technique configuration, the training-chip seeds, and the
-// TrainOptions fields that matter. Workers and Obs are deliberately
+// solverTrainParams is the solver artifact's key material after the
+// machine model: the training-chip seeds and the TrainOptions fields
+// that shape the trained weights. Workers and Obs are deliberately
 // absent: training output is byte-identical without them.
-type solverParams struct {
-	machineParams
-
+type solverTrainParams struct {
 	ChipSeeds []int64 `json:"chip_seeds"`
 
 	Examples     int     `json:"examples"`
@@ -442,27 +490,40 @@ type solverParams struct {
 }
 
 // solverKey keys the controllers TrainFuzzySolver fits for configuration
-// cfg on the chips chipSeeds.
+// cfg on the chips chipSeeds. The params object is the machine model's
+// fields followed inline by solverTrainParams' — what json.Marshal gives
+// for a struct embedding machineParams and then solverTrainParams — and
+// is spliced from the machine block and the encoded tail, so only the
+// small tail is encoded per call.
 func (s *Simulator) solverKey(cfg tech.Config, chipSeeds []int64, opts adapt.TrainOptions) string {
-	return storeKey(s.store, solverKind, opts.Seed, func() any {
-		return solverParams{
-			machineParams: s.machineParams(cfg),
-			ChipSeeds:     chipSeeds,
-			Examples:      opts.Examples,
-			Rules:         opts.Fuzzy.Rules,
-			LearningRate:  opts.Fuzzy.LearningRate,
-			Epochs:        opts.Fuzzy.Epochs,
-			SigmaInit:     opts.Fuzzy.SigmaInit,
-			FuzzySeed:     opts.Fuzzy.Seed,
-			MinBiasComp:   opts.MinBiasComp,
-			THLoK:         opts.THLoK,
-			THHiK:         opts.THHiK,
-			AlphaLo:       opts.AlphaLo,
-			AlphaHi:       opts.AlphaHi,
-			CPILo:         opts.CPILo,
-			CPIHi:         opts.CPIHi,
-		}
+	if s.store == nil {
+		return ""
+	}
+	machine := s.machineBlock(cfg)
+	if machine == nil {
+		return ""
+	}
+	tail, err := json.Marshal(solverTrainParams{
+		ChipSeeds:    chipSeeds,
+		Examples:     opts.Examples,
+		Rules:        opts.Fuzzy.Rules,
+		LearningRate: opts.Fuzzy.LearningRate,
+		Epochs:       opts.Fuzzy.Epochs,
+		SigmaInit:    opts.Fuzzy.SigmaInit,
+		FuzzySeed:    opts.Fuzzy.Seed,
+		MinBiasComp:  opts.MinBiasComp,
+		THLoK:        opts.THLoK,
+		THHiK:        opts.THHiK,
+		AlphaLo:      opts.AlphaLo,
+		AlphaHi:      opts.AlphaHi,
+		CPILo:        opts.CPILo,
+		CPIHi:        opts.CPIHi,
 	})
+	if err != nil {
+		return ""
+	}
+	tail[0] = ',' // the machine block leaves its object open
+	return artifact.EncodedKey(solverKind, opts.Seed, machine, tail)
 }
 
 // TrainFuzzyCached is adapt.TrainFuzzySolver behind the artifact store:

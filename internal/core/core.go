@@ -183,11 +183,11 @@ type Simulator struct {
 	// store, when non-nil, persists chips, profiles, and trained solvers
 	// across processes (see cache.go and the artifact package).
 	store *artifact.Store
-	// machineBlocks (tech.Config → []byte) and appBlocks (app name →
-	// *encodedApp) hold the encoded blocks apprun key pre-images are
-	// assembled from (see appRunKey).
+	// machineBlocks (tech.Config → []byte) and appEncodings (app name →
+	// *encodedApp) hold the encoded pieces the apprun, profile, staticpt
+	// and solver key pre-images are spliced from (see appRunKey).
 	machineBlocks sync.Map
-	appBlocks     sync.Map
+	appEncodings  sync.Map
 
 	mu       sync.Mutex
 	profiles map[profileID]pipeline.Profile

@@ -8,6 +8,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/tech"
 	"repro/internal/varius"
+	"repro/internal/vats"
 	"repro/internal/workload"
 )
 
@@ -78,11 +79,13 @@ func (h *ChipHandle) FVar() float64 { return h.fvar }
 
 // AcquireChip builds (or loads) one chip's handle: variation maps,
 // stage-model assembly, the PE-table donor, and the worst-case-safe
-// frequency. The donor's tables are not read here: the chip's petables
-// record is registered as the store's deferred source, which the first
-// table miss imports (see adapt.Core.DeferPETables), so a chip whose
-// units all replay from the artifact cache never reads, decodes or
-// allocates them. Release with ReleaseChip to write built tables back.
+// frequency. The stages are built once, for the donor, and the FVar is
+// taken from them (ChipFVar's minimum, through the certified PE kernel).
+// The donor's tables are not read here: the chip's petables record is
+// registered as the store's deferred source, which the first table miss
+// imports (see adapt.Core.DeferPETables), so a chip whose units all
+// replay from the artifact cache never reads, decodes or allocates
+// them. Release with ReleaseChip to write built tables back.
 func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	defer s.obs.Timer("core.chip_prep").Start().Stop()
 	h := &ChipHandle{
@@ -99,9 +102,11 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 		return nil, err
 	}
 	h.donor.DeferPETables(func() []adapt.PETableSlot { return s.loadPETables(seed) })
-	if h.fvar, err = s.ChipFVar(h.chip); err != nil {
-		return nil, err
+	stages := make([]*vats.Stage, len(h.donor.Subs))
+	for i := range stages {
+		stages[i] = h.donor.Subs[i].Stage
 	}
+	h.fvar = s.stagesFVar(stages)
 	return h, nil
 }
 

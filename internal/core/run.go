@@ -56,14 +56,20 @@ func (s *Simulator) ChipFVar(chip *varius.ChipMaps) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.stagesFVar(pl.Stages), nil
+}
+
+// stagesFVar is ChipFVar over a chip's stage models, already built: the
+// minimum over stages of the error-free frequency at the design corner.
+func (s *Simulator) stagesFVar(stages []*vats.Stage) float64 {
 	corner := s.designCorner()
 	min := math.Inf(1)
-	for _, st := range pl.Stages {
+	for _, st := range stages {
 		if fv := st.Eval(corner, vats.IdentityVariant()).FVar(); fv < min {
 			min = fv
 		}
 	}
-	return min, nil
+	return min
 }
 
 // runFixed evaluates an application at a fixed frequency with nominal

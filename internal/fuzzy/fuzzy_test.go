@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/mathx"
 )
 
@@ -309,6 +310,35 @@ func TestConcurrentTrainingIsDeterministic(t *testing.T) {
 		}
 		if !ref.Equal(c) {
 			t.Errorf("goroutine %d: controller differs from serial reference", w)
+		}
+	}
+}
+
+// TestDecodeBinaryAllocsPerController: a controller decodes into one
+// allocation whatever its rule count — not one per rule row — and the
+// decoded controller equals the encoded one.
+func TestDecodeBinaryAllocsPerController(t *testing.T) {
+	for _, rules := range []int{1, 4, 25, 60} {
+		cfg := DefaultTrainConfig()
+		cfg.Rules = rules
+		c, err := Train(genExamples(300, 14), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e artifact.Enc
+		c.AppendBinary(&e)
+		var got Controller
+		allocs := testing.AllocsPerRun(20, func() {
+			got = Controller{}
+			if err := got.DecodeBinary(artifact.NewDec(e.B)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%d rules: DecodeBinary made %v allocations, want 1", rules, allocs)
+		}
+		if !got.Equal(c) {
+			t.Errorf("%d rules: decoded controller differs from the encoded one", rules)
 		}
 	}
 }

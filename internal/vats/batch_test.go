@@ -102,7 +102,8 @@ func TestPEExceedsTauMatchesPEExceeds(t *testing.T) {
 // bit-identical to independent per-budget bisections, for full budget
 // sets, singletons, duplicates, unsorted orders, and a budget equal to the
 // curve's mean at one of the bisection's midpoints, which no probe can
-// certify, so the replay must decide it with peExceedsTau.
+// certify, so the replay must decide it with peExceedsTau. FVar, which
+// goes through the kernel, must equal the bisection at PEZero.
 func TestFMaxForPESetMatchesFMaxForPE(t *testing.T) {
 	sets := [][]float64{
 		{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2}, // the dense-table grid
@@ -111,6 +112,9 @@ func TestFMaxForPESetMatchesFMaxForPE(t *testing.T) {
 		{1e-6, 1e-6, 1e-12, 10}, // duplicates + both bracket clamps
 	}
 	for ci, cv := range batchCurves(t) {
+		if got, want := cv.FVar(), cv.FMaxForPE(PEZero); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("curve %d: FVar %v != FMaxForPE(PEZero) %v", ci, got, want)
+		}
 		// FMaxForPE returns its last lower bound, a midpoint it visited.
 		atMid := cv.PE(cv.FMaxForPE(1e-6))
 		for si, budgets := range append(sets, []float64{atMid, 1e-6}) {

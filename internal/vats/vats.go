@@ -327,7 +327,9 @@ func (cv *Curve) peExceeds(fRel, budget float64) bool {
 // [fmaxLoF, fmaxHiF]. Comparisons go through peExceeds, which
 // short-circuits the per-cell scan once the budget is provably blown but
 // takes the exact same branch PE-then-compare would. It is the reference
-// FMaxForPESet reproduces bit for bit.
+// definition: FMaxForPESet, which FVar and the dense PE tables go
+// through, returns exactly its float64; the tests and adapt's reference
+// table builder (buildTable) call it directly.
 func (cv *Curve) FMaxForPE(budget float64) float64 {
 	if !cv.peExceeds(fmaxHiF, budget) {
 		return fmaxHiF
@@ -348,8 +350,13 @@ func (cv *Curve) FMaxForPE(budget float64) float64 {
 }
 
 // FVar returns the stage's error-free frequency (the PE-curve intercept):
-// the highest relative frequency with PE <= PEZero.
-func (cv *Curve) FVar() float64 { return cv.FMaxForPE(PEZero) }
+// the highest relative frequency with PE <= PEZero, FMaxForPE(PEZero) bit
+// for bit, computed through the certified-bracket kernel FMaxForPESet.
+func (cv *Curve) FVar() float64 {
+	budget, out := [1]float64{PEZero}, [1]float64{}
+	cv.FMaxForPESet(budget[:], out[:])
+	return out[0]
+}
 
 // zSkip is a z-score beyond which mathx.NormalTailProb is exactly +0.0 in
 // float64: NormalTailProb(z) = 0.5*Erfc(z/sqrt2), and for x = z/sqrt2 >=
