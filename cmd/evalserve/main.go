@@ -23,12 +23,9 @@
 //
 //	-addr a           listen address (default :8080)
 //	-workers n        worker goroutines (0 = GOMAXPROCS)
-//	-max-batch n      max compatible run events coalesced per unit batch
 //	-rate spec        per-class admission rates, comma-separated
 //	                  class=perTick:burst entries; unlisted classes are
 //	                  unthrottled
-//	-flush-bytes n    result-stream flush size watermark
-//	-flush-ms d       result-stream flush latency watermark
 //	-pprof a          serve net/http/pprof on this address ("" = off)
 //	-examples n       fuzzy training examples per controller
 //	-tracelen n       instructions per phase profile
@@ -40,12 +37,13 @@
 // else goes through encoding/json with unknown fields disallowed, so
 // acceptance, events and error text are encoding/json's either way.
 //
-// Results stream through a reused buffer flushed on size/time
-// watermarks (-flush-bytes, -flush-ms) rather than per line: one write
-// syscall covers many results, and a short timer bounds how stale a
-// quiet stream can go. A disconnected client (r.Context() done) stops
-// the stream; remaining results are dropped and counted in
-// fleet.emit.dropped.
+// Compatible run events coalesce into unit batches of at most
+// fleet.DefaultMaxBatch events. Results stream through a reused buffer
+// flushed at 64 KiB or 25 ms, whichever comes first, rather than per
+// line: one write syscall covers many results, and the short timer
+// bounds how stale a quiet stream can go. A disconnected client
+// (r.Context() done) stops the stream; remaining results are dropped and
+// counted in fleet.emit.dropped.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains
 // in-flight batches, releases remaining chips (flushing their PE tables),
@@ -78,15 +76,12 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		maxBatch   = flag.Int("max-batch", fleet.DefaultMaxBatch, "max compatible run events per unit batch")
-		rates      = flag.String("rate", "", "per-class admission rates: class=perTick:burst[,class=...]")
-		flushBytes = flag.Int("flush-bytes", 64<<10, "result-stream flush size watermark")
-		flushMs    = flag.Int("flush-ms", 25, "result-stream flush latency watermark (milliseconds)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
-		examples   = flag.Int("examples", 1500, "fuzzy training examples per controller")
-		traceLen   = flag.Int("tracelen", pipeline.DefaultTraceLen, "instructions per phase profile")
+		addr      = flag.String("addr", ":8080", "listen address")
+		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		rates     = flag.String("rate", "", "per-class admission rates: class=perTick:burst[,class=...]")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
+		examples  = flag.Int("examples", 1500, "fuzzy training examples per controller")
+		traceLen  = flag.Int("tracelen", pipeline.DefaultTraceLen, "instructions per phase profile")
 	)
 	openStore := artifact.CacheFlags(flag.CommandLine)
 	flag.Parse()
@@ -113,7 +108,6 @@ func main() {
 
 	fl, err := newFleet(sim, fleet.Config{
 		Workers:   *workers,
-		MaxBatch:  *maxBatch,
 		Admission: admission,
 		Obs:       reg,
 	}, *examples)
@@ -132,7 +126,7 @@ func main() {
 	}
 
 	srv := &http.Server{Addr: *addr,
-		Handler: newMux(fl, reg, *flushBytes, time.Duration(*flushMs)*time.Millisecond)}
+		Handler: newMux(fl, reg, flushBytes, flushWait)}
 
 	done := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
@@ -155,6 +149,13 @@ func main() {
 	}
 	<-done
 }
+
+// The result stream flushes once flushBytes are buffered or flushWait
+// after the first unflushed result, whichever comes first.
+const (
+	flushBytes = 64 << 10
+	flushWait  = 25 * time.Millisecond
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "evalserve:", err)
@@ -231,7 +232,7 @@ func parseRates(spec string) (map[string]fleet.Rate, error) {
 // streamBufPool the NDJSON stream buffers.
 var (
 	bodyBufPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	streamBufPool = sync.Pool{New: func() any { return make([]byte, 0, 64<<10) }}
+	streamBufPool = sync.Pool{New: func() any { return make([]byte, 0, flushBytes) }}
 )
 
 // resultStreamer batches NDJSON result lines through a reused buffer,

@@ -39,19 +39,16 @@ type Kind struct {
 
 // Options configures a Store.
 type Options struct {
-	// MaxBytes bounds the store's total size; the LRU sweep evicts
-	// least-recently-used entries and compacts packfiles down to the cap.
-	// 0 uses DefaultMaxBytes; negative disables the sweep.
-	MaxBytes int64
 	// Obs receives cache counters; nil (the default) disables metrics
 	// at zero cost.
 	Obs *obs.Registry
 }
 
-// DefaultMaxBytes caps the store at 2 GiB unless Options says otherwise —
-// far above any experiment in this repo, so eviction only matters for
-// long-lived shared caches.
-const DefaultMaxBytes = 2 << 30
+// maxStoreBytes bounds the store's total size at 2 GiB: the LRU sweep
+// evicts least-recently-used entries and compacts packfiles down to it.
+// That is far above any experiment in this repo, so eviction only
+// matters for long-lived shared caches.
+const maxStoreBytes = 2 << 30
 
 // maxQueuedWrites bounds the flusher queue; writers past the bound block
 // until the flusher drains, so a slow disk applies backpressure instead of
@@ -146,18 +143,21 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &
 // missing or damaged, and recovering any records a crashed writer
 // appended after the last index save).
 func Open(dir string, opt Options) (*Store, error) {
+	return open(dir, opt, maxStoreBytes)
+}
+
+// open is Open with the size cap as a parameter, so tests can sweep a
+// small store.
+func open(dir string, opt Options, maxBytes int64) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: empty cache directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	if opt.MaxBytes == 0 {
-		opt.MaxBytes = DefaultMaxBytes
-	}
 	s := &Store{
 		dir:         dir,
-		maxBytes:    opt.MaxBytes,
+		maxBytes:    maxBytes,
 		obs:         opt.Obs,
 		flights:     make(map[string]*flight),
 		pending:     make(map[string]pendingWrite),
@@ -634,52 +634,50 @@ func (s *Store) settleLocked() {
 	garbage := s.garbage
 	s.mu.Unlock()
 
-	if s.maxBytes >= 0 {
-		// Eviction: the packed layout reclaims pack bytes at compaction,
-		// so the budget compares the post-compaction footprint (live
-		// records plus a small index overhead) against the cap, and
-		// evicts least-recently-used records until it fits.
-		// Approximate index cost: ~50 encoded bytes per entry plus the
-		// header. Slightly high is fine; wildly high would over-evict.
-		indexOverhead := int64(56)*int64(len(live)) + 128
-		if excess := liveBytes + indexOverhead - s.maxBytes; excess > 0 {
-			sort.Slice(live, func(i, j int) bool { return live[i].e.atime < live[j].e.atime })
-			for _, le := range live {
-				if excess <= 0 {
-					break
-				}
-				s.mu.Lock()
-				if e, ok := s.index[le.fkey]; ok {
-					delete(s.index, le.fkey)
-					s.garbage[e.shard] += e.size
-					garbage[e.shard] += e.size
-					excess -= le.e.size
-					s.obs.Counter("artifact.cache.evictions").Inc()
-				}
-				s.mu.Unlock()
+	// Eviction: the packed layout reclaims pack bytes at compaction,
+	// so the budget compares the post-compaction footprint (live
+	// records plus a small index overhead) against the cap, and
+	// evicts least-recently-used records until it fits.
+	// Approximate index cost: ~50 encoded bytes per entry plus the
+	// header. Slightly high is fine; wildly high would over-evict.
+	indexOverhead := int64(56)*int64(len(live)) + 128
+	if excess := liveBytes + indexOverhead - s.maxBytes; excess > 0 {
+		sort.Slice(live, func(i, j int) bool { return live[i].e.atime < live[j].e.atime })
+		for _, le := range live {
+			if excess <= 0 {
+				break
 			}
+			s.mu.Lock()
+			if e, ok := s.index[le.fkey]; ok {
+				delete(s.index, le.fkey)
+				s.garbage[e.shard] += e.size
+				garbage[e.shard] += e.size
+				excess -= le.e.size
+				s.obs.Counter("artifact.cache.evictions").Inc()
+			}
+			s.mu.Unlock()
 		}
-		// Compaction reclaims garbage (superseded and evicted records).
-		// Eviction above budgets on live bytes; the on-disk footprint is
-		// the segment files themselves, so when those exceed the cap every
-		// garbage-bearing segment compacts. Otherwise only segments whose
-		// garbage passed the threshold and half the file are rewritten.
-		var sizes [numShards]int64
-		var packBytes int64
-		for si := range s.shards {
-			s.shards[si].mu.Lock()
-			sizes[si] = s.shards[si].size
-			s.shards[si].mu.Unlock()
-			packBytes += sizes[si]
+	}
+	// Compaction reclaims garbage (superseded and evicted records).
+	// Eviction above budgets on live bytes; the on-disk footprint is
+	// the segment files themselves, so when those exceed the cap every
+	// garbage-bearing segment compacts. Otherwise only segments whose
+	// garbage passed the threshold and half the file are rewritten.
+	var sizes [numShards]int64
+	var packBytes int64
+	for si := range s.shards {
+		s.shards[si].mu.Lock()
+		sizes[si] = s.shards[si].size
+		s.shards[si].mu.Unlock()
+		packBytes += sizes[si]
+	}
+	overCap := packBytes+indexOverhead > s.maxBytes
+	for si := range s.shards {
+		if garbage[si] == 0 {
+			continue
 		}
-		overCap := packBytes+indexOverhead > s.maxBytes
-		for si := range s.shards {
-			if garbage[si] == 0 {
-				continue
-			}
-			if overCap || (garbage[si] >= compactMinGarbage && garbage[si]*2 >= sizes[si]) {
-				s.compactShard(si)
-			}
+		if overCap || (garbage[si] >= compactMinGarbage && garbage[si]*2 >= sizes[si]) {
+			s.compactShard(si)
 		}
 	}
 

@@ -422,13 +422,13 @@ func TestNilStore(t *testing.T) {
 	}
 }
 
-// TestLRUSweep: pushing the store past MaxBytes evicts the least
+// TestLRUSweep: pushing the store past its size cap evicts the least
 // recently used entries, compaction reclaims their bytes, and the newest
 // entries survive.
 func TestLRUSweep(t *testing.T) {
 	reg := obs.NewRegistry()
 	const maxBytes = 1500
-	st, err := Open(t.TempDir(), Options{MaxBytes: maxBytes, Obs: reg})
+	st, err := open(t.TempDir(), Options{Obs: reg}, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestLRUSweep(t *testing.T) {
 		st.Flush()
 	}
 	if ev := counter(reg, "artifact.cache.evictions"); ev == 0 {
-		t.Fatal("no evictions despite exceeding MaxBytes")
+		t.Fatal("no evictions despite exceeding the cap")
 	}
 	var total int64
 	filepath.WalkDir(st.dir, func(path string, d os.DirEntry, err error) error {

@@ -163,7 +163,7 @@ func TestCloseFlushesQueue(t *testing.T) {
 func TestDiskBytesAccountingUnderConcurrency(t *testing.T) {
 	reg := obs.NewRegistry()
 	const maxBytes = 4000
-	st, err := Open(t.TempDir(), Options{MaxBytes: maxBytes, Obs: reg})
+	st, err := open(t.TempDir(), Options{Obs: reg}, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

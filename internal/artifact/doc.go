@@ -194,7 +194,7 @@
 // same bytes. Reads are pread-based and lockless against appends; a
 // compaction atomically renames the rewritten segment into place and
 // retires the old read descriptor, so in-flight reads finish against
-// the old inode. A bounded-size LRU sweep (Options.MaxBytes) evicts the
+// the old inode. An LRU sweep bounded at 2 GiB (maxStoreBytes) evicts the
 // least-recently-used records once enough written bytes accumulate (and
 // always at Flush/Close); hits bump an entry's atime. Eviction marks
 // record bytes as garbage; compaction rewrites a segment without them

@@ -14,10 +14,10 @@ type Rate struct {
 // TokenBucket is a token bucket over the fleet's virtual clock. It is
 // deliberately not wall-clock based: refills depend only on submitted
 // event timestamps, so admission decisions are part of the deterministic
-// event-trace semantics rather than a function of host speed. Each
-// bucket carries its own mutex: the sharded ingest path serializes
-// admission per class here instead of under one global fleet lock, so
-// classes never contend with each other.
+// event-trace semantics rather than a function of host speed. The fleet
+// calls Allow only under its ingest lock, so its buckets spend in ingest
+// order; the bucket's own mutex keeps the exported type safe for other
+// callers.
 type TokenBucket struct {
 	mu      sync.Mutex
 	perTick float64
@@ -36,8 +36,7 @@ func NewTokenBucket(r Rate) *TokenBucket {
 // Allow spends one token at virtual time at, refilling for the ticks
 // elapsed since the last call first. Time moving backwards (events may
 // carry stale timestamps) refills nothing but still allows spending.
-// Safe for concurrent use; concurrent submitters spend in bucket-lock
-// acquisition order.
+// Safe for concurrent use; concurrent callers spend in lock order.
 func (b *TokenBucket) Allow(at int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -18,14 +18,15 @@
 //
 // # Scheduling
 //
-// Ingest holds no global lock. A SubmitBatch call reserves its
-// contiguous sequence block with one atomic add, folds timestamps into
-// the virtual clock (an atomic running maximum), and then walks its
-// events touching only sharded state: chip membership lives in 32
-// hash-sharded maps, admission buckets carry per-class locks, and stats
-// are atomic counters behind a copy-on-write class table with
-// per-worker latency shards. Compatible run events — same (chip,
-// environment, mode) — coalesce into bounded unit batches.
+// One ingest lock covers a SubmitBatch call's scan of its events. Under
+// it the batch takes its sequence numbers, folds timestamps into the
+// virtual clock, joins and retires chips (and so picks each new chip's
+// owner), spends admission tokens, and finds each event's stats class.
+// Compatible run events — same (chip, environment, mode) — coalesce
+// into bounded unit batches, which are sent to the worker queues after
+// the lock is released, so a worker stalled by a slow client blocks no
+// other batch's ingest. Workers record latencies in one histogram pair
+// for the fleet and one per class.
 //
 // There is no routing policy. Each admitted chip has one owner worker,
 // assigned in join order (the n-th chip admitted goes to worker n mod
@@ -62,12 +63,14 @@
 // Results are emitted in submission order: within one SubmitBatch call,
 // the emit callback observes results exactly in event order, whatever
 // order workers finish in (a ready-array cursor re-serializes
-// emission). Across concurrent SubmitBatch calls only sequence numbers
-// order events — each call owns a contiguous block, and block order
-// follows the atomic reservation; admission within a class follows
-// bucket-lock acquisition order, and owners follow join order. The
-// contract below is defined over a single-client trace, where all of
-// these orders reduce to submission order.
+// emission). Across concurrent SubmitBatch calls, each batch is
+// ingested whole, in lock order: it owns a contiguous sequence block,
+// and its joins, leaves and admissions take effect in sequence order,
+// so the n-th successful join in sequence order gets worker n mod
+// Workers. Unit batches are queued after the lock is released, so two
+// concurrent batches' units of one chip run in queue order, which need
+// not be lock order. The contract below is defined over a single-client
+// trace, where lock order, queue order and submission order agree.
 //
 // For a fixed simulator seed and a fixed single-client event trace,
 // Result.Canonical() — everything except the execution diagnostics

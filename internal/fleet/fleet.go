@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adapt"
@@ -16,11 +16,6 @@ import (
 // DefaultMaxBatch bounds how many compatible run events coalesce into
 // one dispatched unit batch.
 const DefaultMaxBatch = 64
-
-// memberShards is the chip-membership shard count, a power of two.
-// Membership is the only ingest structure run events read under a lock;
-// sharding it keeps concurrent submitters off each other's chips.
-const memberShards = 32
 
 // Config configures a Fleet.
 type Config struct {
@@ -43,8 +38,9 @@ type Config struct {
 	// cores with unit parallelism, and nested training pools would
 	// oversubscribe.
 	Training adapt.TrainOptions
-	// Obs, when non-nil, receives fleet.pool.* gauges, event/unit
-	// counters, and the fleet.ingest.lock_wait_ns contention counter.
+	// Obs, when non-nil, receives the fleet.pool.* gauges and the
+	// fleet.ingest.lock_wait_ns counter, the time batches waited for the
+	// ingest lock.
 	Obs *obs.Registry
 }
 
@@ -54,23 +50,23 @@ type Config struct {
 // Simulator's artifact cache. See doc.go for the ordering and
 // determinism contract.
 //
-// Ingest is sharded: sequence numbers are reserved per batch with one
-// atomic add, the virtual clock is an atomic running maximum, chip
-// membership lives in hash-sharded maps, admission buckets carry their
-// own per-class locks, and owners are assigned from an atomic join
-// count. No global lock exists on the event path.
+// One ingest lock serializes SubmitBatch's ingest scans: a batch's
+// sequence block, clock folds, joins, leaves, admissions and class
+// lookups all happen under it, in event order. Queue sends happen
+// outside it.
 type Fleet struct {
 	sim  *core.Simulator
 	cfg  Config
 	apps map[string]workload.App
 
-	seq    atomic.Int64 // batch-reserved; contiguous within a batch
-	clock  atomic.Int64 // running max of submitted At values
-	joined atomic.Int64 // chips admitted so far; picks each chip's owner
-
-	shards [memberShards]memberShard
-
-	buckets map[string]*TokenBucket // read-only after New
+	// mu is the ingest lock. It guards seq, clock, joined, members and
+	// the stats class table.
+	mu      sync.Mutex
+	seq     int64 // last sequence number assigned
+	clock   int64 // running max of submitted At values
+	joined  int   // chips admitted so far; picks each chip's owner
+	members map[int64]*chipEntry
+	buckets map[string]*TokenBucket // the map is read-only after New
 
 	// closeMu fences dispatch against Close: SubmitBatch holds the read
 	// side from the closed check through its last queue send, so Close
@@ -84,15 +80,7 @@ type Fleet struct {
 
 	stats    *stats
 	mon      *obs.PoolMonitor
-	lockWait *obs.Counter // nil when no registry: zero-cost timing gate
-}
-
-// memberShard is one slice of chip membership; join/leave write, run
-// events read-lock. The padding keeps shard locks off one cache line.
-type memberShard struct {
-	mu sync.RWMutex
-	m  map[int64]*chipEntry
-	_  [64]byte
+	lockWait *obs.Counter // nil when no registry
 }
 
 // chipEntry is one admitted chip. Every unit of the chip runs on its
@@ -282,14 +270,12 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 		sim:      sim,
 		cfg:      cfg,
 		apps:     make(map[string]workload.App, len(cfg.Apps)),
+		members:  make(map[int64]*chipEntry),
 		buckets:  make(map[string]*TokenBucket),
 		queues:   make([]chan *unitTask, cfg.Workers),
-		stats:    newStats(cfg.Workers),
+		stats:    newStats(),
 		mon:      obs.NewPoolMonitor(cfg.Obs, "fleet.pool", cfg.Workers),
 		lockWait: cfg.Obs.Counter("fleet.ingest.lock_wait_ns"),
-	}
-	for i := range f.shards {
-		f.shards[i].m = make(map[int64]*chipEntry)
 	}
 	for _, app := range cfg.Apps {
 		if _, dup := f.apps[app.Name]; dup {
@@ -308,39 +294,24 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// shardFor maps a chip to its membership shard.
-func (f *Fleet) shardFor(chip int64) *memberShard {
-	return &f.shards[fnv64(chip)%memberShards]
-}
-
-// fnv64 hashes a chip seed to spread chips over membership shards.
-func fnv64(seed int64) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(seed >> (8 * i)))
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Chips returns the current admitted-chip count.
 func (f *Fleet) Chips() int {
-	n := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.members)
 }
 
-// Stats renders the service telemetry snapshot.
+// Stats renders the service telemetry snapshot. It copies the class
+// table under the ingest lock and computes quantiles outside it.
 func (f *Fleet) Stats() Snapshot {
 	f.mon.Publish()
-	snap := f.stats.snapshot()
+	f.mu.Lock()
+	chips := len(f.members)
+	classes := maps.Clone(f.stats.classes)
+	f.mu.Unlock()
+	snap := f.stats.snapshot(classes)
 	snap.Workers = f.cfg.Workers
-	snap.Chips = f.Chips()
+	snap.Chips = chips
 	return snap
 }
 
@@ -348,20 +319,6 @@ func (f *Fleet) Stats() Snapshot {
 // registry snapshot taken next reads current pool occupancy. Stats
 // publishes them too.
 func (f *Fleet) PublishGauges() { f.mon.Publish() }
-
-// advanceClock folds one event timestamp into the virtual clock and
-// returns the clock after the fold.
-func (f *Fleet) advanceClock(at int64) int64 {
-	for {
-		cur := f.clock.Load()
-		if at <= cur {
-			return cur
-		}
-		if f.clock.CompareAndSwap(cur, at) {
-			return at
-		}
-	}
-}
 
 // SubmitBatch ingests one ordered event batch and blocks until every
 // event's result has been passed to emit, in submission order. emit runs
@@ -380,15 +337,17 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 	b := getBatch(len(events), emit)
 	sc := scratchPool.Get().(*submitScratch)
 
-	// One atomic reserves the batch's contiguous sequence block; the
-	// scan below assigns them in submission order. Everything else on
-	// the ingest path touches only sharded or per-class state.
-	seqBase := f.seq.Add(int64(len(events))) - int64(len(events))
+	// The whole scan runs under the ingest lock, so the batch takes a
+	// contiguous sequence block and its joins, leaves and admissions
+	// land in event order, between whole batches of other submitters.
+	t0 := time.Now()
+	f.mu.Lock()
+	f.lockWait.Add(time.Since(t0).Nanoseconds())
 	for pos, ev := range events {
-		seq := seqBase + int64(pos) + 1
-		clock := f.advanceClock(ev.At)
+		f.seq++
+		f.clock = max(f.clock, ev.At)
 		res := Result{
-			Seq: seq, At: ev.At, Kind: ev.Kind, Class: ev.Class,
+			Seq: f.seq, At: ev.At, Kind: ev.Kind, Class: ev.Class,
 			Chip: ev.Chip, Env: ev.Env, Mode: ev.Mode, App: ev.App,
 			Phase: ev.Phase, Status: StatusOK,
 		}
@@ -397,30 +356,19 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 		cls.events.Add(1)
 		switch ev.Kind {
 		case KindJoin:
-			sh := f.shardFor(ev.Chip)
-			f.timedLock(&sh.mu)
-			_, dup := sh.m[ev.Chip]
-			if !dup {
-				owner := (f.joined.Add(1) - 1) % int64(f.cfg.Workers)
-				sh.m[ev.Chip] = &chipEntry{seed: ev.Chip, worker: int(owner)}
-			}
-			sh.mu.Unlock()
-			if dup {
+			if _, dup := f.members[ev.Chip]; dup {
 				res.Status = StatusError
 				res.Err = fmt.Sprintf("chip %d already joined", ev.Chip)
 				cls.errors.Add(1)
 			} else {
+				f.members[ev.Chip] = &chipEntry{seed: ev.Chip, worker: f.joined % f.cfg.Workers}
+				f.joined++
 				cls.ok.Add(1)
 			}
 			sc.immediates = append(sc.immediates, immediate{pos, res})
 		case KindLeave:
-			sh := f.shardFor(ev.Chip)
-			f.timedLock(&sh.mu)
-			entry, ok := sh.m[ev.Chip]
-			if ok {
-				delete(sh.m, ev.Chip)
-			}
-			sh.mu.Unlock()
+			entry, ok := f.members[ev.Chip]
+			delete(f.members, ev.Chip)
 			if !ok {
 				res.Status = StatusError
 				res.Err = fmt.Sprintf("chip %d not joined", ev.Chip)
@@ -440,16 +388,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			}
 			sc.immediates = append(sc.immediates, immediate{pos, res})
 		case KindRun:
-			// The unit registration (units.Add) must happen under the
-			// shard read lock: a leave excludes readers while it unlinks
-			// the entry, so every registered unit precedes its Wait.
-			sh := f.shardFor(ev.Chip)
-			f.timedRLock(&sh.mu)
-			entry := sh.m[ev.Chip]
-			if entry != nil {
-				entry.units.Add(1)
-			}
-			sh.mu.RUnlock()
+			entry := f.members[ev.Chip]
 			if entry == nil {
 				res.Status = StatusError
 				res.Err = fmt.Sprintf("chip %d not joined", ev.Chip)
@@ -458,21 +397,22 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 				continue
 			}
 			if msg := f.validateRun(ev); msg != "" {
-				entry.units.Done()
 				res.Status = StatusError
 				res.Err = msg
 				cls.errors.Add(1)
 				sc.immediates = append(sc.immediates, immediate{pos, res})
 				continue
 			}
-			if bucket, throttled := f.buckets[ev.Class]; throttled && !bucket.Allow(clock) {
-				entry.units.Done()
+			if bucket, throttled := f.buckets[ev.Class]; throttled && !bucket.Allow(f.clock) {
 				res.Status = StatusRejected
 				res.Err = "admission: class rate exceeded"
 				cls.rejected.Add(1)
 				sc.immediates = append(sc.immediates, immediate{pos, res})
 				continue
 			}
+			// Registered under the ingest lock, the unit precedes any
+			// later leave's Wait on the chip.
+			entry.units.Add(1)
 			key := unitKey{chip: ev.Chip, env: ev.Env, mode: ev.Mode}
 			t := sc.open[key]
 			if t != nil && len(t.refs) >= f.cfg.MaxBatch {
@@ -486,7 +426,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			} else {
 				f.stats.batchedEvents.Add(1)
 			}
-			t.refs = append(t.refs, eventRef{b: b, cls: cls, pos: pos, ev: ev, seq: seq})
+			t.refs = append(t.refs, eventRef{b: b, cls: cls, pos: pos, ev: ev, seq: f.seq})
 		default:
 			res.Status = StatusError
 			res.Err = fmt.Sprintf("unknown event kind %q", ev.Kind)
@@ -494,6 +434,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			sc.immediates = append(sc.immediates, immediate{pos, res})
 		}
 	}
+	f.mu.Unlock()
 	// Each task goes to its chip's owner in ingest order, so a chip's
 	// tasks run in ingest order whatever the worker count.
 	for _, t := range sc.tasks {
@@ -517,29 +458,6 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 	sc.release()
 	putBatch(b)
 	return nil
-}
-
-// timedLock and timedRLock acquire a shard lock, feeding acquisition
-// wait into fleet.ingest.lock_wait_ns when a registry is attached (the
-// nil counter skips the clock reads entirely).
-func (f *Fleet) timedLock(mu *sync.RWMutex) {
-	if f.lockWait == nil {
-		mu.Lock()
-		return
-	}
-	t0 := time.Now()
-	mu.Lock()
-	f.lockWait.Add(time.Since(t0).Nanoseconds())
-}
-
-func (f *Fleet) timedRLock(mu *sync.RWMutex) {
-	if f.lockWait == nil {
-		mu.RLock()
-		return
-	}
-	t0 := time.Now()
-	mu.RLock()
-	f.lockWait.Add(time.Since(t0).Nanoseconds())
 }
 
 // validateRun checks a run event's simulation coordinates, returning an
@@ -596,16 +514,10 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	var remaining []*chipEntry
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.m {
-			remaining = append(remaining, e)
-		}
-		sh.m = make(map[int64]*chipEntry)
-		sh.mu.Unlock()
-	}
+	f.mu.Lock()
+	remaining := f.members
+	f.members = make(map[int64]*chipEntry)
+	f.mu.Unlock()
 	f.closeMu.Unlock()
 
 	for _, q := range f.queues {

@@ -455,9 +455,10 @@ func TestFleetStats(t *testing.T) {
 }
 
 // TestFleetConcurrentSoak hammers one fleet with concurrent join, leave,
-// and submit traffic; under -race this is the concurrency audit of the
-// ingest/worker/release machinery. Baseline-mode events keep each unit
-// cheap without losing any of the scheduling paths.
+// and submit traffic while another goroutine polls Stats; under -race
+// this is the concurrency audit of the ingest/worker/release machinery
+// and of the class-table copy Stats takes. Baseline-mode events keep
+// each unit cheap without losing any of the scheduling paths.
 func TestFleetConcurrentSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency soak")
@@ -472,6 +473,7 @@ func TestFleetConcurrentSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	const clients = 6
+	stopPoll := pollStats(t, f, 3)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	emitted := 0
@@ -510,6 +512,7 @@ func TestFleetConcurrentSoak(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	stopPoll()
 	f.Close()
 	if got := f.stats.events.Load(); int(got) != emitted {
 		t.Fatalf("stats counted %d events, emitted %d", got, emitted)
@@ -518,6 +521,124 @@ func TestFleetConcurrentSoak(t *testing.T) {
 	f.Close()
 	if err := f.SubmitBatch([]Event{{Kind: KindJoin, Chip: 1}}, nil); err == nil {
 		t.Fatal("submit after close succeeded")
+	}
+}
+
+// pollStats polls f.Stats and f.Chips from another goroutine until the
+// returned stop function is called, failing t when the event count goes
+// backwards or more than maxChips chips are admitted.
+func pollStats(t *testing.T, f *Fleet, maxChips int) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last int64
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+			snap := f.Stats()
+			if chips := f.Chips(); snap.Events < last || snap.Chips > maxChips || chips > maxChips {
+				t.Errorf("stats: events %d after %d, chips %d and %d (at most %d)",
+					snap.Events, last, snap.Chips, chips, maxChips)
+				return
+			}
+			last = snap.Events
+		}
+	}()
+	return func() { close(done); wg.Wait() }
+}
+
+// TestConcurrentBatchesIngestWhole: batches that several clients submit
+// at once, of joins, baseline runs and leaves on shared chips, are each
+// ingested whole, in lock order, while another goroutine polls Stats and
+// Chips. Every batch's results carry one contiguous sequence block, the
+// blocks partition 1..N, and membership follows sequence order: a join
+// fails exactly when its chip is admitted, a run or leave exactly when it
+// is not, and every served run's worker is its chip's owner — the rank
+// of the chip's admitting join among all successful joins, mod Workers.
+func TestConcurrentBatchesIngestWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("concurrency soak")
+	}
+	const workers, clients, rounds = 3, 4, 6
+	f, err := New(testSim(t, ""), Config{Workers: workers, Apps: testApps(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stopPoll := pollStats(t, f, 3)
+	batches := make([][][]Result, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				chip := int64(900 + (c+round)%3) // chips contended across clients
+				events := []Event{{At: int64(round), Kind: KindJoin, Class: "a", Chip: chip}}
+				for i := 0; i < 3; i++ {
+					events = append(events, Event{At: int64(round), Kind: KindRun, Class: "a",
+						Chip: int64(900 + (c+round+i)%3), Mode: ModeBaseline, App: "gcc"})
+				}
+				if round%2 == 1 {
+					events = append(events, Event{At: int64(round), Kind: KindLeave, Class: "a", Chip: chip})
+				}
+				var got []Result
+				if err := f.SubmitBatch(events, func(r Result) { got = append(got, r) }); err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(events) {
+					t.Errorf("client %d round %d: %d results for %d events", c, round, len(got), len(events))
+					return
+				}
+				batches[c] = append(batches[c], got)
+			}
+		}(c)
+	}
+	wg.Wait()
+	stopPoll()
+	if t.Failed() {
+		return
+	}
+
+	var all []Result
+	for c := range batches {
+		for _, got := range batches[c] {
+			for i, r := range got {
+				if r.Seq != got[0].Seq+int64(i) {
+					t.Fatalf("client %d: batch sequence block %d.. breaks at slot %d (seq %d)", c, got[0].Seq, i, r.Seq)
+				}
+			}
+			all = append(all, got...)
+		}
+	}
+	slices.SortFunc(all, func(a, b Result) int { return int(a.Seq - b.Seq) })
+	owner := make(map[int64]int)
+	joins := 0
+	for i, r := range all {
+		if r.Seq != int64(i+1) {
+			t.Fatalf("sequence blocks do not partition 1..%d: position %d holds seq %d", len(all), i+1, r.Seq)
+		}
+		w, admitted := owner[r.Chip]
+		ok := r.Status == StatusOK
+		switch {
+		case r.Kind == KindJoin && ok == admitted,
+			r.Kind != KindJoin && ok != admitted:
+			t.Fatalf("seq %d: %s chip %d status %s (%s), but the chip admitted=%v in sequence order",
+				r.Seq, r.Kind, r.Chip, r.Status, r.Err, admitted)
+		case r.Kind == KindJoin && ok:
+			owner[r.Chip] = joins % workers
+			joins++
+		case r.Kind == KindLeave && ok:
+			delete(owner, r.Chip)
+		case r.Kind == KindRun && ok && r.Worker != w:
+			t.Fatalf("seq %d: chip %d ran on worker %d, want owner %d", r.Seq, r.Chip, r.Worker, w)
+		}
 	}
 }
 
@@ -550,10 +671,7 @@ func TestDepartedChipsAreFreed(t *testing.T) {
 	const chips = 3
 	freed := make(chan int64, chips)
 	watch := func(chip int64) {
-		sh := f.shardFor(chip)
-		sh.mu.RLock()
-		entry := sh.m[chip]
-		sh.mu.RUnlock()
+		entry := entryOf(f, chip)
 		if entry.cores[core.TSASV] == nil {
 			t.Fatalf("chip %d: owner built no core", chip)
 		}
@@ -740,7 +858,7 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	}
 	steady := batch[1:]
 	// Warm the scratch pools and fill the latency reservoirs (4096
-	// samples per histogram shard) so the measured loop sees the true
+	// samples per histogram) so the measured loop sees the true
 	// steady state.
 	for i := 0; i < 200; i++ {
 		if err := f.SubmitBatch(steady, nil); err != nil {
@@ -820,10 +938,9 @@ func TestQueueDepthGauge(t *testing.T) {
 // its owner-only fields only between batches, once the chip's units
 // have drained.
 func entryOf(f *Fleet, chip int64) *chipEntry {
-	sh := f.shardFor(chip)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.m[chip]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.members[chip]
 }
 
 // openStore opens the artifact store in dir with reg attached, closed

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,13 +9,10 @@ import (
 
 // stats aggregates service-level telemetry: global throughput counters,
 // scheduling/total latency histograms, and per-class breakdowns for the
-// fairness index. Nothing here takes a lock on the steady-state path:
-// counters are atomics, the class table is copy-on-write (reads are a
-// single atomic pointer load; the write lock is only taken the first
-// time a class name appears), and the latency histograms are sharded
-// per worker and merged at snapshot time. Histograms are zero-value
-// obs.Histograms used directly (not through a registry) so /v1/stats
-// can quote quantiles without a registry attached.
+// fairness index. Counters are atomics, since workers bump them outside
+// the ingest lock; the class table is a plain map under that lock. The
+// histograms are zero-value obs.Histograms used directly (not through a
+// registry) so /v1/stats can quote quantiles without a registry attached.
 type stats struct {
 	start time.Time
 
@@ -26,19 +22,12 @@ type stats struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 
-	lat []latShard // global latency shards, indexed by worker
-
-	classMu sync.Mutex // serializes class-table copy-on-write updates
-	classes atomic.Pointer[map[string]*classStats]
-}
-
-// latShard is one worker's slice of a latency pair. Each worker observes
-// into its own shard, so the histogram mutexes are never contended; the
-// padding keeps adjacent shards off one cache line.
-type latShard struct {
 	sched obs.Histogram // run-event dispatch → worker pickup
 	total obs.Histogram // run-event dispatch → result emitted
-	_     [64]byte
+
+	// classes is guarded by the fleet's ingest lock: SubmitBatch adds a
+	// class the first time its name appears, and Stats copies the table.
+	classes map[string]*classStats
 }
 
 // classStats is one admission class's slice of the telemetry.
@@ -52,55 +41,30 @@ type classStats struct {
 	// membership bookkeeping, not service).
 	served atomic.Int64
 
-	lat []latShard // per-worker latency shards, like the global pair
+	sched, total obs.Histogram // the class's share of the global pair
 }
 
-func newStats(workers int) *stats {
-	s := &stats{start: time.Now(), lat: make([]latShard, workers)}
-	empty := make(map[string]*classStats)
-	s.classes.Store(&empty)
-	return s
+func newStats() *stats {
+	return &stats{start: time.Now(), classes: make(map[string]*classStats)}
 }
 
-// class returns (creating if needed) the class's stats slot. The hit
-// path is one atomic load and a map read; creation copies the table.
+// class returns (creating if needed) the class's stats slot. The caller
+// holds the ingest lock.
 func (s *stats) class(name string) *classStats {
-	if c, ok := (*s.classes.Load())[name]; ok {
-		return c
+	c := s.classes[name]
+	if c == nil {
+		c = new(classStats)
+		s.classes[name] = c
 	}
-	s.classMu.Lock()
-	defer s.classMu.Unlock()
-	cur := *s.classes.Load()
-	if c, ok := cur[name]; ok { // lost the creation race
-		return c
-	}
-	c := &classStats{lat: make([]latShard, len(s.lat))}
-	next := make(map[string]*classStats, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[name] = c
-	s.classes.Store(&next)
 	return c
 }
 
-// observeRun records one completed run event's latencies into worker w's
-// shards.
-func (s *stats) observeRun(c *classStats, w int, sched, total time.Duration) {
-	s.lat[w].sched.Observe(sched)
-	s.lat[w].total.Observe(total)
-	c.lat[w].sched.Observe(sched)
-	c.lat[w].total.Observe(total)
-}
-
-// mergeLat folds a shard set into one scratch pair for quantiles.
-func mergeLat(shards []latShard) (sched, total *obs.Histogram) {
-	sched, total = new(obs.Histogram), new(obs.Histogram)
-	for i := range shards {
-		sched.Merge(&shards[i].sched)
-		total.Merge(&shards[i].total)
-	}
-	return sched, total
+// observeRun records one completed run event's latencies.
+func (s *stats) observeRun(c *classStats, sched, total time.Duration) {
+	s.sched.Observe(sched)
+	s.total.Observe(total)
+	c.sched.Observe(sched)
+	c.total.Observe(total)
 }
 
 // ClassSnapshot is one class's row of a stats snapshot.
@@ -144,9 +108,9 @@ type Snapshot struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// snapshot renders the current telemetry.
-func (s *stats) snapshot() Snapshot {
-	sched, total := mergeLat(s.lat)
+// snapshot renders the current telemetry over classes, a copy of the
+// class table taken under the ingest lock.
+func (s *stats) snapshot(classes map[string]*classStats) Snapshot {
 	snap := Snapshot{
 		UptimeS:       time.Since(s.start).Seconds(),
 		Events:        s.events.Load(),
@@ -154,29 +118,27 @@ func (s *stats) snapshot() Snapshot {
 		BatchedEvents: s.batchedEvents.Load(),
 		CacheHits:     s.cacheHits.Load(),
 		CacheMisses:   s.cacheMisses.Load(),
-		SchedP50Ms:    ms(sched.Quantile(0.50)),
-		SchedP99Ms:    ms(sched.Quantile(0.99)),
-		TotalP50Ms:    ms(total.Quantile(0.50)),
-		TotalP99Ms:    ms(total.Quantile(0.99)),
+		SchedP50Ms:    ms(s.sched.Quantile(0.50)),
+		SchedP99Ms:    ms(s.sched.Quantile(0.99)),
+		TotalP50Ms:    ms(s.total.Quantile(0.50)),
+		TotalP99Ms:    ms(s.total.Quantile(0.99)),
 		Classes:       make(map[string]ClassSnapshot),
 	}
 	if snap.UptimeS > 0 {
 		snap.EventsPerSec = float64(snap.Events) / snap.UptimeS
 	}
-	classes := *s.classes.Load()
 	served := make([]float64, 0, len(classes))
 	for name, c := range classes {
 		served = append(served, float64(c.served.Load()))
-		cs, ct := mergeLat(c.lat)
 		snap.Classes[name] = ClassSnapshot{
 			Events:     c.events.Load(),
 			OK:         c.ok.Load(),
 			Rejected:   c.rejected.Load(),
 			Errors:     c.errors.Load(),
-			SchedP50Ms: ms(cs.Quantile(0.50)),
-			SchedP99Ms: ms(cs.Quantile(0.99)),
-			TotalP50Ms: ms(ct.Quantile(0.50)),
-			TotalP99Ms: ms(ct.Quantile(0.99)),
+			SchedP50Ms: ms(c.sched.Quantile(0.50)),
+			SchedP99Ms: ms(c.sched.Quantile(0.99)),
+			TotalP50Ms: ms(c.total.Quantile(0.50)),
+			TotalP99Ms: ms(c.total.Quantile(0.99)),
 		}
 	}
 	snap.Fairness = JainFairness(served)

@@ -95,7 +95,7 @@ func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Durati
 				ref.cls.ok.Add(1)
 				ref.cls.served.Add(1)
 			}
-			f.stats.observeRun(ref.cls, w, sched, total)
+			f.stats.observeRun(ref.cls, sched, total)
 			ref.b.finish(ref.pos, res)
 		}
 	}

@@ -231,50 +231,6 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	return sorted[int(p*float64(len(sorted)-1)+0.5)]
 }
 
-// Merge folds src's observations into h. Count, sum, min, and max
-// combine exactly; the quantile reservoir absorbs src's retained
-// samples through the same replacement scheme as Observe, so a scratch
-// histogram merged from per-worker shards reports quantiles over the
-// union of their reservoirs. Safe for concurrent use; h and src must be
-// distinct.
-func (h *Histogram) Merge(src *Histogram) {
-	if h == nil || src == nil {
-		return
-	}
-	src.mu.Lock()
-	count, sum, lo, hi := src.count, src.sum, src.min, src.max
-	samples := append([]time.Duration(nil), src.samples...)
-	src.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	if h.count == 0 || lo < h.min {
-		h.min = lo
-	}
-	if hi > h.max {
-		h.max = hi
-	}
-	h.count += count
-	h.sum += sum
-	for _, d := range samples {
-		if len(h.samples) < reservoirSize {
-			h.samples = append(h.samples, d)
-			continue
-		}
-		if h.rng == 0 {
-			h.rng = uint64(h.count)*2685821657736338717 + 1
-		}
-		h.rng ^= h.rng << 13
-		h.rng ^= h.rng >> 7
-		h.rng ^= h.rng << 17
-		if j := h.rng % uint64(h.count); j < reservoirSize {
-			h.samples[j] = d
-		}
-	}
-	h.mu.Unlock()
-}
-
 // Max returns the largest observation (exact, 0 if nil or empty).
 func (h *Histogram) Max() time.Duration {
 	if h == nil {
