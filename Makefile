@@ -1,4 +1,4 @@
-.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fig-digests fleetload-smoke cache-clean spec-check doc-check fuzz-smoke
+.PHONY: check build test vet fmt bench bench-json bench-smoke bench-check-warm bench-check-cold bench-check-fleet fig-digests serve-floors cache-clean spec-check doc-check fuzz-smoke
 
 # Tier-1 gate: everything must pass before a commit lands.
 check: vet build test
@@ -21,9 +21,10 @@ bench:
 
 # Adaptation-engine benchmark trajectory: runs the solver/chip/pipeline
 # microbenchmarks plus the end-to-end experiments (Figure 10, and the
-# serial-vs-parallel training and Figure 13 pairs), drives a live
-# evalserve with cmd/fleetload for honest served events/s and p99, and
-# records everything per commit in BENCH_adapt.json. Refuses a dirty
+# serial-vs-parallel training and Figure 13 pairs) and the in-process
+# fleet benchmark, and records everything per commit in BENCH_adapt.json.
+# Served events/s and request p99 over HTTP come from evalbench's
+# serve-replay workload (see serve-floors). Refuses a dirty
 # tree (pass -allow-dirty via `go run ./tools/benchjson` directly to
 # override; such a run must not be checked in as a baseline).
 bench-json:
@@ -71,20 +72,20 @@ fig-digests:
 	  echo "$$verdict" | grep -Eq '"failed":0[,}]' || exit 1; \
 	done
 
-# Driven-server smoke: start evalserve, drive it closed-loop with
-# cmd/fleetload, and assert the service floors (>= 10k events/s, sched
-# p99 under 10 ms) from the live /v1/stats snapshot.
-fleetload-smoke:
-	go build -o /tmp/evalserve ./cmd/evalserve
-	go build -o /tmp/fleetload ./cmd/fleetload
-	@/tmp/evalserve -addr 127.0.0.1:18098 -no-cache -tracelen 8000 & \
-	server=$$!; \
-	for i in $$(seq 1 50); do \
-	  curl -sf http://127.0.0.1:18098/healthz >/dev/null && break; sleep 0.2; \
-	done; \
-	/tmp/fleetload -url http://127.0.0.1:18098 -conns 4 -duration 3s \
-	  -chips 8 -batch 50 -min-events-per-sec 10000 -max-sched-p99-ms 10; \
-	rc=$$?; kill -TERM $$server; wait $$server; exit $$rc
+# HTTP service floors: one traced serve-replay run (evalserve restarted
+# on a populated store, a closed loop over up to nproc connections, its
+# events store and replay-table hits and baseline probes). Fails
+# unless the verdict reads "correct":true with 0 failed, served
+# wall.events_per_s >= 10000 and fleet.queue_wait_p99_ms < 10.
+serve-floors:
+	@verdict=$$(bash evalbench/run.sh --workload serve-replay --seed 1 --seconds 5 --trace 1 | tail -n 1); \
+	echo "$$verdict"; \
+	echo "$$verdict" | grep -q '"correct":true' || exit 1; \
+	echo "$$verdict" | grep -Eq '"failed":0[,}]' || exit 1; \
+	evs=$$(echo "$$verdict" | sed -n 's/.*"wall\.events_per_s":{"value":\([^,}]*\).*/\1/p'); \
+	qw=$$(echo "$$verdict" | sed -n 's/.*"fleet\.queue_wait_p99_ms":{"value":\([^,}]*\).*/\1/p'); \
+	echo "serve-floors: wall.events_per_s $$evs (floor 10000), fleet.queue_wait_p99_ms $$qw (ceiling 10)"; \
+	awk -v e="$$evs" -v q="$$qw" 'BEGIN { exit !(e != "" && q != "" && e >= 10000 && q < 10) }'
 
 # Short coverage-guided runs of the native fuzz targets: the SoA pipeline
 # kernel against its array-of-structs reference, the pruned Freq solver

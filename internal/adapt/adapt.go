@@ -213,15 +213,14 @@ func (c *Core) WithConfig(cfg tech.Config) (*Core, error) {
 // PETableSlot is one built dense PE-fmax table in serializable form: the
 // flat store slot it occupies, the bitmask of built budget columns, and
 // the inverse-table values. The slot index encodes (subsystem, variant,
-// vddIdx, vbbIdx, tempIdx) exactly as the dense store lays them out, so a
-// chip's tables round-trip through JSON without re-deriving grid
-// coordinates; float64 values survive encoding bit-for-bit
-// (encoding/json emits shortest-round-trip literals). Columns whose Mask
-// bit is clear were never built and carry no meaning.
+// vddIdx, vbbIdx, tempIdx) exactly as the dense store lays them out, so
+// a chip's tables are stored and imported without re-deriving grid
+// coordinates. Columns whose Mask bit is clear were never built and
+// carry no meaning.
 type PETableSlot struct {
-	Slot int                     `json:"slot"`
-	Mask uint8                   `json:"mask"`
-	FMax [len(peBudgets)]float64 `json:"fmax"`
+	Slot int
+	Mask uint8
+	FMax [len(peBudgets)]float64
 }
 
 // ExportPETables snapshots every dense PE-fmax table with at least one

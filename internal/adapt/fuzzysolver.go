@@ -418,10 +418,10 @@ func (s *FuzzySolver) ControllerCount() int {
 	return len(s.freq) + len(s.vdd) + len(s.vbb)
 }
 
-// solverState is the serialized form of a FuzzySolver: the manufacturer's
-// shippable controller tables (~120 KB of data footprint, §5) plus the
-// two prediction-correction terms, so a restored solver predicts
-// byte-identically to the one that was trained.
+// solverState is the JSON form of a FuzzySolver, which fuzzytrain -out
+// writes: the manufacturer's shippable controller tables (~120 KB of
+// data footprint, §5) plus the two prediction-correction terms. The
+// artifact store keeps solvers in the binary form (MarshalBinary).
 type solverState struct {
 	Entries     []solverEntry `json:"entries"`
 	MinBiasComp float64       `json:"min_bias_comp"`
@@ -457,29 +457,4 @@ func (s *FuzzySolver) MarshalJSON() ([]byte, error) {
 		return a.Variant.MeanScale < b.Variant.MeanScale
 	})
 	return json.Marshal(st)
-}
-
-// UnmarshalJSON restores a serialized solver.
-func (s *FuzzySolver) UnmarshalJSON(data []byte) error {
-	s.fp.Store(nil)
-	var st solverState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	s.freq = make(map[fcKey]*fuzzy.Controller)
-	s.vdd = make(map[fcKey]*fuzzy.Controller)
-	s.vbb = make(map[fcKey]*fuzzy.Controller)
-	s.freqBias = make(map[fcKey]float64)
-	s.minBiasComp = st.MinBiasComp
-	for _, e := range st.Entries {
-		if e.Freq == nil || e.Vdd == nil || e.Vbb == nil {
-			return fmt.Errorf("adapt: corrupt solver state for sub %d", e.Sub)
-		}
-		key := fcKey{sub: e.Sub, variant: e.Variant}
-		s.freq[key] = e.Freq
-		s.vdd[key] = e.Vdd
-		s.vbb[key] = e.Vbb
-		s.freqBias[key] = e.FreqBias
-	}
-	return nil
 }

@@ -301,6 +301,18 @@ func TestRunSummaryValidation(t *testing.T) {
 	if _, err := s.RunSummary(cfg); err == nil {
 		t.Error("unknown app should error")
 	}
+	// A repeated environment or mode would run its cells' apps twice and
+	// list the cells twice in Summary.Cells.
+	cfg = tinyConfig()
+	cfg.Envs = []Environment{TSASV, TS, TSASV}
+	if _, err := s.RunSummary(cfg); err == nil {
+		t.Error("an environment listed twice should error")
+	}
+	cfg = tinyConfig()
+	cfg.Modes = []Mode{ExhDyn, Static, ExhDyn}
+	if _, err := s.RunSummary(cfg); err == nil {
+		t.Error("a mode listed twice should error")
+	}
 }
 
 func TestRunSummaryFuzzy(t *testing.T) {

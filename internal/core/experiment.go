@@ -54,7 +54,7 @@ func DefaultExperimentConfig() ExperimentConfig {
 	}
 }
 
-// resolve fills defaults.
+// resolve fills defaults and rejects an environment or mode listed twice.
 func (c ExperimentConfig) resolve() (ExperimentConfig, []workload.App, error) {
 	if c.Chips < 1 {
 		return c, nil, fmt.Errorf("core: Chips %d must be >= 1", c.Chips)
@@ -65,13 +65,21 @@ func (c ExperimentConfig) resolve() (ExperimentConfig, []workload.App, error) {
 	if len(c.Envs) == 0 {
 		c.Envs = AdaptiveEnvironments()
 	}
-	for _, e := range c.Envs {
+	for i, e := range c.Envs {
 		if !e.Adaptive() {
 			return c, nil, fmt.Errorf("core: %v is not an adaptive environment", e)
+		}
+		if slices.Contains(c.Envs[:i], e) {
+			return c, nil, fmt.Errorf("core: environment %v listed twice", e)
 		}
 	}
 	if len(c.Modes) == 0 {
 		c.Modes = []Mode{Static, FuzzyDyn, ExhDyn}
+	}
+	for i, m := range c.Modes {
+		if slices.Contains(c.Modes[:i], m) {
+			return c, nil, fmt.Errorf("core: mode %v listed twice", m)
+		}
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -175,115 +183,97 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	// models, PE-table donor, trained controllers and static points by
 	// configuration), which the chip's units then share.
 	nEnvs := len(cfg.Envs)
-	nUnits := cfg.Chips * nEnvs
-	var prog *obs.Progress
-	if s.progressW != nil {
-		prog = obs.NewProgress(s.progressW, "chip×env", nUnits, min(cfg.Workers, nUnits))
-		defer prog.Stop()
-	}
-
-	chips := s.newExperimentChips(cfg)
 	anchors := make([]baselineAnchors, cfg.Chips)
-	type unitResult struct {
-		cells *cellMap
-		err   error
-	}
-	results := make([]unitResult, nUnits)
-	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
-		ci, ei := u/nEnvs, u%nEnvs
-		env := cfg.Envs[ei]
-		prog.SetWorker(slot, fmt.Sprintf("chip %d %v", cfg.SeedBase+int64(ci), env))
-		h, err := chips.acquire(ci)
-		if err == nil {
-			unitSW := s.obs.Timer("core.unit").Start()
+	results, err := runUnits(s, cfg, "chip×env", cfg.Chips*nEnvs,
+		func(u int) (int, string) {
+			ci := u / nEnvs
+			return ci, fmt.Sprintf("chip %d %v", cfg.SeedBase+int64(ci), cfg.Envs[u%nEnvs])
+		},
+		func(u int, h *ChipHandle) ([]cellAccum, error) {
+			ci, ei := u/nEnvs, u%nEnvs
 			// The chip's first environment unit also runs its Baseline
 			// anchors, so no other unit waits on them.
 			if ei == 0 {
-				anchors[ci], err = s.chipBaseline(h, apps, noVarPerf)
+				var err error
+				if anchors[ci], err = s.chipBaseline(h, apps, noVarPerf); err != nil {
+					return nil, err
+				}
 			}
-			if err == nil {
-				results[u].cells, err = s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, h, env)
-			}
-			unitSW.Stop()
-		}
-		results[u].err = err
-		prog.SetWorker(slot, "idle")
-		prog.Step(1)
-	})
-	// Every unit is done, so each donor's table store is quiescent:
-	// persist any tables this run built beyond the imported entry.
-	chips.release()
+			return s.runChipEnv(cfg, apps, noVarPerf, needFuzzy, h, cfg.Envs[ei])
+		})
+	if err != nil {
+		return nil, err
+	}
 
 	sum := &Summary{Chips: cfg.Chips, NoVarPowerW: noVarPower}
 	for _, a := range apps {
 		sum.Apps = append(sum.Apps, a.Name)
 	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-	}
-	// Index-ordered reduction: baselines fold chips-ascending and cells
-	// fold (chip, env)-ascending, so every float accumulates in the same
-	// order regardless of how the pool scheduled the units.
+	// Index-ordered reduction: baselines fold chips-ascending and each
+	// cell folds its chips ascending, so every float accumulates in the
+	// same order regardless of how the pool scheduled the units.
 	for _, a := range anchors {
 		sum.BaselineFRel += a.f / float64(cfg.Chips)
 		sum.BaselinePerfR += a.perfR / float64(cfg.Chips)
 		sum.BaselinePowerW += a.power / float64(cfg.Chips)
 	}
-	agg := make(map[cellKey]*cellAccum)
-	for _, r := range results {
-		for _, k := range r.cells.keys {
-			if agg[k] == nil {
-				agg[k] = &cellAccum{}
+	for ei, env := range cfg.Envs {
+		for mi, mode := range cfg.Modes {
+			var acc cellAccum
+			for ci := 0; ci < cfg.Chips; ci++ {
+				acc.fold(&results[ci*nEnvs+ei][mi])
 			}
-			agg[k].fold(r.cells.m[k])
-		}
-	}
-	for _, env := range cfg.Envs {
-		for _, mode := range cfg.Modes {
-			k := cellKey{env: env, mode: mode}
-			a, ok := agg[k]
-			if !ok {
-				continue
-			}
-			sum.Cells = append(sum.Cells, a.cell(env, mode))
+			sum.Cells = append(sum.Cells, acc.cell(env, mode))
 		}
 	}
 	return sum, nil
 }
 
-// experimentChips holds one experiment's chip handles: the first unit to
-// touch a chip acquires its handle (the chip's other units wait on the
-// same once), and release returns every handle in chip order after the
-// pool has drained.
-type experimentChips struct {
-	s       *Simulator
-	seed    int64
-	handles []onceEntry[*ChipHandle]
-}
-
-func (s *Simulator) newExperimentChips(cfg ExperimentConfig) *experimentChips {
-	return &experimentChips{s: s, seed: cfg.SeedBase, handles: make([]onceEntry[*ChipHandle], cfg.Chips)}
-}
-
-// acquire returns chip ci's handle, acquiring it on first use.
-func (c *experimentChips) acquire(ci int) (*ChipHandle, error) {
-	return c.handles[ci].get(func() (*ChipHandle, error) {
-		seed := c.seed + int64(ci)
-		if c.s.tracer != nil {
-			defer c.s.tracer.Start(fmt.Sprintf("chip %d prep", seed)).End()
-		}
-		return c.s.AcquireChip(seed)
-	})
-}
-
-// release persists every acquired handle's PE tables, in chip order. No
-// unit may still be running.
-func (c *experimentChips) release() {
-	for i := range c.handles {
-		c.s.ReleaseChip(c.handles[i].val)
+// runUnits runs an experiment's n units over the pool. Unit u runs on
+// the handle of chip unitChip(u) (which also names the unit on the
+// progress line) under the core.unit timer; the chip's first unit
+// acquires the handle and the chip's other units wait on it. Once the
+// pool drains, every handle is released in chip order, persisting the
+// PE tables its units built. Results come back in unit order, and the
+// error returned is the first in unit order.
+func runUnits[T any](s *Simulator, cfg ExperimentConfig, what string, n int,
+	unitChip func(u int) (chip int, label string), run func(u int, h *ChipHandle) (T, error)) ([]T, error) {
+	var prog *obs.Progress
+	if s.progressW != nil {
+		prog = obs.NewProgress(s.progressW, what, n, min(cfg.Workers, n))
+		defer prog.Stop()
 	}
+	handles := make([]onceEntry[*ChipHandle], cfg.Chips)
+	results := make([]T, n)
+	errs := make([]error, n)
+	obs.RunPool(s.obs, "core.pool", cfg.Workers, n, func(slot, u int) {
+		ci, label := unitChip(u)
+		prog.SetWorker(slot, label)
+		h, err := handles[ci].get(func() (*ChipHandle, error) {
+			seed := cfg.SeedBase + int64(ci)
+			if s.tracer != nil {
+				defer s.tracer.Start(fmt.Sprintf("chip %d prep", seed)).End()
+			}
+			return s.AcquireChip(seed)
+		})
+		if err == nil {
+			unitSW := s.obs.Timer("core.unit").Start()
+			results[u], err = run(u, h)
+			unitSW.Stop()
+		}
+		errs[u] = err
+		prog.SetWorker(slot, "idle")
+		prog.Step(1)
+	})
+	for i := range handles {
+		s.ReleaseChip(handles[i].val)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // baselineAnchors are one chip's Baseline figures: its worst-case-safe
@@ -312,28 +302,6 @@ func (s *Simulator) chipBaseline(h *ChipHandle, apps []workload.App, noVarPerf m
 	return a, nil
 }
 
-// cellMap is an insertion-ordered map of cell accumulators: iteration
-// follows first-insertion order so the reduction in RunSummary visits
-// keys the way the serial loop produced them.
-type cellMap struct {
-	keys []cellKey
-	m    map[cellKey]*cellAccum
-}
-
-func newCellMap() *cellMap {
-	return &cellMap{m: make(map[cellKey]*cellAccum)}
-}
-
-func (c *cellMap) at(k cellKey) *cellAccum {
-	a, ok := c.m[k]
-	if !ok {
-		a = &cellAccum{}
-		c.m[k] = a
-		c.keys = append(c.keys, k)
-	}
-	return a
-}
-
 // TrainSolver trains fuzzy controllers for one environment across
 // TrainChips dedicated chips — the *fleet-trained* variant used to study
 // how well one controller set generalizes across dies. The paper's system
@@ -360,11 +328,6 @@ func (s *Simulator) TrainSolver(env Environment, cfg ExperimentConfig) (*adapt.F
 		seeds = append(seeds, seed)
 	}
 	return s.TrainFuzzyCached(cores, seeds, cfg.Training)
-}
-
-type cellKey struct {
-	env  Environment
-	mode Mode
 }
 
 // cellAccum accumulates app-run metrics.
@@ -427,11 +390,12 @@ func (a *cellAccum) cell(env Environment, mode Mode) Cell {
 // runChipEnv executes one (chip × environment) work unit: derives the
 // environment's core from the chip's handle, takes this chip's trained
 // controllers from the handle if the Fuzzy-Dyn mode needs them, and runs
-// every mode × app of the cell through UnitAppRun. The core runs on
-// whatever worker goroutine the unit lands on; only the handle's
-// concurrency-safe table store and memos are shared between units.
+// every mode × app of the cell through UnitAppRun, returning one
+// accumulator per entry of cfg.Modes. The core runs on whatever worker
+// goroutine the unit lands on; only the handle's concurrency-safe table
+// store and memos are shared between units.
 func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
-	noVarPerf map[string]float64, needFuzzy bool, h *ChipHandle, env Environment) (*cellMap, error) {
+	noVarPerf map[string]float64, needFuzzy bool, h *ChipHandle, env Environment) ([]cellAccum, error) {
 	var envSpan *obs.Span
 	if s.tracer != nil {
 		envSpan = s.tracer.Start(fmt.Sprintf("chip %d %v", h.seed, env))
@@ -474,9 +438,9 @@ func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
 			statics[class] = &pt
 		}
 	}
-	cells := newCellMap()
-	for _, mode := range cfg.Modes {
-		acc := cells.at(cellKey{env: env, mode: mode})
+	cells := make([]cellAccum, len(cfg.Modes))
+	for mi, mode := range cfg.Modes {
+		acc := &cells[mi]
 		cellSW := s.obs.Timer("core.cell").Start()
 		modeSpan := envSpan.Child(mode.String())
 		for _, app := range apps {
@@ -569,37 +533,22 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 	// it, so a chip's 16 configurations share one PE-table store. Per-unit
 	// outcome counts reduce config-major, chips-ascending, which keeps
 	// every float sum in the serial loop's order.
-	nUnits := len(cells) * cfg.Chips
-	var prog *obs.Progress
-	if s.progressW != nil {
-		prog = obs.NewProgress(s.progressW, "config×chip", nUnits, min(cfg.Workers, nUnits))
-		defer prog.Stop()
+	results, err := runUnits(s, cfg, "config×chip", len(cells)*cfg.Chips,
+		func(u int) (int, string) { return u % cfg.Chips, cells[u/cfg.Chips].Label },
+		func(u int, h *ChipHandle) (outcomePayload, error) {
+			return s.outcomeUnit(h, cells[u/cfg.Chips].Config, apps, cfg.Training)
+		})
+	if err != nil {
+		return nil, err
 	}
-	chips := s.newExperimentChips(cfg)
-	results := make([]struct {
-		p   outcomePayload
-		err error
-	}, nUnits)
-	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
-		idx, ci := u/cfg.Chips, u%cfg.Chips
-		prog.SetWorker(slot, cells[idx].Label)
-		results[u].p, results[u].err = s.outcomeUnit(chips, ci, cells[idx].Config, apps, cfg.Training)
-		prog.SetWorker(slot, "idle")
-		prog.Step(1)
-	})
-	chips.release()
 	for idx := range cells {
 		var counts [adapt.NumOutcomes]float64
 		total := 0.0
-		for ci := 0; ci < cfg.Chips; ci++ {
-			r := &results[idx*cfg.Chips+ci]
-			if r.err != nil {
-				return nil, r.err
-			}
+		for _, p := range results[idx*cfg.Chips : (idx+1)*cfg.Chips] {
 			for o := range counts {
-				counts[o] += r.p.Counts[o]
+				counts[o] += p.Counts[o]
 			}
-			total += r.p.Total
+			total += p.Total
 		}
 		if total > 0 {
 			for o := range counts {
@@ -615,13 +564,8 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 // controllers for cfg (§4.3.1) sweep AdaptSteady across every app phase.
 // The whole unit caches as one outcomes artifact; a warm invocation
 // replays the counts without re-running the controller.
-func (s *Simulator) outcomeUnit(chips *experimentChips, ci int, cfg tech.Config,
+func (s *Simulator) outcomeUnit(h *ChipHandle, cfg tech.Config,
 	apps []workload.App, opts adapt.TrainOptions) (outcomePayload, error) {
-	h, err := chips.acquire(ci)
-	if err != nil {
-		return outcomePayload{}, err
-	}
-	defer s.obs.Timer("core.unit").Start().Stop()
 	cpu, err := h.core(cfg)
 	if err != nil {
 		return outcomePayload{}, err
@@ -710,16 +654,14 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 			draws[ei*cfg.Chips+ci] = qs
 		}
 	}
-	chips := s.newExperimentChips(cfg)
-	results := make([]struct {
-		p   table2Payload
-		err error
-	}, nUnits)
-	obs.RunPool(s.obs, "core.pool", cfg.Workers, nUnits, func(slot, u int) {
-		ei, ci := u/cfg.Chips, u%cfg.Chips
-		results[u].p, results[u].err = s.table2Unit(chips, ci, envs[ei].cfg, draws[u], cfg.Training)
-	})
-	chips.release()
+	results, err := runUnits(s, cfg, "env×chip", nUnits,
+		func(u int) (int, string) { return u % cfg.Chips, envs[u/cfg.Chips].name },
+		func(u int, h *ChipHandle) (table2Payload, error) {
+			return s.table2Unit(h, envs[u/cfg.Chips].cfg, draws[u], cfg.Training)
+		})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Table2Row
 	for ei, env := range envs {
 		type acc struct {
@@ -731,15 +673,11 @@ func (s *Simulator) RunTable2(cfg ExperimentConfig) ([]Table2Row, error) {
 		// Concatenate per-kind error samples chips-ascending, matching the
 		// append order of the serial loop, so every mean sums in the same
 		// order at any worker count.
-		for ci := 0; ci < cfg.Chips; ci++ {
-			r := &results[ei*cfg.Chips+ci]
-			if r.err != nil {
-				return nil, r.err
-			}
+		for _, p := range results[ei*cfg.Chips : (ei+1)*cfg.Chips] {
 			for k, a := range byKind {
-				a.fErr = append(a.fErr, r.p.FErr[k]...)
-				a.vddErr = append(a.vddErr, r.p.VddErr[k]...)
-				a.vbbErr = append(a.vbbErr, r.p.VbbErr[k]...)
+				a.fErr = append(a.fErr, p.FErr[k]...)
+				a.vddErr = append(a.vddErr, p.VddErr[k]...)
+				a.vbbErr = append(a.vbbErr, p.VbbErr[k]...)
 			}
 		}
 		freqRow := Table2Row{Param: "Freq (MHz)", Env: env.name,
@@ -782,13 +720,8 @@ const (
 // situations the training never saw. The whole unit — every solve across
 // the pre-drawn query stream — caches as one table2 artifact keyed on the
 // stream itself.
-func (s *Simulator) table2Unit(chips *experimentChips, ci int, cfg tech.Config,
+func (s *Simulator) table2Unit(h *ChipHandle, cfg tech.Config,
 	queries []t2Query, opts adapt.TrainOptions) (table2Payload, error) {
-	h, err := chips.acquire(ci)
-	if err != nil {
-		return table2Payload{}, err
-	}
-	defer s.obs.Timer("core.unit").Start().Stop()
 	cpu, err := h.core(cfg)
 	if err != nil {
 		return table2Payload{}, err

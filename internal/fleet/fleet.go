@@ -21,16 +21,9 @@ const DefaultMaxBatch = 64
 type Config struct {
 	// Workers is the worker-goroutine count (0 = GOMAXPROCS).
 	Workers int
-	// MaxBatch bounds events per dispatched unit batch (0 =
-	// DefaultMaxBatch).
-	MaxBatch int
 	// Admission maps class names to token-bucket rates; classes without
 	// an entry are unthrottled.
 	Admission map[string]Rate
-	// Apps is the service's application universe, resolved by event App
-	// name (nil = the full proxy suite). Static-mode points are derived
-	// per class over this universe, matching the batch experiments.
-	Apps []workload.App
 	// Training configures per-chip fuzzy-controller training; the zero
 	// value means adapt.DefaultTrainOptions(). New validates it and
 	// refuses to start on a bad set. Workers should stay 1 (the default
@@ -42,6 +35,17 @@ type Config struct {
 	// fleet.ingest.lock_wait_ns counter, the time batches waited for the
 	// ingest lock.
 	Obs *obs.Registry
+
+	// The service runs with the defaults of the two knobs below; only
+	// this package's tests set them.
+	//
+	// maxBatch bounds events per dispatched unit batch (0 =
+	// DefaultMaxBatch).
+	maxBatch int
+	// apps is the service's application universe, resolved by event App
+	// name (nil = the full proxy suite). Static-mode points are derived
+	// per class over this universe, matching the batch experiments.
+	apps []workload.App
 }
 
 // Fleet is the shared-clock discrete-event simulation service: chips
@@ -251,11 +255,11 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = DefaultMaxBatch
+	if cfg.maxBatch < 1 {
+		cfg.maxBatch = DefaultMaxBatch
 	}
-	if cfg.Apps == nil {
-		cfg.Apps = workload.Suite()
+	if cfg.apps == nil {
+		cfg.apps = workload.Suite()
 	}
 	if cfg.Training == (adapt.TrainOptions{}) {
 		cfg.Training = adapt.DefaultTrainOptions()
@@ -269,7 +273,7 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		sim:      sim,
 		cfg:      cfg,
-		apps:     make(map[string]workload.App, len(cfg.Apps)),
+		apps:     make(map[string]workload.App, len(cfg.apps)),
 		members:  make(map[int64]*chipEntry),
 		buckets:  make(map[string]*TokenBucket),
 		queues:   make([]chan *unitTask, cfg.Workers),
@@ -277,7 +281,7 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 		mon:      obs.NewPoolMonitor(cfg.Obs, "fleet.pool", cfg.Workers),
 		lockWait: cfg.Obs.Counter("fleet.ingest.lock_wait_ns"),
 	}
-	for _, app := range cfg.Apps {
+	for _, app := range cfg.apps {
 		if _, dup := f.apps[app.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate app %q in universe", app.Name)
 		}
@@ -415,7 +419,7 @@ func (f *Fleet) SubmitBatch(events []Event, emit func(Result)) error {
 			entry.units.Add(1)
 			key := unitKey{chip: ev.Chip, env: ev.Env, mode: ev.Mode}
 			t := sc.open[key]
-			if t != nil && len(t.refs) >= f.cfg.MaxBatch {
+			if t != nil && len(t.refs) >= f.cfg.maxBatch {
 				t = nil
 			}
 			if t == nil {

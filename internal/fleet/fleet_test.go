@@ -170,11 +170,11 @@ func runTrace(t *testing.T, sim *core.Simulator, workers int) []Result {
 	training.Examples = 60
 	f, err := New(sim, Config{
 		Workers:  workers,
-		MaxBatch: 4,
+		maxBatch: 4,
 		Admission: map[string]Rate{
 			"capped": {PerTick: 0, Burst: 2},
 		},
-		Apps:     apps,
+		apps:     apps,
 		Training: training,
 	})
 	if err != nil {
@@ -306,7 +306,7 @@ func TestFleetEmissionOrder(t *testing.T) {
 		t.Skip("full-stack experiment")
 	}
 	sim := testSim(t, "")
-	f, err := New(sim, Config{Workers: 4, Apps: testApps(t)})
+	f, err := New(sim, Config{Workers: 4, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestFleetStats(t *testing.T) {
 	}
 	sim := testSim(t, t.TempDir())
 	reg := obs.NewRegistry()
-	f, err := New(sim, Config{Workers: 2, Apps: testApps(t), Obs: reg})
+	f, err := New(sim, Config{Workers: 2, apps: testApps(t), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestFleetConcurrentSoak(t *testing.T) {
 	sim := testSim(t, "")
 	f, err := New(sim, Config{
 		Workers:   4,
-		Apps:      testApps(t),
+		apps:      testApps(t),
 		Admission: map[string]Rate{"noisy": {PerTick: 5, Burst: 10}},
 	})
 	if err != nil {
@@ -565,7 +565,7 @@ func TestConcurrentBatchesIngestWhole(t *testing.T) {
 		t.Skip("concurrency soak")
 	}
 	const workers, clients, rounds = 3, 4, 6
-	f, err := New(testSim(t, ""), Config{Workers: workers, Apps: testApps(t)})
+	f, err := New(testSim(t, ""), Config{Workers: workers, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +651,7 @@ func TestDepartedChipsAreFreed(t *testing.T) {
 		t.Skip("full-stack experiment")
 	}
 	sim := testSim(t, "")
-	f, err := New(sim, Config{Workers: 2, MaxBatch: 1, Apps: testApps(t)})
+	f, err := New(sim, Config{Workers: 2, maxBatch: 1, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +723,7 @@ func TestDamagedRecordIsAMiss(t *testing.T) {
 	}
 	serve := func(sim *core.Simulator) ([]Result, Snapshot) {
 		t.Helper()
-		f, err := New(sim, Config{Workers: 2, Apps: apps})
+		f, err := New(sim, Config{Workers: 2, apps: apps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -841,7 +841,7 @@ func TestSubmitBatchAllocs(t *testing.T) {
 		t.Skip("full-stack experiment")
 	}
 	sim := testSim(t, "")
-	f, err := New(sim, Config{Workers: 2, Apps: testApps(t)})
+	f, err := New(sim, Config{Workers: 2, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -890,7 +890,7 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 	const k = 5
 	reg := obs.NewRegistry()
-	f, err := New(testSim(t, ""), Config{Workers: 1, Apps: testApps(t), Obs: reg})
+	f, err := New(testSim(t, ""), Config{Workers: 1, apps: testApps(t), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -982,7 +982,7 @@ func TestReplayTableReadsEachUnitOnce(t *testing.T) {
 	const rounds = 3
 	play := func(sim *core.Simulator, batches int) ([]Result, Snapshot) {
 		t.Helper()
-		f, err := New(sim, Config{Workers: 2, Apps: apps})
+		f, err := New(sim, Config{Workers: 2, apps: apps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1056,7 +1056,7 @@ func TestReplayTableLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	reads := reg.Counter("artifact.cache.apprun.hits")
 	sim, _ := openStore(t, t.TempDir(), reg)
-	f, err := New(sim, Config{Workers: 2, Apps: testApps(t)})
+	f, err := New(sim, Config{Workers: 2, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1091,7 +1091,7 @@ func TestReplayTableLifecycle(t *testing.T) {
 	adapts := bareReg.Timer("core.phase.adapt")
 	bareSim := testSim(t, "")
 	bareSim.SetObs(bareReg)
-	bare, err := New(bareSim, Config{Workers: 2, Apps: testApps(t)})
+	bare, err := New(bareSim, Config{Workers: 2, apps: testApps(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type group struct {
 func (f *Fleet) runTask(w int, t *unitTask, sc *workerScratch, sched time.Duration) {
 	// Group events: duplicate (app, phase) pairs share one solve — the
 	// bounded batching that makes repeated phase changes on a hot chip
-	// nearly free. Tasks are small (MaxBatch), so group lookup is a
+	// nearly free. Tasks are small (maxBatch), so group lookup is a
 	// linear scan over the reused scratch slice, not a fresh map.
 	sc.groups = sc.groups[:0]
 	for i := range t.refs {
@@ -196,7 +196,7 @@ func (f *Fleet) solveGroups(t *unitTask, sc *workerScratch) {
 		app := f.apps[g.key.app]
 		unit := core.FleetUnit{App: app, Phase: g.key.phase}
 		if mode == core.Static && !g.hit {
-			pt, perr := f.sim.HandleStaticPoint(handle, cpu, app.Class, f.cfg.Apps)
+			pt, perr := f.sim.HandleStaticPoint(handle, cpu, app.Class, f.cfg.apps)
 			if perr != nil {
 				g.errMsg = perr.Error()
 			} else {

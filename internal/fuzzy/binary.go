@@ -31,10 +31,10 @@ func (c *Controller) AppendBinary(e *artifact.Enc) {
 	e.F64(c.fallback)
 }
 
-// DecodeBinary restores a controller encoded by AppendBinary, applying
-// the same structural validation as UnmarshalJSON. Like the JSON form,
-// it carries finite values only: a NaN or infinite weight, bound or
-// fallback is corrupt, as training never produces one.
+// DecodeBinary restores a controller encoded by AppendBinary. It rejects
+// a state with no rules or with a row of the wrong width, and it carries
+// finite values only: a NaN or infinite weight, bound or fallback is
+// corrupt, as training never produces one.
 //
 // Every float lands in one allocation, sized from the header once the
 // header is known to fit the bytes left: each of the 2·rules rows takes

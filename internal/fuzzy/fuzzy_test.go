@@ -1,7 +1,6 @@
 package fuzzy
 
 import (
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -181,18 +180,25 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// A controller round-trips through the artifact store's binary codec
+// bit for bit, and predicts exactly as the trained one.
 func TestSerializationRoundTrip(t *testing.T) {
 	c, err := Train(genExamples(800, 10), DefaultTrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(c)
-	if err != nil {
+	var e artifact.Enc
+	c.AppendBinary(&e)
+	var restored Controller
+	d := artifact.NewDec(e.B)
+	if err := restored.DecodeBinary(d); err != nil {
 		t.Fatal(err)
 	}
-	var restored Controller
-	if err := json.Unmarshal(blob, &restored); err != nil {
+	if err := d.Done(); err != nil {
 		t.Fatal(err)
+	}
+	if !restored.Equal(c) {
+		t.Error("restored controller differs from the encoded one")
 	}
 	for _, x := range [][]float64{{0.1, 0.9, 0.4}, {0.8, 0.2, 0.6}} {
 		pa, _ := c.Predict(x)
@@ -204,15 +210,42 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	var c Controller
-	if err := json.Unmarshal([]byte(`{"mu":[],"sigma":[],"y":[]}`), &c); err == nil {
-		t.Error("empty state should be rejected")
+	c, err := Train(genExamples(200, 10), DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(`{"mu":[[1,2]],"sigma":[[1]],"y":[0.5],"lo":[0],"hi":[1]}`), &c); err == nil {
-		t.Error("ragged state should be rejected")
+	var good artifact.Enc
+	c.AppendBinary(&good)
+	// state encodes one controller field by field, in AppendBinary's
+	// layout: rules, width, mu rows, sigma rows, y, lo, hi, fallback.
+	state := func(rules, width uint64, mu, sigma [][]float64, y, lo, hi []float64) []byte {
+		var e artifact.Enc
+		e.Uvarint(rules)
+		e.Uvarint(width)
+		for _, rows := range [][][]float64{mu, sigma} {
+			for _, row := range rows {
+				e.F64s(row)
+			}
+		}
+		e.F64s(y)
+		e.F64s(lo)
+		e.F64s(hi)
+		e.F64(0)
+		return e.B
 	}
-	if err := json.Unmarshal([]byte(`not json`), &c); err == nil {
-		t.Error("garbage should be rejected")
+	for name, blob := range map[string][]byte{
+		"no rules": state(0, 0, nil, nil, nil, nil, nil),
+		"ragged rule": state(1, 2, [][]float64{{1, 2}}, [][]float64{{1}},
+			[]float64{0.5}, []float64{0, 0}, []float64{1, 1}),
+		"non-finite weight": state(1, 1, [][]float64{{math.NaN()}}, [][]float64{{1}},
+			[]float64{0.5}, []float64{0}, []float64{1}),
+		"truncated": good.B[:len(good.B)-1],
+		"garbage":   []byte("not a controller"),
+	} {
+		var got Controller
+		if err := got.DecodeBinary(artifact.NewDec(blob)); err == nil {
+			t.Errorf("%s: corrupt state accepted", name)
+		}
 	}
 }
 

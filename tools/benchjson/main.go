@@ -14,16 +14,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 )
 
 const (
@@ -76,8 +72,10 @@ const (
 	fleetColdBenchName       = "BenchmarkFleet/cold/workers=1"
 	fleetColdParityBenchName = "BenchmarkFleet/cold/workers=8"
 	// minFleetColdParity is the cold workers=8 / workers=1 events/s
-	// floor: every unit of a chip runs on the chip's owner worker, so a
-	// bigger pool must not multiply the cold solves. Each cold run times
+	// floor. Each timed cold batch re-admits its chips, so it prepares
+	// them again and solves its units on fresh cores; every unit of a
+	// chip runs on the chip's owner worker, so a bigger pool must not
+	// multiply those solves. Each cold run times
 	// fleetColdCheckIterations, because at 1x one first-iteration stall
 	// can decide the ratio.
 	minFleetColdParity       = 0.5
@@ -94,25 +92,9 @@ type benchResult struct {
 }
 
 type trajectory struct {
-	Commit     string           `json:"commit"`
-	GoVersion  string           `json:"go_version"`
-	Benchmarks []benchResult    `json:"benchmarks"`
-	Fleetload  *fleetloadRecord `json:"fleetload,omitempty"`
-}
-
-// fleetloadRecord is the driven-server measurement: cmd/fleetload
-// closed-loop against a live evalserve over HTTP, so the recorded
-// events/s and p99 include ingest, scheduling, the wire encoder, and
-// the network — not just the in-process benchmark loop.
-type fleetloadRecord struct {
-	Mode         string  `json:"mode"`
-	Conns        int     `json:"conns"`
-	DurationS    float64 `json:"duration_s"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	ReqP50Ms     float64 `json:"req_p50_ms"`
-	ReqP99Ms     float64 `json:"req_p99_ms"`
-	SchedP99Ms   float64 `json:"sched_p99_ms"`
+	Commit     string        `json:"commit"`
+	GoVersion  string        `json:"go_version"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 func main() {
@@ -126,8 +108,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional regression for -check-warm / -check-cold")
 	allowDirty := flag.Bool("allow-dirty", false,
 		"record a trajectory from a dirty tree anyway (the commit field is annotated '-dirty'; a checked-in baseline must come from a clean commit)")
-	skipFleetload := flag.Bool("skip-fleetload", false,
-		"skip the driven-server fleetload measurement when writing a trajectory")
 	flag.Parse()
 
 	if *checkWarm != "" {
@@ -184,13 +164,6 @@ func main() {
 		Commit:     gitCommit(),
 		GoVersion:  runtime.Version(),
 		Benchmarks: append(append(append(fast, slow...), fleetWarm...), fleetCold...),
-	}
-	if !*skipFleetload {
-		fl, err := runFleetload()
-		if err != nil {
-			fatal(fmt.Errorf("fleetload measurement: %w", err))
-		}
-		traj.Fleetload = fl
 	}
 	data, err := json.MarshalIndent(traj, "", "  ")
 	if err != nil {
@@ -320,7 +293,8 @@ func machineScale(base trajectory) (float64, error) {
 // reach minFleetParity of the workers=1 events/s, so owner-worker
 // dispatch does not anti-scale past the core count; and the cold parity
 // floor — cold workers=8 must reach minFleetColdParity of cold
-// workers=1, the property one owner worker per chip exists to hold.
+// workers=1 on batches that prepare their chips and solve their units
+// afresh, the property one owner worker per chip exists to hold.
 // Each parity is the median of fleetParityRuns runs.
 func checkFleetRegression(baselinePath string, tolerance float64) error {
 	blob, err := os.ReadFile(baselinePath)
@@ -505,73 +479,6 @@ func parseBench(out string) ([]benchResult, error) {
 		results = append(results, r)
 	}
 	return results, nil
-}
-
-// runFleetload measures the driven-server path: it builds evalserve and
-// fleetload, starts the server on a loopback port, drives it closed-loop
-// for a short window, and returns fleetload's summary (with the server's
-// own sched p99 from /v1/stats).
-func runFleetload() (*fleetloadRecord, error) {
-	dir, err := os.MkdirTemp("", "benchjson-fleetload")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	for _, pkg := range []string{"evalserve", "fleetload"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, pkg), "./cmd/"+pkg)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			return nil, fmt.Errorf("build %s: %w", pkg, err)
-		}
-	}
-	const addr = "127.0.0.1:18097"
-	srv := exec.Command(filepath.Join(dir, "evalserve"), "-addr", addr, "-no-cache", "-tracelen", "8000")
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		return nil, fmt.Errorf("start evalserve: %w", err)
-	}
-	defer func() {
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}()
-	up := false
-	for i := 0; i < 50; i++ {
-		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
-			resp.Body.Close()
-			up = resp.StatusCode == http.StatusOK
-			if up {
-				break
-			}
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	if !up {
-		return nil, fmt.Errorf("evalserve did not become healthy on %s", addr)
-	}
-	load := exec.Command(filepath.Join(dir, "fleetload"),
-		"-url", "http://"+addr, "-conns", "4", "-duration", "3s",
-		"-chips", "8", "-batch", "50")
-	var out bytes.Buffer
-	load.Stdout = &out
-	load.Stderr = os.Stderr
-	fmt.Fprintf(os.Stderr, "benchjson: %s\n", strings.Join(load.Args, " "))
-	if err := load.Run(); err != nil {
-		return nil, fmt.Errorf("fleetload: %w", err)
-	}
-	var sum struct {
-		fleetloadRecord
-		Stats *struct {
-			SchedP99Ms float64 `json:"sched_p99_ms"`
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
-		return nil, fmt.Errorf("parse fleetload summary: %w", err)
-	}
-	rec := sum.fleetloadRecord
-	if sum.Stats != nil {
-		rec.SchedP99Ms = sum.Stats.SchedP99Ms
-	}
-	return &rec, nil
 }
 
 func gitDirty() bool {
