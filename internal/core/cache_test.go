@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/bits"
 	"testing"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/artifact"
+	"repro/internal/floorplan"
 	"repro/internal/obs"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -131,6 +133,41 @@ func TestWarmSummaryReadsNoPETables(t *testing.T) {
 		if n := warmReg.Counter(name).Value(); n != 0 {
 			t.Errorf("%s = %d in a fully warm run, want 0", name, n)
 		}
+	}
+}
+
+// TestWarmSummaryAllocs bounds what a fully warm summary allocates: a
+// fresh simulator, the store's open, every unit read from the store,
+// and its close. A warm run decodes what it reads and rebuilds nothing,
+// so a read path that began copying, re-encoding or rebuilding would
+// show here. The limit is 1.2x the 1,318 allocations measured when it
+// was set; the race detector's extra allocations (about 1,450) stay
+// under it.
+func TestWarmSummaryAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	opts, cfg := cacheTestConfig()
+	dir := t.TempDir()
+	runSummaryWithCache(t, dir)
+	allocs := testing.AllocsPerRun(5, func() {
+		sim, err := NewSimulator(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := artifact.Open(dir, artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetArtifacts(store)
+		if _, err := sim.RunSummary(cfg); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+	})
+	t.Logf("a warm summary allocates %.0f times", allocs)
+	if limit := 1.2 * 1318; allocs > limit {
+		t.Fatalf("a warm summary allocates %.0f times (limit %.0f)", allocs, limit)
 	}
 }
 
@@ -268,6 +305,58 @@ func TestArtifactCacheJSONChipRebuilt(t *testing.T) {
 	}
 	if !bytes.Equal(rebuilt, warm) {
 		t.Fatal("summary changed between the rebuilding run and the next")
+	}
+}
+
+// TestHostileStaticPointRebuilt: a CRC-valid staticpt record holding a
+// point the chip's core cannot evaluate, stored under both class keys,
+// is rebuilt as corrupt, and the Static summary matches an uncached
+// run. The points are the one with empty arrays, which would index past
+// them in adapt's evaluate, one with a NaN body bias and one with an
+// unknown queue size.
+func TestHostileStaticPointRebuilt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack experiment")
+	}
+	opts, cfg := cacheTestConfig()
+	cfg.Modes = []Mode{Static}
+	_, apps, err := cfg.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, _ := runSummaryIn(t, "", cfg)
+	n := int(floorplan.NumSubsystems)
+	nan := adapt.OperatingPoint{FCore: 1, VddV: make([]float64, n), VbbV: make([]float64, n)}
+	nan.VbbV[1] = math.NaN()
+	queue := adapt.OperatingPoint{FCore: 1, VddV: make([]float64, n), VbbV: make([]float64, n), Queue: 7}
+	for _, c := range []struct {
+		name  string
+		point adapt.OperatingPoint
+	}{{"empty", adapt.OperatingPoint{FCore: 1}}, {"nan", nan}, {"queue", queue}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sim, err := NewSimulator(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := artifact.Open(dir, artifact.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.SetArtifacts(store)
+			for _, class := range []workload.Class{workload.Int, workload.FP} {
+				key := sim.staticPointKey(cfg.SeedBase, cfg.Envs[0].coreConfig(), class, apps)
+				store.Put(staticptKind, key, encodePoint(c.point))
+			}
+			store.Close()
+			got, reg := runSummaryIn(t, dir, cfg)
+			if n := reg.Counter("artifact.cache.staticpt.corrupt").Value(); n != 2 {
+				t.Fatalf("staticpt corrupt = %d, want 2", n)
+			}
+			if !bytes.Equal(got, uncached) {
+				t.Fatalf("rebuilt and uncached summaries differ:\n rebuilt  %s\n uncached %s", got, uncached)
+			}
+		})
 	}
 }
 

@@ -152,13 +152,15 @@ func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.Trai
 
 // HandleStaticPoint returns the chip's conservative static operating
 // point for cpu's configuration and the app's class, choosing it
-// (through the artifact cache) on first use. Like HandleSolver's, the
-// memo assumes one app set per handle lifetime.
+// (through the artifact cache) on first use. A stored point cpu could
+// not evaluate is rebuilt as corrupt. Like HandleSolver's, the memo
+// assumes one app set per handle lifetime.
 func (s *Simulator) HandleStaticPoint(h *ChipHandle, cpu *adapt.Core, class workload.Class, apps []workload.App) (adapt.OperatingPoint, error) {
 	e := entryFor(&h.mu, h.statics, staticKey{cfg: cpu.Config, class: class})
 	return e.get(func() (adapt.OperatingPoint, error) {
 		key := s.staticPointKey(h.seed, cpu.Config, class, apps)
-		return cached(s.store, staticptKind, key, decodePoint, infallible(encodePoint),
+		decode := func(payload []byte, p *adapt.OperatingPoint) error { return decodePoint(payload, p, cpu.N()) }
+		return cached(s.store, staticptKind, key, decode, infallible(encodePoint),
 			func() (adapt.OperatingPoint, error) { return s.StaticPoint(cpu, class, apps) })
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/artifact"
 	"repro/internal/floorplan"
+	"repro/internal/mathx"
 	"repro/internal/pipeline"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -41,7 +42,9 @@ func encodeProfile(p pipeline.Profile) []byte {
 	return e.B
 }
 
-// decodeProfile restores a profile encoded by encodeProfile.
+// decodeProfile restores a profile encoded by encodeProfile, rejecting
+// a NaN or infinite float: no profile the pipeline model builds holds
+// one.
 func decodeProfile(data []byte, p *pipeline.Profile) error {
 	d := artifact.NewDec(data)
 	if v := d.Tag(); d.Err() == nil && v != profileBinVersion {
@@ -64,6 +67,10 @@ func decodeProfile(data []byte, p *pipeline.Profile) error {
 		return fmt.Errorf("core: corrupt profile payload: %d activity entries", len(activity))
 	}
 	copy(p.Activity[:], activity)
+	if !mathx.AllFinite(p.Weight, p.CPICompFull, p.CPICompSmall, p.Mr, p.MpNomCycles, p.MispredictsPerInstr) ||
+		!mathx.AllFinite(p.Activity[:]...) {
+		return fmt.Errorf("core: corrupt profile payload: non-finite value")
+	}
 	return nil
 }
 
@@ -89,7 +96,8 @@ func encodeAppRun(r AppRun) []byte {
 	return e.B
 }
 
-// decodeAppRun restores a run encoded by encodeAppRun.
+// decodeAppRun restores a run encoded by encodeAppRun, rejecting a NaN
+// or infinite float, which the fleet's wire encoder must never see.
 func decodeAppRun(data []byte, r *AppRun) error {
 	d := artifact.NewDec(data)
 	if v := d.Tag(); d.Err() == nil && v != apprunBinVersion {
@@ -114,6 +122,9 @@ func decodeAppRun(data []byte, r *AppRun) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("core: corrupt apprun payload: %w", err)
 	}
+	if !mathx.AllFinite(r.FRel, r.Perf, r.PowerW, r.PE, r.SmallQueueFrac, r.LowSlopeFrac) {
+		return fmt.Errorf("core: corrupt apprun payload: non-finite value")
+	}
 	return nil
 }
 
@@ -129,8 +140,11 @@ func encodePoint(p adapt.OperatingPoint) []byte {
 	return e.B
 }
 
-// decodePoint restores a point encoded by encodePoint.
-func decodePoint(data []byte, p *adapt.OperatingPoint) error {
+// decodePoint restores a point encoded by encodePoint for a core of n
+// subsystems. It rejects any point that core could not evaluate: arrays
+// of another length, a NaN or infinite float, or an unknown queue size
+// or FU choice.
+func decodePoint(data []byte, p *adapt.OperatingPoint, n int) error {
 	d := artifact.NewDec(data)
 	if v := d.Tag(); d.Err() == nil && v != staticptBinVersion {
 		return fmt.Errorf("core: corrupt staticpt payload: binary version %d", v)
@@ -143,8 +157,14 @@ func decodePoint(data []byte, p *adapt.OperatingPoint) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("core: corrupt staticpt payload: %w", err)
 	}
-	if len(p.VddV) != len(p.VbbV) {
-		return fmt.Errorf("core: corrupt staticpt payload: %d vdd vs %d vbb entries", len(p.VddV), len(p.VbbV))
+	if len(p.VddV) != n || len(p.VbbV) != n {
+		return fmt.Errorf("core: corrupt staticpt payload: %d vdd and %d vbb entries for %d subsystems", len(p.VddV), len(p.VbbV), n)
+	}
+	if !mathx.AllFinite(p.FCore) || !mathx.AllFinite(p.VddV...) || !mathx.AllFinite(p.VbbV...) {
+		return fmt.Errorf("core: corrupt staticpt payload: non-finite value")
+	}
+	if (p.Queue != tech.QueueFull && p.Queue != tech.QueueThreeQuarter) || (p.FU != tech.FUNormal && p.FU != tech.FULowSlope) {
+		return fmt.Errorf("core: corrupt staticpt payload: queue %d, FU %d", p.Queue, p.FU)
 	}
 	return nil
 }

@@ -221,17 +221,28 @@ const fleetDeterminismDigest = "d9d065d37a77264a6a95ddccbf4ea1db131333611af3d334
 // stream is pinned to a recorded digest (on amd64, where Go never fuses
 // a multiply-add), so a recurring unit answered differently than when
 // the digest was recorded fails too. A store written by the same trace
-// then replays the same bytes.
+// then replays the same bytes. A bigger pool must not multiply the
+// work either: every no-store run prepares as many chips, adapts as
+// many phases and misses the evaluate memo as often as workers=1.
 func TestFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
 	}
 	var want []string
+	var wantWork [3]int64
 	for _, workers := range []int{1, 2, 8} {
-		results := runTrace(t, testSim(t, ""), workers)
+		sim := testSim(t, "")
+		reg := obs.NewRegistry()
+		sim.SetObs(reg)
+		results := runTrace(t, sim, workers)
 		got := canonicalLines(t, results)
+		work := [3]int64{reg.Timer("core.chip_prep").Count(), reg.Timer("core.phase.adapt").Count(),
+			reg.Counter("core.memo.evaluate_misses").Value()}
 		if want == nil {
-			want = got
+			want, wantWork = got, work
+			if work[0] == 0 || work[1] == 0 || work[2] == 0 {
+				t.Fatalf("workers=1 counted %d chip preps, %d phase adaptations, %d evaluate misses", work[0], work[1], work[2])
+			}
 			if runtime.GOARCH == "amd64" {
 				h := sha256.New()
 				for _, line := range got {
@@ -260,6 +271,9 @@ func TestFleetDeterminism(t *testing.T) {
 			continue
 		}
 		compareLines(t, fmt.Sprintf("workers=%d", workers), got, want)
+		if work != wantWork {
+			t.Errorf("workers=%d: chip preps, phase adaptations, evaluate misses = %v, workers=1 counted %v", workers, work, wantWork)
+		}
 	}
 
 	// A cold run fills a fresh store; a warm run on the reopened store
@@ -831,53 +845,104 @@ func damageAppRuns(t *testing.T, dir string) int64 {
 	return damaged
 }
 
-// TestSubmitBatchAllocs gates the steady-state ingest path's allocation
-// budget: once the pools and latency reservoirs are warm, a 50-event
-// baseline-run batch must stay within a small constant allocation count
-// — the property that keeps the serving hot path off the garbage
-// collector at fleet scale.
+// TestSubmitBatchAllocs gates the steady-state serving path's
+// allocation budget, in allocations and heap bytes per 50-event batch,
+// once the pools are warm and the latency reservoirs (4096 samples per
+// histogram) full: the property that keeps the serving hot path off the
+// garbage collector at fleet scale. Two batches: baseline runs on one
+// chip, and BenchmarkFleet/warm's exh phase events cycling over 4 chips
+// and 3 phases with a store attached, which the chips' replay tables
+// answer, at 1 and 8 workers. The limits are 1.2x the counts measured
+// when they were set, except the baseline batch's allocation limit of
+// 25, which leaves room for pool refills after a GC. They hold only
+// without the race detector, whose pools drop objects at random, so
+// make test also runs this test without -race.
 func TestSubmitBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack experiment")
 	}
-	sim := testSim(t, "")
-	f, err := New(sim, Config{Workers: 2, apps: testApps(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	const batchN = 50
-	batch := make([]Event, 0, batchN+1)
-	batch = append(batch, Event{At: 1, Kind: KindJoin, Class: "steady", Chip: 31337})
-	for i := 0; i < batchN; i++ {
-		batch = append(batch, Event{At: 2, Kind: KindRun, Class: "steady", Chip: 31337,
-			Mode: ModeBaseline, App: "gcc"})
+	baseline := make([]Event, batchN)
+	for i := range baseline {
+		baseline[i] = Event{At: 2, Kind: KindRun, Class: "steady", Chip: 31337, Mode: ModeBaseline, App: "gcc"}
 	}
-	if err := f.SubmitBatch(batch, nil); err != nil {
-		t.Fatal(err)
+	warm := make([]Event, batchN)
+	for i := range warm {
+		ph := i % 3
+		warm[i] = Event{At: 2, Kind: KindRun, Chip: int64(i % 4), Env: "TS+ASV", Mode: ModeExh, App: "gcc", Phase: &ph}
 	}
-	steady := batch[1:]
-	// Warm the scratch pools and fill the latency reservoirs (4096
-	// samples per histogram) so the measured loop sees the true
-	// steady state.
-	for i := 0; i < 200; i++ {
-		if err := f.SubmitBatch(steady, nil); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []struct {
+		name      string
+		workers   int
+		store     bool
+		chips     []int64
+		batch     []Event
+		maxAllocs float64
+		maxBytes  float64
+	}{
+		{"baseline", 2, false, []int64{31337}, baseline, 25, 1.2 * 144},
+		{"warm/workers=1", 1, true, []int64{0, 1, 2, 3}, warm, 1.2 * 13, 1.2 * 496},
+		{"warm/workers=8", 8, true, []int64{0, 1, 2, 3}, warm, 1.2 * 13, 1.2 * 496},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := ""
+			if c.store {
+				dir = t.TempDir()
+			}
+			f, err := New(testSim(t, dir), Config{Workers: c.workers, apps: testApps(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var joins []Event
+			for _, chip := range c.chips {
+				joins = append(joins, Event{At: 1, Kind: KindJoin, Class: c.batch[0].Class, Chip: chip})
+			}
+			if err := f.SubmitBatch(joins, nil); err != nil {
+				t.Fatal(err)
+			}
+			var failed string
+			if err := f.SubmitBatch(c.batch, func(r Result) {
+				if r.Status != StatusOK && failed == "" {
+					failed = r.Err
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if failed != "" {
+				t.Fatal(failed)
+			}
+			submit := func() {
+				if err := f.SubmitBatch(c.batch, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				submit()
+			}
+			allocs, bytes := perRun(20, submit)
+			t.Logf("steady-state SubmitBatch: %.1f allocs and %.0f B per %d-event batch", allocs, bytes, batchN)
+			if !raceEnabled && (allocs > c.maxAllocs || bytes > c.maxBytes) {
+				t.Fatalf("steady-state SubmitBatch allocates %.1f times and %.0f B per %d-event batch (limits %.1f and %.0f)",
+					allocs, bytes, batchN, c.maxAllocs, c.maxBytes)
+			}
+		})
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := f.SubmitBatch(steady, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state SubmitBatch: %.1f allocs per %d-event batch", avg, batchN)
-	// Budget: the batch's done channel, the unit's result payload, and a
-	// little slack for pool refills after a GC — far under one alloc per
-	// event (the old path paid ~14 per event).
-	if limit := 25.0; avg > limit {
-		t.Fatalf("steady-state SubmitBatch allocates %.1f times per %d-event batch (limit %.0f)",
-			avg, batchN, limit)
+}
+
+// perRun returns the average allocations and heap bytes of one call of
+// fn over runs calls, counted as testing.AllocsPerRun counts them: on
+// one P, after one warm-up call, across every goroutine.
+func perRun(runs int, fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
 	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestQueueDepthGauge: fleet.pool.queue_depth reads the tasks waiting in

@@ -129,6 +129,31 @@ func TestSolverWarmStartConsistent(t *testing.T) {
 	}
 }
 
+// TestCoreSteadyWarmAllocs: a warm-started solve allocates at most once,
+// for the state it returns, because its scratch and starting
+// temperatures are reused. The adaptation engine runs this fixed point
+// at every operating point it evaluates. The operating point alternates
+// so that each call re-solves, as adjacent phase evaluations do.
+func TestCoreSteadyWarmAllocs(t *testing.T) {
+	m, fp, vp := newModel(t)
+	ins := nominalInputs(fp, vp, 1.0)
+	sv := NewSolver(m)
+	calls := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		fRel := 1.0 + 0.02*float64(calls%2)
+		calls++
+		for i := range ins {
+			ins[i].FRel = fRel
+		}
+		if _, err := sv.CoreSteady(ins, fRel); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a warm CoreSteady allocates %.0f times, want at most 1", allocs)
+	}
+}
+
 // TestSolverObsMetrics checks the observability satellite: solves record
 // the thermal.iter histogram, and a non-converging solve books the
 // thermal.nonconverged counter.
