@@ -99,11 +99,13 @@ bench-floors:
 # against the exhaustive scan, the certified-bracket PE-fmax kernel
 # against the plain bisection, the apprun key assembled from cached
 # blocks against artifact.Key over the whole params struct, the
-# one-pass /v1/batch body decoder against encoding/json, and the solver,
+# one-pass /v1/batch body decoder against encoding/json, the solver,
 # petables, apprun, profile and staticpt payload decoders the warm path
 # reads records through (never a panic; an accepted payload round-trips,
 # the last three accept only finite floats, and a solver fingerprints as
-# the bytes it came from). The seed corpora (checked in
+# the bytes it came from), and the Enc/Dec codec under them (hostile
+# bytes never panic and poison every later read; encoded values
+# round-trip bit for bit). The seed corpora (checked in
 # under testdata/fuzz/, or added in the fuzz functions) already run as
 # part of `make test`; this explores beyond them for a bounded budget.
 fuzz-smoke:
@@ -120,6 +122,7 @@ fuzz-smoke:
 	go test ./internal/pipeline -run '^$$' -fuzz FuzzSimulateMonotone -fuzztime 20s
 	go test ./internal/artifact -run '^$$' -fuzz FuzzParseRecord -fuzztime 20s
 	go test ./internal/artifact -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 20s
+	go test ./internal/artifact -run '^$$' -fuzz FuzzCodec -fuzztime 20s
 
 # Validate the checked-in example workload specs: each must decode,
 # lower, and (for traces) replay byte-identically (see WORKLOADS.md).

@@ -51,8 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()                   // settle queued cache writes; nil-safe
-	defer artifact.FlushOnSignal(store)() // and keep the partial cache on ^C
+	defer store.Close() // save the index (each write is already on disk); nil-safe
 	sim.SetArtifacts(store)
 	if *n > 0 {
 		if err := binChips(sim, *n); err != nil {

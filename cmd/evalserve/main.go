@@ -178,7 +178,7 @@ func newMux(fl *fleet.Fleet, reg *obs.Registry, flushBytes int, flushWait time.D
 // drain is the graceful shutdown: stop accepting connections and let
 // in-flight batches finish streaming (srv.Shutdown, bounded by ctx),
 // release the remaining chips, flushing their PE tables (fl.Close), and
-// settle queued artifact writes (store.Close; a nil store is fine). It
+// settle the artifact store (store.Close; a nil store is fine). It
 // returns Shutdown's error; the fleet and the store close either way.
 func drain(ctx context.Context, srv *http.Server, fl *fleet.Fleet, store *artifact.Store) error {
 	err := srv.Shutdown(ctx)
@@ -196,7 +196,8 @@ func newFleet(sim *core.Simulator, cfg fleet.Config, examples int) (*fleet.Fleet
 	return fleet.New(sim, cfg)
 }
 
-// parseRates decodes "class=perTick:burst[,class=...]" admission specs.
+// parseRates decodes "class=perTick:burst[,class=...]" admission specs,
+// each class at most once. fleet.New checks the values.
 func parseRates(spec string) (map[string]fleet.Rate, error) {
 	if spec == "" {
 		return nil, nil
@@ -222,6 +223,9 @@ func parseRates(spec string) (map[string]fleet.Rate, error) {
 		burst, err := strconv.ParseFloat(bs, 64)
 		if err != nil {
 			return nil, fmt.Errorf("-rate entry %q: %v", entry, err)
+		}
+		if _, dup := out[class]; dup {
+			return nil, fmt.Errorf("-rate entry %q: class %q listed twice", entry, class)
 		}
 		out[class] = fleet.Rate{PerTick: perTick, Burst: burst}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -552,6 +553,49 @@ func TestDrainFinishesBatchInFlight(t *testing.T) {
 		i++
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseRates: -rate specs decode per class, a malformed entry or a
+// class listed twice is an error, and a rate that parses but is NaN,
+// infinite or negative is refused when the fleet starts.
+func TestParseRates(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want map[string]fleet.Rate
+		err  string
+	}{
+		{spec: ""},
+		{spec: "noisy=5:10", want: map[string]fleet.Rate{"noisy": {PerTick: 5, Burst: 10}}},
+		{spec: " a=1.5:2 , b=0:0 ,", want: map[string]fleet.Rate{"a": {PerTick: 1.5, Burst: 2}, "b": {}}},
+		{spec: "a=1:2,a=3:4", err: "listed twice"},
+		{spec: "a=1:2,b=1:1,a=1:2", err: "listed twice"},
+		{spec: "a", err: "want class=perTick:burst"},
+		{spec: "a=1", err: "want class=perTick:burst"},
+		{spec: "a=x:1", err: "invalid syntax"},
+		{spec: "a=1:y", err: "invalid syntax"},
+	} {
+		got, err := parseRates(c.spec)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("parseRates(%q) = %v, %v; want an error containing %q", c.spec, got, err, c.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseRates(%q) = %v, %v; want %v", c.spec, got, err, c.want)
+		}
+	}
+	sim := testSim(t)
+	for _, spec := range []string{"bulk=NaN:10", "bulk=Inf:Inf", "bulk=1:-Inf", "bulk=-1:5"} {
+		admission, err := parseRates(spec)
+		if err != nil {
+			t.Fatalf("parseRates(%q): %v", spec, err)
+		}
+		if fl, err := newFleet(sim, fleet.Config{Workers: 1, Admission: admission}, testExamples); err == nil {
+			fl.Close()
+			t.Errorf("-rate %s: the fleet started", spec)
+		}
 	}
 }
 

@@ -129,8 +129,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()                   // settle queued cache writes; nil-safe
-	defer artifact.FlushOnSignal(store)() // and keep the partial cache on ^C
+	defer store.Close() // save the index (each write is already on disk); nil-safe
 	// instrument attaches the run's observability sinks and the artifact
 	// store to a simulator; every simulator the experiments construct goes
 	// through it.

@@ -72,8 +72,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()                   // settle queued cache writes; nil-safe
-	defer artifact.FlushOnSignal(store)() // and keep the partial cache on ^C
+	defer store.Close() // save the index (each write is already on disk); nil-safe
 	sim.SetArtifacts(store)
 
 	cfg := core.DefaultExperimentConfig()

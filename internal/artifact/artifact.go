@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -50,14 +51,9 @@ type Options struct {
 // matters for long-lived shared caches.
 const maxStoreBytes = 2 << 30
 
-// maxQueuedWrites bounds the flusher queue; writers past the bound block
-// until the flusher drains, so a slow disk applies backpressure instead of
-// growing memory without limit.
-const maxQueuedWrites = 128
-
 // sweepIntervalBytes is how many freshly written bytes accumulate before
-// the flusher settles the store (LRU sweep, compaction, index save) on
-// its own; Flush and Close always settle the remainder.
+// a write settles the store (LRU sweep, compaction, index save) on its
+// own; Flush and Close always settle the remainder.
 const sweepIntervalBytes = 1 << 20
 
 // compactMinGarbage is the least garbage (superseded or evicted record
@@ -74,55 +70,29 @@ const compactMinGarbage = 256 << 10
 // process at a time. All methods are safe on a nil *Store, where every
 // lookup builds directly — a disabled cache costs one nil check.
 //
-// Writes are asynchronous: Put and GetOrBuild enqueue the entry and
-// return, a single background flusher appends records to the
-// lock-striped segments, and reads consult the pending set first so a
-// store always observes its own writes. Call Flush (or Close, which also
-// stops the flusher) before handing the directory to another process.
+// Put and GetOrBuild persist in the calling goroutine: the record is in
+// its lock-striped segment and its index entry published before they
+// return, so a store reads its own writes through the index, and a store
+// opened on the directory afterwards (another process, or the next run
+// after a crash) finds them too. Writes settle the store every
+// sweepIntervalBytes; Flush and Close settle it on demand.
 type Store struct {
 	dir      string
 	maxBytes int64
 	obs      *obs.Registry
 
 	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on queue/pending/closed changes
 	flights map[string]*flight
-	queue   []writeReq
-	pending map[string]pendingWrite
-	nextSeq uint64
-	doneSeq uint64 // every req with seq <= doneSeq has been persisted
-	closed  bool
-
 	index   map[string]idxEntry // live records; under mu
 	garbage [numShards]int64    // superseded/evicted bytes per segment; under mu
 
 	shards [numShards]shard
 
-	flusherDone chan struct{}
-
 	// sweepMu serializes settles (LRU sweep, compaction, index save) and
-	// the disk-byte accounting they publish: the flusher, Flush callers,
-	// and writes after Close may all reach the settle, and interleaved
-	// runs would tear the artifact.cache.disk_bytes gauge.
+	// the disk-byte accounting they publish: interleaved runs would tear
+	// the artifact.cache.disk_bytes gauge.
 	sweepMu    sync.Mutex
-	dirtyBytes int64 // bytes written since the last settle; under sweepMu
-}
-
-// writeReq is one queued persistence job.
-type writeReq struct {
-	kind    Kind
-	key     string
-	fkey    string // kind-qualified pending/index key
-	payload []byte
-	seq     uint64
-}
-
-// pendingWrite is an entry that has been written logically but not yet
-// persisted: reads are served from it until the flusher appends the
-// record.
-type pendingWrite struct {
-	payload []byte
-	seq     uint64
+	dirtyBytes atomic.Int64 // bytes written since the last settle
 }
 
 // flight is one in-process single-flight build: the first goroutine to
@@ -155,18 +125,15 @@ func open(dir string, opt Options, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	s := &Store{
-		dir:         dir,
-		maxBytes:    maxBytes,
-		obs:         opt.Obs,
-		flights:     make(map[string]*flight),
-		pending:     make(map[string]pendingWrite),
-		flusherDone: make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
 	index, sizes, garbage, scanned, rebuilt := loadIndex(dir, time.Now().UnixNano())
-	s.index = index
-	s.garbage = garbage
+	s := &Store{
+		dir:      dir,
+		maxBytes: maxBytes,
+		obs:      opt.Obs,
+		flights:  make(map[string]*flight),
+		index:    index,
+		garbage:  garbage,
+	}
 	segments := 0
 	for si := range s.shards {
 		s.shards[si].path = packPath(dir, si)
@@ -180,7 +147,6 @@ func open(dir string, opt Options, maxBytes int64) (*Store, error) {
 	}
 	s.obs.Counter("artifact.cache.scan_bytes").Add(scanned)
 	s.obs.Gauge("artifact.cache.segments").Set(float64(segments))
-	go s.flusher()
 	return s, nil
 }
 
@@ -219,88 +185,29 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Flush blocks until every write enqueued before the call is appended to
-// its segment, then settles the store: LRU sweep, compaction of
-// garbage-heavy segments, and an index save. After Flush returns, a
-// fresh store (or another process) opening the same directory sees all
-// of this store's writes.
+// Flush settles the store — LRU sweep, compaction of garbage-heavy
+// segments, and an index save — waiting for a settle another goroutine
+// is running. Every write is already in its segment when it returns;
+// after Flush the saved index covers each write that returned before it,
+// so a store opened on the directory next need not scan for them.
 func (s *Store) Flush() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	target := s.nextSeq
-	for s.doneSeq < target {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
 	s.settle(true)
 }
 
-// Close flushes the queue, stops the background flusher, runs the final
-// settle, and closes the segment handles. Idempotent and nil-safe. The
-// store remains usable after Close: reads behave normally and later
-// writes fall back to synchronous persistence, so a defer-closed store
-// can never lose or corrupt data.
+// Close settles the store (see Flush) and closes the segment handles.
+// Idempotent and nil-safe. The store remains usable after Close: a later
+// read or write reopens the handle it needs.
 func (s *Store) Close() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.flusherDone
-		return
-	}
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	<-s.flusherDone
+	s.settle(true)
 	for si := range s.shards {
 		s.shards[si].closeHandles()
 	}
-}
-
-// flusher is the single background writer: it drains the queue in
-// batches (FIFO, so the last write of a key wins in the index), appends
-// each record to its segment, clears the pending set as entries land,
-// and settles at batch boundaries once enough bytes have accumulated. It
-// exits — after a final drain and settle — when Close marks the store
-// closed.
-func (s *Store) flusher() {
-	defer close(s.flusherDone)
-	s.mu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			break // closed and fully drained
-		}
-		batch := s.queue
-		s.queue = nil
-		s.cond.Broadcast() // wake writers blocked on the queue bound
-		s.mu.Unlock()
-
-		for i := range batch {
-			s.persist(batch[i].kind, batch[i].key, batch[i].fkey, batch[i].payload)
-		}
-
-		s.mu.Lock()
-		for i := range batch {
-			if p, ok := s.pending[batch[i].fkey]; ok && p.seq == batch[i].seq {
-				delete(s.pending, batch[i].fkey)
-			}
-		}
-		s.doneSeq = batch[len(batch)-1].seq
-		s.cond.Broadcast() // wake Flush waiters
-		s.mu.Unlock()
-
-		s.settle(false)
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-	s.settle(true)
 }
 
 // keyEnvelope is the canonical pre-image of an entry key.
@@ -460,21 +367,12 @@ func (s *Store) Put(kind Kind, key string, payload []byte) {
 	s.write(kind, key, payload)
 }
 
-// noRelease is the release function for payloads that do not come from
-// pooled scratch.
-func noRelease() {}
-
-// read resolves (kind, key) to its payload: the pending set first
-// (read-your-writes), then the packfile index. ok=false means a miss;
-// damage is counted as corrupt. The returned release must be called
-// once the payload has been consumed.
+// read resolves (kind, key) to its payload through the packfile index.
+// ok=false means a miss; damage is counted as corrupt. The returned
+// release must be called once the payload has been consumed.
 func (s *Store) read(kind Kind, key string) (payload []byte, release func(), ok bool) {
 	fkey := fkeyOf(kind.Name, key)
 	s.mu.Lock()
-	if p, ok := s.pending[fkey]; ok {
-		s.mu.Unlock()
-		return p.payload, noRelease, true
-	}
 	e, found := s.index[fkey]
 	if found {
 		e.atime = time.Now().UnixNano()
@@ -520,67 +418,54 @@ func (s *Store) readPack(kind Kind, fkey string, e idxEntry) (payload []byte, re
 	return rec.payload, func() { bufPool.Put(buf) }, true
 }
 
-// write records one logical entry write: queued for the background
-// flusher with the payload entered into the pending set, or persisted in
-// place once Close has stopped the flusher.
+// write persists one entry and settles the store once
+// sweepIntervalBytes have accumulated since the last settle.
 func (s *Store) write(kind Kind, key string, payload []byte) {
-	fkey := fkeyOf(kind.Name, key)
-	s.mu.Lock()
-	for len(s.queue) >= maxQueuedWrites && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		s.mu.Unlock()
-		s.persist(kind, key, fkey, payload)
+	if s.dirtyBytes.Add(s.persist(kind, key, payload)) >= sweepIntervalBytes {
 		s.settle(false)
-		return
 	}
-	s.nextSeq++
-	s.queue = append(s.queue, writeReq{kind: kind, key: key, fkey: fkey, payload: payload, seq: s.nextSeq})
-	s.pending[fkey] = pendingWrite{payload: payload, seq: s.nextSeq}
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
-// persist frames one record and appends it to its segment, then
-// publishes the new location in the index. Failures are counted and
-// swallowed: the cache never fails the run that built the artifact.
-func (s *Store) persist(kind Kind, key, fkey string, payload []byte) {
+// persist frames one record, appends it to its segment and publishes its
+// index entry before releasing the stripe lock — stripe lock, then mu,
+// as compactShard takes them — so no compaction rewrites the segment
+// without a record the index points into. It returns the framed size, 0
+// on a failure, which is counted and swallowed: the cache never fails
+// the run that built the artifact.
+func (s *Store) persist(kind Kind, key string, payload []byte) int64 {
 	sw := s.obs.Timer("artifact.cache.encode_ns").Start()
 	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
 	blob, err := appendRecord((*buf)[:0], kind.Name, key, payload)
 	*buf = blob
 	sw.Stop()
 	if err != nil {
-		bufPool.Put(buf)
 		s.obs.Counter("artifact.cache.write_errors").Inc()
-		return
+		return 0
 	}
 	si := shardOf(key)
 	sh := &s.shards[si]
+	size := int64(len(blob))
+	sh.mu.Lock()
 	off, err := sh.append(blob)
 	if err != nil {
-		bufPool.Put(buf)
+		sh.mu.Unlock()
 		s.obs.Counter("artifact.cache.write_errors").Inc()
-		return
+		return 0
 	}
-	size := int64(len(blob))
-	bufPool.Put(buf)
-
+	fkey := fkeyOf(kind.Name, key)
 	s.mu.Lock()
 	if old, ok := s.index[fkey]; ok {
 		s.garbage[old.shard] += old.size
 	}
 	s.index[fkey] = idxEntry{kind: kind.Name, shard: si, off: off, size: size, atime: time.Now().UnixNano()}
 	s.mu.Unlock()
-
+	sh.mu.Unlock()
 	s.obs.Counter("artifact.cache.bytes").Add(size)
 	if off == 0 {
 		s.refreshSegmentsGauge()
 	}
-	s.sweepMu.Lock()
-	s.dirtyBytes += size
-	s.sweepMu.Unlock()
+	return size
 }
 
 // refreshSegmentsGauge republishes the live segment count.
@@ -603,22 +488,22 @@ func (s *Store) count(kind Kind, event string) {
 }
 
 // settle runs the store's maintenance pass — LRU eviction, segment
-// compaction, index save, disk accounting — under sweepMu. Routine
-// callers (the flusher, writes after Close) pass force=false and only
-// settle once sweepIntervalBytes have accumulated; Flush and Close
-// force it.
+// compaction, index save, disk accounting — under sweepMu. Flush and
+// Close force it; a write that takes dirtyBytes past sweepIntervalBytes
+// runs it unforced, which skips while another goroutine is settling
+// (the bytes stay counted for the next write).
 func (s *Store) settle(force bool) {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	if !force && s.dirtyBytes < sweepIntervalBytes {
+	if force {
+		s.sweepMu.Lock()
+	} else if !s.sweepMu.TryLock() {
 		return
 	}
-	s.dirtyBytes = 0
-	s.settleLocked()
-}
+	defer s.sweepMu.Unlock()
+	if !force && s.dirtyBytes.Load() < sweepIntervalBytes {
+		return // a settle that finished meanwhile covered these bytes
+	}
+	s.dirtyBytes.Store(0)
 
-// settleLocked performs the maintenance pass. Caller holds sweepMu.
-func (s *Store) settleLocked() {
 	// Snapshot the live set.
 	type liveEntry struct {
 		fkey string
@@ -810,21 +695,23 @@ func (s *Store) compactShard(si int) {
 }
 
 // saveIndex atomically writes the index file. The covered lengths are
-// read after the entry snapshot; a record appended in between is simply
+// read before the entry snapshot: every record inside them published its
+// entry before its append released the stripe lock, so the snapshot holds
+// it (or what superseded it), and a record appended after them is
 // re-found by the next Open's tail scan.
 func (s *Store) saveIndex() {
-	s.mu.Lock()
-	snapshot := make(map[string]idxEntry, len(s.index))
-	for k, v := range s.index {
-		snapshot[k] = v
-	}
-	s.mu.Unlock()
 	var covered [numShards]int64
 	for si := range s.shards {
 		s.shards[si].mu.Lock()
 		covered[si] = s.shards[si].size
 		s.shards[si].mu.Unlock()
 	}
+	s.mu.Lock()
+	snapshot := make(map[string]idxEntry, len(s.index))
+	for k, v := range s.index {
+		snapshot[k] = v
+	}
+	s.mu.Unlock()
 	blob := encodeIndex(snapshot, covered)
 	tmp, err := os.CreateTemp(s.dir, ".index.tmp-")
 	if err != nil {

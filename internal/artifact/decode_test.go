@@ -291,3 +291,170 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 	})
 }
+
+// decReadZero runs the Dec read that op picks and reports whether it
+// returned its zero value.
+func decReadZero(d *Dec, op byte) bool {
+	switch op % 9 {
+	case 0:
+		return d.Tag() == 0
+	case 1:
+		return d.Uvarint() == 0
+	case 2:
+		return d.Varint() == 0
+	case 3:
+		return !d.Bool()
+	case 4:
+		return d.U8() == 0
+	case 5:
+		return math.Float64bits(d.F64()) == 0
+	case 6:
+		return d.F64s(nil) == nil
+	case 7:
+		return d.String() == ""
+	default:
+		return d.Bytes() == nil
+	}
+}
+
+// fuzzSource hands out a fuzz input's bytes in order, then zeros.
+type fuzzSource []byte
+
+func (s *fuzzSource) byte() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+func (s *fuzzSource) u64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(s.byte())
+	}
+	return v
+}
+
+// FuzzCodec: Dec reads hostile bytes through every read method, in an
+// order ops picks, without panicking; the read that fails and every read
+// after it return zero values, the first failure sticks, and Remaining
+// never goes negative. Then ops picks a sequence of Enc writes (Tag,
+// Uvarint, Varint, Bool, U8, F64, F64s, String) whose values come from
+// data, and a Dec reads each back bit for bit with Done returning nil.
+// Seeds: an empty input, a payload Enc wrote read in its own order, a
+// length prefix near 2^64, an overlong varint, a foreign tag, and a
+// truncated float.
+func FuzzCodec(f *testing.F) {
+	var e Enc
+	e.Tag(3)
+	e.Uvarint(300)
+	e.Varint(-7)
+	e.Bool(true)
+	e.U8(9)
+	e.F64(math.Pi)
+	e.F64s([]float64{1, math.Inf(-1)})
+	e.String("ab")
+	e.String("cd")
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, e.B)
+	var lie Enc
+	lie.Uvarint(math.MaxUint64 - 1)
+	lie.F64(1)
+	f.Add([]byte{6, 7, 8, 1}, lie.B)
+	f.Add([]byte{1, 2, 4}, append(bytes.Repeat([]byte{0xff}, 10), 1))
+	f.Add([]byte{0, 0}, []byte(`{"value":1}`))
+	f.Add([]byte{5, 4}, []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, ops, data []byte) {
+		d := NewDec(data)
+		var first error
+		for i, op := range ops {
+			zero := decReadZero(d, op)
+			if d.Remaining() < 0 {
+				t.Fatalf("read %d (op %d): Remaining %d", i, op%9, d.Remaining())
+			}
+			if first != nil && d.Err() != first {
+				t.Fatalf("read %d (op %d): error %v replaced the first failure %v", i, op%9, d.Err(), first)
+			}
+			if d.Err() != nil {
+				first = d.Err()
+				if !zero {
+					t.Fatalf("read %d (op %d) on a failed decoder returned a nonzero value", i, op%9)
+				}
+			}
+		}
+		if first != nil && d.Done() == nil {
+			t.Fatal("Done is nil after a failed read")
+		}
+
+		src := fuzzSource(data)
+		var e Enc
+		var checks []func(*Dec) bool
+		for _, op := range ops {
+			switch op % 8 {
+			case 0:
+				v := int(int64(src.u64()))
+				e.Tag(v)
+				checks = append(checks, func(d *Dec) bool { return d.Tag() == v })
+			case 1:
+				v := src.u64()
+				e.Uvarint(v)
+				checks = append(checks, func(d *Dec) bool { return d.Uvarint() == v })
+			case 2:
+				v := int64(src.u64())
+				e.Varint(v)
+				checks = append(checks, func(d *Dec) bool { return d.Varint() == v })
+			case 3:
+				v := src.byte()&1 == 1
+				e.Bool(v)
+				checks = append(checks, func(d *Dec) bool { return d.Bool() == v })
+			case 4:
+				v := src.byte()
+				e.U8(v)
+				checks = append(checks, func(d *Dec) bool { return d.U8() == v })
+			case 5:
+				v := src.u64()
+				e.F64(math.Float64frombits(v))
+				checks = append(checks, func(d *Dec) bool { return math.Float64bits(d.F64()) == v })
+			case 6:
+				v := make([]uint64, src.byte()%8)
+				col := make([]float64, len(v))
+				for i := range v {
+					v[i] = src.u64()
+					col[i] = math.Float64frombits(v[i])
+				}
+				e.F64s(col)
+				checks = append(checks, func(d *Dec) bool {
+					got := d.F64s(nil)
+					if len(got) != len(v) {
+						return false
+					}
+					for i, g := range got {
+						if math.Float64bits(g) != v[i] {
+							return false
+						}
+					}
+					return true
+				})
+			case 7:
+				b := make([]byte, src.byte()%16)
+				for i := range b {
+					b[i] = src.byte()
+				}
+				v := string(b)
+				e.String(v)
+				checks = append(checks, func(d *Dec) bool { return d.String() == v })
+			}
+		}
+		d = NewDec(e.B)
+		for i, check := range checks {
+			if !check(d) {
+				t.Fatalf("value %d (op %d) does not round-trip: %v", i, ops[i]%8, d.Err())
+			}
+		}
+		if err := d.Done(); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
+}

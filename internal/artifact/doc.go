@@ -139,9 +139,10 @@
 // records; a partial record at a tail (crashed writer) is truncated
 // away; a segment shorter than its covered length (externally truncated
 // or replaced) drops its index entries and rescans from zero; index
-// entries pointing outside their segment are dropped. A crash therefore
-// loses at most unflushed writes — clean misses on the next run, never
-// corruption, since every read re-verifies the record checksum.
+// entries pointing outside their segment are dropped. A crashed or
+// killed process therefore loses at most a partial tail record — a
+// clean miss on the next run, never corruption, since every read
+// re-verifies the record checksum.
 //
 // # Failure semantics
 //
@@ -155,31 +156,26 @@
 // (payload codecs round-trip float64 exactly), so cold and warm runs of
 // an experiment are byte-identical at a fixed seed.
 //
-// # Asynchronous persistence
+// # Persistence
 //
-// Writes are decoupled from the builder: Put and GetOrBuild enqueue the
-// payload on a bounded queue (writers block once maxQueuedWrites jobs
-// are outstanding, so a slow disk applies backpressure) and return,
-// while a single background flusher frames records and appends them to
-// the segments. This overlaps cold-path disk I/O with the next
-// artifact's build. The ordering contract:
+// Put and GetOrBuild persist in the calling goroutine:
 //
-//   - Read-your-writes: within one Store, a write is visible to reads
-//     the moment Put/GetOrBuild returns — reads consult the in-memory
-//     pending set before the index, so a store can never miss on (or
-//     read a stale version of) its own write.
-//   - Same-key FIFO, last write wins: the queue persists in write
-//     order and appends repoint the index in that order, so the final
-//     value of a rewritten key wins both in memory and on disk.
-//   - Durability only at Flush/Close: an unflushed write exists only in
-//     this process. Flush blocks until everything enqueued before it is
-//     appended, then settles the store (sweep, compaction, index save);
-//     Close additionally stops the flusher and closes the segment
-//     handles, leaving the store usable (later writes fall back to
-//     synchronous persistence). Both are idempotent and nil-safe.
-//   - Cross-process visibility requires Flush: a reader process on the
-//     same directory sees an entry only after the writer flushes (the
-//     saved index plus tail scan covers everything appended).
+//   - Durable on return: the record is in its packfile and its index
+//     entry published before the write returns, so a store opened on
+//     the directory later — another process, or the next run after
+//     this one was killed — finds it through the saved index or Open's
+//     tail scan. (The store does not fsync: a machine crash can still
+//     lose what the kernel had not written back.)
+//   - Read-your-writes: a store reads its own writes through the index.
+//   - Last write wins in index order: a key's entry points at the record
+//     published last, and a tail scan resolves duplicates in append
+//     order, which is the same order.
+//
+// The write that takes the bytes written since the last settle past
+// sweepIntervalBytes settles the store (sweep, compaction, index save)
+// unless another goroutine is settling. Flush forces a settle; Close
+// forces one and closes the segment handles, leaving the store usable.
+// Both are idempotent and nil-safe.
 //
 // # Concurrency and bounds
 //
@@ -200,7 +196,10 @@
 // record bytes as garbage; compaction rewrites a segment without them
 // when its garbage passes compactMinGarbage and half the segment, or
 // whenever the store is over its cap. The settle pass and the disk-byte
-// accounting it publishes are serialized under a dedicated mutex.
+// accounting it publishes are serialized under a dedicated mutex. An
+// append publishes its index entry before it releases its segment's
+// stripe lock, which a compaction holds while it rewrites the segment,
+// so a rewrite never drops a record the index points into.
 //
 // # Metrics
 //

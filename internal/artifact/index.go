@@ -205,7 +205,9 @@ func scanShard(dir string, si int, start, end int64, index map[string]idxEntry, 
 			break
 		}
 		fkey := fkeyOf(rec.kind, rec.key)
-		if old, exists := index[fkey]; exists && old.shard == si {
+		// The saved index may already hold this very record: its entry
+		// was snapshotted after the covered lengths were read.
+		if old, exists := index[fkey]; exists && old.shard == si && old.off != start+off {
 			garbage += old.size
 		}
 		index[fkey] = idxEntry{kind: rec.kind, shard: si, off: start + off, size: rec.size, atime: atime}

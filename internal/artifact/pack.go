@@ -142,12 +142,10 @@ func packPath(dir string, si int) string {
 }
 
 // append writes blob at the shard's tail and returns its offset. Caller
-// composed blob with appendRecord. The stripe lock serializes appends;
-// the file is opened O_APPEND so even a crashed half-append only ever
-// damages the tail.
+// holds the stripe lock, which serializes appends, and composed blob with
+// appendRecord. The file is opened O_APPEND so even a crashed half-append
+// only ever damages the tail.
 func (sh *shard) append(blob []byte) (off int64, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.w == nil {
 		sh.w, err = os.OpenFile(sh.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

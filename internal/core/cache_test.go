@@ -59,8 +59,8 @@ func runSummaryIn(t *testing.T, dir string, cfg ExperimentConfig) (summary []byt
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Close, not just Flush: the warm run opens a fresh store on the
-		// same directory and must see every cold-run write on disk.
+		// Close, as the CLIs do: it saves the index the warm run's fresh
+		// store on the same directory opens.
 		defer store.Close()
 		sim.SetArtifacts(store)
 	}

@@ -9,9 +9,8 @@ import (
 // experiment will read before its main pool starts; each lands in the
 // in-memory profile cache (and, with a store attached, the artifact
 // store). The profiles fan out over the run's worker budget, so they
-// build concurrently with each other and overlap the store's background
-// flusher, instead of serializing at first use inside the experiment
-// pool.
+// build — and write their records — concurrently with each other,
+// instead of serializing at first use inside the experiment pool.
 //
 // Every profile is a pure function of (parameters, seed), so warming in
 // any order — or not at all — cannot change a result; failures are left

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -22,7 +23,8 @@ type Config struct {
 	// Workers is the worker-goroutine count (0 = GOMAXPROCS).
 	Workers int
 	// Admission maps class names to token-bucket rates; classes without
-	// an entry are unthrottled.
+	// an entry are unthrottled. New refuses a rate field that is NaN,
+	// infinite or negative.
 	Admission map[string]Rate
 	// Training configures per-chip fuzzy-controller training; the zero
 	// value means adapt.DefaultTrainOptions(). New validates it and
@@ -269,6 +271,13 @@ func New(sim *core.Simulator, cfg Config) (*Fleet, error) {
 	}
 	if err := cfg.Training.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: training options: %w", err)
+	}
+	for class, r := range cfg.Admission {
+		// A NaN rate would reject its class forever once its burst is
+		// spent, an infinite one unthrottle it, a negative one drain it.
+		if !(r.PerTick >= 0 && r.Burst >= 0) || math.IsInf(r.PerTick, 1) || math.IsInf(r.Burst, 1) {
+			return nil, fmt.Errorf("fleet: admission class %q: rate %v:%v, want finite and non-negative", class, r.PerTick, r.Burst)
+		}
 	}
 	f := &Fleet{
 		sim:      sim,

@@ -363,6 +363,34 @@ func TestNewValidatesTraining(t *testing.T) {
 	}
 }
 
+// TestNewValidatesAdmission: New refuses an admission rate whose PerTick
+// or Burst is NaN, infinite or negative, naming the class, and accepts
+// finite non-negative ones, zero included.
+func TestNewValidatesAdmission(t *testing.T) {
+	sim := testSim(t, "")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []Rate{
+		{PerTick: nan, Burst: 10}, {PerTick: 1, Burst: nan},
+		{PerTick: inf, Burst: inf}, {PerTick: 1, Burst: inf}, {PerTick: -inf, Burst: 1},
+		{PerTick: -1, Burst: 5}, {PerTick: 1, Burst: -5},
+	} {
+		cfg := Config{Workers: 1, Admission: map[string]Rate{"ok": {PerTick: 1, Burst: 1}, "bulk": r}}
+		if f, err := New(sim, cfg); err == nil {
+			f.Close()
+			t.Errorf("New accepted admission rate %+v", r)
+		} else if !strings.Contains(err.Error(), `"bulk"`) {
+			t.Errorf("rate %+v: error %q does not name the class", r, err)
+		}
+	}
+	for _, r := range []Rate{{}, {PerTick: 0.5, Burst: 3}} {
+		f, err := New(sim, Config{Workers: 1, Admission: map[string]Rate{"bulk": r}})
+		if err != nil {
+			t.Fatalf("New refused admission rate %+v: %v", r, err)
+		}
+		f.Close()
+	}
+}
+
 // TestTokenBucket covers the admission bucket in isolation.
 func TestTokenBucket(t *testing.T) {
 	b := NewTokenBucket(Rate{PerTick: 2, Burst: 4})
