@@ -1,8 +1,6 @@
 package adapt
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"math"
 	"sync"
 	"testing"
@@ -130,14 +128,13 @@ func sameSolver(a, b *FuzzySolver) bool {
 	return true
 }
 
-// FuzzSolverPayload fuzzes the solver payload decoder, which the warm path
-// trusts for both the controllers and their fingerprint: UnmarshalBinary
-// never panics, and a payload it accepts fingerprints as its own SHA-256
-// and re-encodes to a payload that decodes to the same controllers and
-// bias terms, without moving the fingerprint. The seeds are a real
-// record, its truncations, length lies in the entry and rule counts,
-// trailing bytes, and controller headers whose rules×width the payload
-// cannot hold (the decoder must reject them before allocating).
+// FuzzSolverPayload fuzzes the solver payload decoder, which a unit that
+// misses trusts for its controllers: UnmarshalBinary never panics, and a
+// payload it accepts re-encodes to a payload that decodes to the same
+// controllers and bias terms. The seeds are a real record, its
+// truncations, length lies in the entry and rule counts, trailing bytes,
+// and controller headers whose rules×width the payload cannot hold (the
+// decoder must reject them before allocating).
 func FuzzSolverPayload(f *testing.F) {
 	rec, err := tinySolver(f).MarshalBinary()
 	if err != nil {
@@ -174,11 +171,6 @@ func FuzzSolverPayload(f *testing.F) {
 		if s.UnmarshalBinary(data) != nil {
 			return
 		}
-		sum := sha256.Sum256(data)
-		want := hex.EncodeToString(sum[:])
-		if got := s.Fingerprint(); got != want {
-			t.Fatalf("fingerprint %s, want the payload's SHA-256 %s", got, want)
-		}
 		again, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatalf("re-encoding an accepted payload: %v", err)
@@ -189,9 +181,6 @@ func FuzzSolverPayload(f *testing.F) {
 		}
 		if !sameSolver(&s, &r) {
 			t.Fatal("re-encoded payload decodes to different controllers or bias terms")
-		}
-		if got := s.Fingerprint(); got != want {
-			t.Fatalf("fingerprint moved to %s after MarshalBinary", got)
 		}
 	})
 }

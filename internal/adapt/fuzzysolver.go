@@ -1,13 +1,10 @@
 package adapt
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/fuzzy"
 	"repro/internal/mathx"
@@ -41,10 +38,6 @@ type FuzzySolver struct {
 	// invocation ends as a LowFreq retune instead of the paper's
 	// Figure 13 mix.
 	minBiasComp float64
-
-	// fp caches the Fingerprint: the hash of the payload UnmarshalBinary
-	// accepted, or of MarshalBinary's first encoding.
-	fp atomic.Pointer[string]
 }
 
 // FreqMax implements Solver. Unknown (subsystem, variant) pairs — which
@@ -383,34 +376,6 @@ func TrainFuzzySolver(cores []*Core, opts TrainOptions) (*FuzzySolver, error) {
 		s.freqBias[key] = r.freqBias
 	}
 	return s, nil
-}
-
-// Fingerprint returns the solver's content identity: the hex SHA-256 of
-// the bytes the solver came from — the payload UnmarshalBinary accepted
-// for a solver read back from the store, its MarshalBinary encoding for
-// one trained in process — or "" if it cannot be encoded. For every
-// payload MarshalBinary writes the two agree, so a stored solver and its
-// trained original key the same apprun records without re-encoding the
-// stored one. Equal fingerprints imply equal solvers; a payload that
-// decodes but is not MarshalBinary's own can only fingerprint apart
-// from its canonical twin, which costs a cache miss, never a wrong hit.
-// A solver is never modified once trained or decoded, so the digest is
-// taken once and every later call returns it.
-func (s *FuzzySolver) Fingerprint() string {
-	if fp := s.fp.Load(); fp != nil {
-		return *fp
-	}
-	if _, err := s.MarshalBinary(); err != nil {
-		return ""
-	}
-	return *s.fp.Load()
-}
-
-// fingerprintOf returns the hex SHA-256 of a solver payload.
-func fingerprintOf(payload []byte) *string {
-	sum := sha256.Sum256(payload)
-	fp := hex.EncodeToString(sum[:])
-	return &fp
 }
 
 // ControllerCount reports how many fuzzy controllers the solver holds.

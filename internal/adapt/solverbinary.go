@@ -19,8 +19,7 @@ const solverBinVersion = 1
 // store's columnar form — the same shippable tables MarshalJSON writes,
 // with every weight matrix as contiguous little-endian float64 blocks.
 // Entries are sorted like the JSON form, so the encoding is
-// deterministic. The first successful encoding also fixes the solver's
-// Fingerprint, so a trained solver that is stored is encoded once.
+// deterministic.
 func (s *FuzzySolver) MarshalBinary() ([]byte, error) {
 	type entry struct {
 		key fcKey
@@ -56,17 +55,11 @@ func (s *FuzzySolver) MarshalBinary() ([]byte, error) {
 		vdd.AppendBinary(&e)
 		vbb.AppendBinary(&e)
 	}
-	if s.fp.Load() == nil {
-		s.fp.CompareAndSwap(nil, fingerprintOf(e.B))
-	}
 	return e.B, nil
 }
 
-// UnmarshalBinary restores a solver encoded by MarshalBinary. The
-// solver's Fingerprint becomes the hash of data itself, so reading a
-// solver back costs no re-encoding.
+// UnmarshalBinary restores a solver encoded by MarshalBinary.
 func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
-	s.fp.Store(nil)
 	d := artifact.NewDec(data)
 	if v := d.Tag(); d.Err() == nil && v != solverBinVersion {
 		return fmt.Errorf("adapt: corrupt solver state: binary version %d", v)
@@ -110,6 +103,5 @@ func (s *FuzzySolver) UnmarshalBinary(data []byte) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("adapt: corrupt solver state: %w", err)
 	}
-	s.fp.Store(fingerprintOf(data))
 	return nil
 }

@@ -75,7 +75,8 @@ const compactMinGarbage = 256 << 10
 // return, so a store reads its own writes through the index, and a store
 // opened on the directory afterwards (another process, or the next run
 // after a crash) finds them too. Writes settle the store every
-// sweepIntervalBytes; Flush and Close settle it on demand.
+// sweepIntervalBytes; Flush settles it on demand, and Close does when the
+// store wrote anything since Open.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -93,6 +94,7 @@ type Store struct {
 	// the artifact.cache.disk_bytes gauge.
 	sweepMu    sync.Mutex
 	dirtyBytes atomic.Int64 // bytes written since the last settle
+	wrote      atomic.Bool  // a write since Open: Close settles only then
 }
 
 // flight is one in-process single-flight build: the first goroutine to
@@ -197,14 +199,20 @@ func (s *Store) Flush() {
 	s.settle(true)
 }
 
-// Close settles the store (see Flush) and closes the segment handles.
-// Idempotent and nil-safe. The store remains usable after Close: a later
-// read or write reopens the handle it needs.
+// Close settles the store (see Flush) if it wrote anything since Open,
+// and closes the segment handles. A store that only read leaves its
+// directory untouched — no eviction, compaction, debris sweep or index
+// save — so a reader never rewrites a segment a writing process still
+// appends to; the atimes its hits bumped stay in memory. Idempotent and
+// nil-safe. The store remains usable after Close: a later read or write
+// reopens the handle it needs.
 func (s *Store) Close() {
 	if s == nil {
 		return
 	}
-	s.settle(true)
+	if s.wrote.Load() {
+		s.settle(true)
+	}
 	for si := range s.shards {
 		s.shards[si].closeHandles()
 	}
@@ -421,6 +429,7 @@ func (s *Store) readPack(kind Kind, fkey string, e idxEntry) (payload []byte, re
 // write persists one entry and settles the store once
 // sweepIntervalBytes have accumulated since the last settle.
 func (s *Store) write(kind Kind, key string, payload []byte) {
+	s.wrote.Store(true)
 	if s.dirtyBytes.Add(s.persist(kind, key, payload)) >= sweepIntervalBytes {
 		s.settle(false)
 	}

@@ -357,3 +357,130 @@ func TestCrashDebrisRecovery(t *testing.T) {
 		}
 	}
 }
+
+// dirState is one file's bytes and modification time.
+type dirState struct {
+	data  string
+	mtime time.Time
+}
+
+// snapshot reads every file of dir.
+func snapshot(t *testing.T, dir string) map[string]dirState {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]dirState, len(des))
+	for _, de := range des {
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = dirState{data: string(data), mtime: info.ModTime()}
+	}
+	return out
+}
+
+// TestReadOnlyCloseLeavesDirectory: a store that only reads a directory
+// leaves it untouched when it closes. A writer rewrites 16 keys of one
+// segment six times, saving an index after the first round only, so a
+// second store's tail scan finds five rounds of superseded records,
+// enough garbage to compact the segment. That store reads all 16 keys and
+// closes: index.bin and every packfile keep their bytes and mtimes. The
+// writer then writes two more rounds and closes, and a fresh store reads
+// every key's last value with nothing counted corrupt. Had the reader
+// compacted, the writer would have kept appending to the renamed-away
+// segment and its own closing compaction would have dropped the records
+// past the end of the reader's smaller file.
+func TestReadOnlyCloseLeavesDirectory(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i := 0; len(keys) < 16; i++ {
+		key, _ := Key(testKind, fmt.Sprintf("segment-%d", i), 1)
+		if len(keys) == 0 || shardOf(key) == shardOf(keys[0]) {
+			keys = append(keys, key)
+		}
+	}
+	blob := strings.Repeat("x", 4<<10) // 16 keys × 5 rounds of garbage pass compactMinGarbage
+	round := func(r int) {
+		for i, key := range keys {
+			b, err := json.Marshal(payload{Value: 100*r + i, Blob: blob})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer.Put(testKind, key, b)
+		}
+	}
+	round(0)
+	writer.Flush()
+	for r := 1; r < 6; r++ {
+		round(r)
+	}
+
+	before := snapshot(t, dir)
+	if _, ok := before[indexName]; !ok {
+		t.Fatal("the writer saved no index")
+	}
+	reader, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := reader.garbage[shardOf(keys[0])]; g < compactMinGarbage {
+		t.Fatalf("the reader's tail scan found %d bytes of garbage, want at least %d", g, compactMinGarbage)
+	}
+	for i, key := range keys {
+		if v := readBack(t, reader, key); v != 500+i {
+			t.Fatalf("reader: key %d reads %d, want %d", i, v, 500+i)
+		}
+	}
+	reader.Close()
+	after := snapshot(t, dir)
+	for name, b := range before {
+		a, ok := after[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: removed by a read-only store", name)
+		case a.data != b.data:
+			t.Errorf("%s: rewritten by a read-only store (%d → %d bytes)", name, len(b.data), len(a.data))
+		case !a.mtime.Equal(b.mtime):
+			t.Errorf("%s: mtime moved from %v to %v", name, b.mtime, a.mtime)
+		}
+	}
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			t.Errorf("%s: created by a read-only store", name)
+		}
+	}
+
+	round(6)
+	round(7)
+	writer.Close()
+	reg := obs.NewRegistry()
+	fresh, err := Open(dir, Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	lost := 0
+	for i, key := range keys {
+		if v := readBack(t, fresh, key); v != 700+i {
+			lost++
+			t.Errorf("fresh store: key %d reads %d, want %d", i, v, 700+i)
+		}
+	}
+	if lost > 0 {
+		t.Errorf("lost %d of %d keys", lost, len(keys))
+	}
+	if n := counter(reg, "artifact.cache.corrupt"); n != 0 {
+		t.Errorf("artifact.cache.corrupt = %d, want 0", n)
+	}
+}

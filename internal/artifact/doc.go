@@ -175,7 +175,10 @@
 // sweepIntervalBytes settles the store (sweep, compaction, index save)
 // unless another goroutine is settling. Flush forces a settle; Close
 // forces one and closes the segment handles, leaving the store usable.
-// Both are idempotent and nil-safe.
+// Both are idempotent and nil-safe. Close on a store that wrote nothing
+// since Open settles nothing: it leaves the directory untouched (no
+// eviction, compaction, debris sweep or index save), so a process that
+// only reads a directory never rewrites what another process writes.
 //
 // # Concurrency and bounds
 //
@@ -192,7 +195,9 @@
 // retires the old read descriptor, so in-flight reads finish against
 // the old inode. An LRU sweep bounded at 2 GiB (maxStoreBytes) evicts the
 // least-recently-used records once enough written bytes accumulate (and
-// always at Flush/Close); hits bump an entry's atime. Eviction marks
+// always at Flush, and at Close after a write); hits bump an entry's
+// atime, which only a store that writes persists, in its next index
+// save — a read-only store's bumps stay in memory. Eviction marks
 // record bytes as garbage; compaction rewrites a segment without them
 // when its garbage passes compactMinGarbage and half the segment, or
 // whenever the store is over its cap. The settle pass and the disk-byte

@@ -57,6 +57,35 @@ func refAppRunKey(s *Simulator, seed int64, cfg tech.Config, app workload.App,
 	})
 }
 
+// anchorParams is the key material of a Baseline or NoVar anchor run as
+// one struct, the reference anchorKey's spliced pre-image must match.
+type anchorParams struct {
+	machineParams
+	TraceLen int `json:"trace_len"`
+
+	Anchor anchorID         `json:"anchor"`
+	App    string           `json:"app"`
+	Trace  string           `json:"trace,omitempty"`
+	Class  workload.Class   `json:"class"`
+	Phases []workload.Phase `json:"phases"`
+}
+
+// refAnchorKey is the reference anchor key: artifact.Key over
+// anchorParams.
+func refAnchorKey(s *Simulator, seed int64, env Environment, app workload.App, fRel float64) string {
+	return storeKey(s.store, apprunKind, seed, func() any {
+		return anchorParams{
+			machineParams: s.machineParams(env.Config()),
+			TraceLen:      s.opts.TraceLen,
+			Anchor:        anchorID{Env: env.String(), FRel: fRel},
+			App:           app.Name,
+			Trace:         app.Trace,
+			Class:         app.Class,
+			Phases:        app.Phases,
+		}
+	})
+}
+
 // staticPointParams is the staticpt key material as one struct, the
 // reference staticPointKey's spliced pre-image must match.
 type staticPointParams struct {
@@ -145,11 +174,11 @@ func configOf(bits uint8) tech.Config {
 		QueueResize: bits&8 != 0, FUReplication: bits&16 != 0}
 }
 
-// FuzzAppRunKeyVsKey: every spliced key — apprun, profile, staticpt and
-// solver — equals artifact.Key over its whole params struct, for app
-// names and traces JSON must escape or repair, every mode, phases -1
-// through len (len is uncacheable), empty and non-empty solver
-// fingerprints, static points holding any float, any technique
+// FuzzAppRunKeyVsKey: every spliced key — apprun, anchor, profile,
+// staticpt and solver — equals artifact.Key over its whole params
+// struct, for app names and traces JSON must escape or repair, every
+// mode, phases -1 through len (len is uncacheable), empty and non-empty
+// solver names, static points holding any float, any technique
 // configuration, and options holding any float; and wherever
 // encoding/json rejects the material, both keys are empty. Each input
 // also keys the app under the same name with one phase field replaced by
@@ -157,8 +186,9 @@ func configOf(bits uint8) tech.Config {
 // was, so a stale app encoding shows. The profile key is checked for
 // every phase at its position and for one moved off it; the staticpt key
 // for both classes over the app alone (one class has no apps: a null
-// suite) and with a suite app of the other class; the solver key with x
-// as a training option, for one chip seed and for none.
+// suite) and with a suite app of the other class; the anchor key of
+// either anchor at frequency x; the solver key with x as a training
+// option, for one chip seed and for none.
 func FuzzAppRunKeyVsKey(f *testing.F) {
 	store := keyStore(f, f.TempDir())
 	gcc, err := workload.ByName("gcc")
@@ -198,6 +228,11 @@ func FuzzAppRunKeyVsKey(f *testing.F) {
 			want := refAppRunKey(sim, seed, cfg, app, mode, solverFP, static, phase)
 			if got := sim.appRunKey(seed, cfg, app, mode, solverFP, static, phase); got != want {
 				t.Fatalf("%s: appRunKey = %q, artifact.Key gives %q", label, got, want)
+			}
+			for _, env := range []Environment{Baseline, NoVar} {
+				if got, want := sim.anchorKey(seed, env, app, x), refAnchorKey(sim, seed, env, app, x); got != want {
+					t.Fatalf("%s: %v anchorKey = %q, artifact.Key gives %q", label, env, got, want)
+				}
 			}
 			for i, ph := range app.Phases {
 				for _, p := range []workload.Phase{ph, {Index: i + 1, Weight: ph.Weight, Mix: ph.Mix}} {

@@ -35,7 +35,8 @@ var (
 	// from the store like proxy-suite artifacts.
 	traceKind = artifact.Kind{Name: "trace", Version: 1}
 	// apprun entries hold finished per-(chip, environment, mode, app)
-	// evaluation results; staticpt entries hold the per-(chip, class)
+	// evaluation results and the Baseline and NoVar anchor runs (see
+	// anchorKey); staticpt entries hold the per-(chip, class)
 	// conservative operating points that Static-mode runs share. Both are
 	// exact float64 round-trips of the computed values, so a warm summary
 	// run skips the adaptation loop entirely and still reduces to
@@ -45,8 +46,8 @@ var (
 	// outcomes entries hold one Figure 13 unit's controller-outcome counts
 	// (one chip × one technique configuration across the full app suite);
 	// table2 entries hold one Table 2 unit's per-kind accuracy samples.
-	// Both key on the trained solver's weight fingerprint, so a retrained
-	// controller can never replay stale counts.
+	// Both key on the controllers' name, their solver record key, so
+	// controllers trained otherwise can never replay stale counts.
 	outcomesKind = artifact.Kind{Name: "outcomes", Version: 1}
 	table2Kind   = artifact.Kind{Name: "table2", Version: 1}
 )
@@ -246,15 +247,15 @@ func (s *Simulator) machineParams(cfg tech.Config) machineParams {
 	}
 }
 
-// solverFingerprint is the content identity a dynamic solver contributes
-// to apprun keys: the SHA-256 hex of the trained weights for a fuzzy
-// solver (computed once per solver, see FuzzySolver.Fingerprint), a fixed
-// tag for the (stateless) exhaustive algorithm. An empty return disables
+// solverName is the identity a dynamic solver contributes to apprun
+// keys: the solver record key a chip's fuzzy controllers are named by
+// (see HandleSolver), a fixed tag for the (stateless) exhaustive
+// algorithm. Any other solver has no name, and an empty name disables
 // apprun caching for the calling unit.
-func solverFingerprint(solver adapt.Solver) string {
+func solverName(solver adapt.Solver) string {
 	switch sv := solver.(type) {
-	case *adapt.FuzzySolver:
-		return sv.Fingerprint()
+	case *chipSolver:
+		return sv.name
 	case adapt.Exhaustive:
 		return "exh"
 	}
@@ -263,18 +264,19 @@ func solverFingerprint(solver adapt.Solver) string {
 
 // appRunKey derives the apprun artifact key for one (chip, environment,
 // mode, app[, phase]) unit, or "" when the unit is uncacheable (store
-// disabled, dynamic mode without a solver fingerprint, or key material
-// that does not encode). phase < 0 keys the whole app; phase >= 0 keys
-// the single phase at that position in app.Phases. Dynamic modes must
-// supply solverFP; Static mode must supply its operating point.
+// disabled, dynamic mode without a solver name, or key material that
+// does not encode). phase < 0 keys the whole app; phase >= 0 keys the
+// single phase at that position in app.Phases. Dynamic modes must supply
+// solver; Static mode must supply its operating point.
 //
 // The key material is the full machine model behind the chip's cores,
 // the environment's technique configuration, the application's identity
-// down to its phase tables, and the adaptation policy, pinned by
-// content: solverFP is the SHA-256 of the dynamic solver's serialized
-// weights (so retrained controllers never replay a stale run), and
-// static is the chip's exact static operating point, whose float64
-// values fingerprint the conservative class profile it was derived from.
+// down to its phase tables, and the adaptation policy: solver is the
+// dynamic solver's name (solverName) — for fuzzy controllers the key of
+// their solver record, which pins everything training reads, so
+// controllers trained otherwise never replay a stale run — and static is
+// the chip's exact static operating point, whose float64 values
+// fingerprint the conservative class profile it was derived from.
 // The params object encodes as
 //
 //	{<machineParams fields>,"trace_len":…,"mode":…,
@@ -290,8 +292,8 @@ func solverFingerprint(solver adapt.Solver) string {
 // encoded per call, and artifact.EncodedKey hashes the envelope around
 // the pieces, byte-identical to artifact.Key over the whole.
 func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
-	mode Mode, solverFP string, static *adapt.OperatingPoint, phase int) string {
-	if s.store == nil || (mode != Static && solverFP == "") || phase >= len(app.Phases) {
+	mode Mode, solver string, static *adapt.OperatingPoint, phase int) string {
+	if s.store == nil || (mode != Static && solver == "") || phase >= len(app.Phases) {
 		return ""
 	}
 	machine := s.machineBlock(cfg)
@@ -310,8 +312,8 @@ func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 		b = append(b, `,"phase_only":`...)
 		b = strconv.AppendInt(b, int64(phase), 10)
 	}
-	if solverFP != "" {
-		enc, _ := json.Marshal(solverFP) // a string always encodes
+	if solver != "" {
+		enc, _ := json.Marshal(solver) // a string always encodes
 		b = append(append(b, `,"solver":`...), enc...)
 	}
 	if static != nil {
@@ -323,6 +325,40 @@ func (s *Simulator) appRunKey(seed int64, cfg tech.Config, app workload.App,
 	}
 	b = append(b, '}')
 	return artifact.EncodedKey(apprunKind, seed, machine, b[:mid], appEnc.block, b[mid:])
+}
+
+// anchorKey derives the apprun key of one Baseline or NoVar anchor run
+// (see anchorRun) of app at fRel on chip seed, or "" without a store or
+// when the key material does not encode. The params object is a
+// whole-app unit's with the mode replaced by a field no adaptive unit
+// carries, the anchor's environment name and frequency:
+//
+//	{<machineParams fields>,"trace_len":…,"anchor":{"env":…,"f_rel":…},
+//	 "app":…[,"trace":…],"class":…,"phases":[…]}
+//
+// with the machine block of env's technique configuration (none for
+// either anchor), spliced like appRunKey's.
+func (s *Simulator) anchorKey(seed int64, env Environment, app workload.App, fRel float64) string {
+	if s.store == nil {
+		return ""
+	}
+	machine := s.machineBlock(env.Config())
+	appEnc := s.appEncoding(app)
+	anchor, err := json.Marshal(anchorID{Env: env.String(), FRel: fRel})
+	if machine == nil || appEnc == nil || err != nil {
+		return ""
+	}
+	var buf [128]byte
+	b := append(buf[:0], `,"trace_len":`...)
+	b = strconv.AppendInt(b, int64(s.opts.TraceLen), 10)
+	b = append(append(append(b, `,"anchor":`...), anchor...), ',')
+	return artifact.EncodedKey(apprunKind, seed, machine, b, appEnc.block, []byte("}"))
+}
+
+// anchorID is the anchor field of an anchor run's apprun key.
+type anchorID struct {
+	Env  string  `json:"env"`
+	FRel float64 `json:"f_rel"`
 }
 
 // appIdentity is the app block's fields, in appRunKey's params order.
@@ -490,15 +526,14 @@ type solverTrainParams struct {
 }
 
 // solverKey keys the controllers TrainFuzzySolver fits for configuration
-// cfg on the chips chipSeeds. The params object is the machine model's
-// fields followed inline by solverTrainParams' — what json.Marshal gives
-// for a struct embedding machineParams and then solverTrainParams — and
-// is spliced from the machine block and the encoded tail, so only the
-// small tail is encoded per call.
+// cfg on the chips chipSeeds, or returns "" when the options do not
+// encode. It is derived with or without a store: it is also the name
+// HandleSolver gives the controllers. The params object is the machine
+// model's fields followed inline by solverTrainParams' — what
+// json.Marshal gives for a struct embedding machineParams and then
+// solverTrainParams — and is spliced from the machine block and the
+// encoded tail, so only the small tail is encoded per call.
 func (s *Simulator) solverKey(cfg tech.Config, chipSeeds []int64, opts adapt.TrainOptions) string {
-	if s.store == nil {
-		return ""
-	}
 	machine := s.machineBlock(cfg)
 	if machine == nil {
 		return ""
@@ -528,14 +563,14 @@ func (s *Simulator) solverKey(cfg tech.Config, chipSeeds []int64, opts adapt.Tra
 
 // TrainFuzzyCached is adapt.TrainFuzzySolver behind the artifact store:
 // when the full (machine config, technique config, chip seeds,
-// TrainOptions) fingerprint matches a stored controller set, training is
+// TrainOptions) key matches a stored controller set, training is
 // skipped and the stored solver — a byte-exact reproduction of the
 // trained one — is returned. chipSeeds must list the generator seeds of
 // the chips the cores were built from, in core order; that is what makes
 // an evalsim run recognize what a fuzzytrain run produced.
 func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opts adapt.TrainOptions) (*adapt.FuzzySolver, error) {
 	key := ""
-	if len(cores) > 0 && len(chipSeeds) == len(cores) {
+	if s.store != nil && len(cores) > 0 && len(chipSeeds) == len(cores) {
 		key = s.solverKey(cores[0].Config, chipSeeds, opts)
 	}
 	return cached(s.store, solverKind, key,
@@ -549,7 +584,7 @@ func (s *Simulator) TrainFuzzyCached(cores []*adapt.Core, chipSeeds []int64, opt
 
 // outcomesParams is the outcomes artifact's key material: one Figure 13
 // unit — the machine model, the unit's technique configuration, the
-// trained controller's weight fingerprint, and the identity of every
+// controllers' name (their solver record key), and the identity of every
 // (app, phase) profile the unit's serial loop visits, in loop order.
 type outcomesParams struct {
 	Machine  machineParams `json:"machine"`
@@ -567,17 +602,17 @@ type outcomePayload struct {
 	Total  float64                    `json:"total"`
 }
 
-// outcomesKey keys one Figure 13 (config × chip) unit. An empty solverFP
-// (untrained or unserializable solver) disables caching.
-func (s *Simulator) outcomesKey(seed int64, cfg tech.Config, solverFP string, apps []workload.App) string {
-	if solverFP == "" {
+// outcomesKey keys one Figure 13 (config × chip) unit. An empty solver
+// name disables caching.
+func (s *Simulator) outcomesKey(seed int64, cfg tech.Config, solver string, apps []workload.App) string {
+	if solver == "" {
 		return ""
 	}
 	return storeKey(s.store, outcomesKind, seed, func() any {
 		return outcomesParams{
 			Machine:  s.machineParams(cfg),
 			TraceLen: s.opts.TraceLen,
-			Solver:   solverFP,
+			Solver:   solver,
 			Suite:    s.suiteParams(apps, nil),
 		}
 	})
@@ -595,7 +630,7 @@ type t2Query struct {
 
 // table2Params is the table2 artifact's key material: one (env × chip)
 // accuracy unit — the machine model, the unit's technique configuration,
-// the trained controller's weight fingerprint, and the full pre-drawn
+// the controllers' name (their solver record key), and the full pre-drawn
 // query stream. TraceLen is deliberately absent: Table 2 reads no
 // profiles.
 type table2Params struct {
@@ -614,13 +649,13 @@ type table2Payload struct {
 	VbbErr map[floorplan.Kind][]float64 `json:"vbb_err"`
 }
 
-// table2Key keys one Table 2 (env × chip) unit; an empty solverFP
+// table2Key keys one Table 2 (env × chip) unit; an empty solver name
 // disables caching.
-func (s *Simulator) table2Key(seed int64, cfg tech.Config, solverFP string, queries []t2Query) string {
-	if solverFP == "" {
+func (s *Simulator) table2Key(seed int64, cfg tech.Config, solver string, queries []t2Query) string {
+	if solver == "" {
 		return ""
 	}
 	return storeKey(s.store, table2Kind, seed, func() any {
-		return table2Params{Machine: s.machineParams(cfg), Solver: solverFP, Queries: queries}
+		return table2Params{Machine: s.machineParams(cfg), Solver: solver, Queries: queries}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/adapt"
 	"repro/internal/floorplan"
@@ -180,7 +181,7 @@ func (s *Simulator) RunSummary(cfg ExperimentConfig) (*Summary, error) {
 	// counts a per-chip fan-out leaves workers idle while the last chip
 	// grinds through all six environments, whereas units keep the pool
 	// busy to the tail. A chip's first unit acquires its handle (stage
-	// models, PE-table donor, trained controllers and static points by
+	// models, PE-table donor, fuzzy controllers and static points by
 	// configuration), which the chip's units then share.
 	nEnvs := len(cfg.Envs)
 	anchors := make([]baselineAnchors, cfg.Chips)
@@ -283,16 +284,17 @@ type baselineAnchors struct {
 }
 
 // chipBaseline runs every app on the Baseline environment at the chip's
-// fvar, computing the chip's leakage-effective Vt0s once: the handle
-// already holds the fvar (15 FVar bisections), and both are per-chip.
+// fvar, through the apprun kind (see anchorRun). The handle already holds
+// the fvar (15 FVar bisections); the chip's leakage-effective Vt0s are
+// computed once, by the first run that misses.
 func (s *Simulator) chipBaseline(h *ChipHandle, apps []workload.App, noVarPerf map[string]float64) (baselineAnchors, error) {
 	if s.tracer != nil {
 		defer s.tracer.Start(fmt.Sprintf("chip %d baseline", h.seed)).End()
 	}
 	a := baselineAnchors{f: h.fvar}
-	vt0 := s.chipVt0Effs(h.chip)
+	vt0 := sync.OnceValue(func() []float64 { return s.chipVt0Effs(h.chip) })
 	for _, app := range apps {
-		r, err := s.runFixed(app, h.fvar, Baseline, vt0)
+		r, err := s.anchorRun(h.seed, Baseline, app, h.fvar, vt0)
 		if err != nil {
 			return baselineAnchors{}, err
 		}
@@ -388,12 +390,14 @@ func (a *cellAccum) cell(env Environment, mode Mode) Cell {
 }
 
 // runChipEnv executes one (chip × environment) work unit: derives the
-// environment's core from the chip's handle, takes this chip's trained
+// environment's core from the chip's handle, names this chip's fuzzy
 // controllers from the handle if the Fuzzy-Dyn mode needs them, and runs
 // every mode × app of the cell through UnitAppRun, returning one
-// accumulator per entry of cfg.Modes. The core runs on whatever worker
-// goroutine the unit lands on; only the handle's concurrency-safe table
-// store and memos are shared between units.
+// accumulator per entry of cfg.Modes. The controllers are read or
+// trained by the first fuzzy unit that misses, inside its core.app_run
+// (timed on their own as core.fuzzy_train). The core runs on whatever
+// worker goroutine the unit lands on; only the handle's concurrency-safe
+// table store and memos are shared between units.
 func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
 	noVarPerf map[string]float64, needFuzzy bool, h *ChipHandle, env Environment) ([]cellAccum, error) {
 	var envSpan *obs.Span
@@ -405,20 +409,14 @@ func (s *Simulator) runChipEnv(cfg ExperimentConfig, apps []workload.App,
 	if err != nil {
 		return nil, err
 	}
-	// Per-chip fuzzy training: the manufacturer populates this chip's
+	// Per-chip fuzzy controllers: the manufacturer populates this chip's
 	// controllers by running the Exhaustive algorithm on a software
 	// model of *this* chip (§4.3.1).
 	var fuzzy adapt.Solver
 	if needFuzzy {
-		trainSpan := envSpan.Child("train solver")
-		trainSW := s.obs.Timer("core.fuzzy_train").Start()
-		sv, _, err := s.HandleSolver(h, cpu, cfg.Training)
-		trainSW.Stop()
-		trainSpan.End()
-		if err != nil {
+		if fuzzy, _, err = s.HandleSolver(h, cpu, cfg.Training); err != nil {
 			return nil, err
 		}
-		fuzzy = sv
 	}
 	// Static points per class, chosen before any app runs and Int before
 	// FP: choosing one drives cpu, whose warm-started thermal solver
@@ -563,19 +561,23 @@ func (s *Simulator) RunOutcomes(cfg ExperimentConfig) ([]OutcomeCell, error) {
 // outcomeUnit runs one Figure 13 (config × chip) unit: the chip's
 // controllers for cfg (§4.3.1) sweep AdaptSteady across every app phase.
 // The whole unit caches as one outcomes artifact; a warm invocation
-// replays the counts without re-running the controller.
+// replays the counts without reading or running the controllers.
 func (s *Simulator) outcomeUnit(h *ChipHandle, cfg tech.Config,
 	apps []workload.App, opts adapt.TrainOptions) (outcomePayload, error) {
 	cpu, err := h.core(cfg)
 	if err != nil {
 		return outcomePayload{}, err
 	}
-	solver, fp, err := s.HandleSolver(h, cpu, opts)
+	controllers, name, err := s.HandleSolver(h, cpu, opts)
 	if err != nil {
 		return outcomePayload{}, err
 	}
-	key := s.outcomesKey(h.seed, cpu.Config, fp, apps)
+	key := s.outcomesKey(h.seed, cpu.Config, name, apps)
 	return cached(s.store, outcomesKind, key, decodeJSON[outcomePayload], encodeJSON[outcomePayload], func() (outcomePayload, error) {
+		solver, err := unitSolver(controllers)
+		if err != nil {
+			return outcomePayload{}, err
+		}
 		var p outcomePayload
 		for _, app := range apps {
 			for _, ph := range app.Phases {
@@ -719,19 +721,23 @@ const (
 // the chip whose model populated the controllers (§4.3.1), at operating
 // situations the training never saw. The whole unit — every solve across
 // the pre-drawn query stream — caches as one table2 artifact keyed on the
-// stream itself.
+// stream itself, and a warm invocation reads no controllers.
 func (s *Simulator) table2Unit(h *ChipHandle, cfg tech.Config,
 	queries []t2Query, opts adapt.TrainOptions) (table2Payload, error) {
 	cpu, err := h.core(cfg)
 	if err != nil {
 		return table2Payload{}, err
 	}
-	solver, fp, err := s.HandleSolver(h, cpu, opts)
+	controllers, name, err := s.HandleSolver(h, cpu, opts)
 	if err != nil {
 		return table2Payload{}, err
 	}
-	key := s.table2Key(h.seed, cpu.Config, fp, queries)
+	key := s.table2Key(h.seed, cpu.Config, name, queries)
 	return cached(s.store, table2Kind, key, decodeJSON[table2Payload], encodeJSON[table2Payload], func() (table2Payload, error) {
+		solver, err := unitSolver(controllers)
+		if err != nil {
+			return table2Payload{}, err
+		}
 		p := table2Payload{
 			FErr:   make(map[floorplan.Kind][]float64),
 			VddErr: make(map[floorplan.Kind][]float64),

@@ -18,9 +18,9 @@ import (
 // releases handles as join/leave events arrive; each experiment
 // (RunSummary, RunOutcomes, RunTable2) acquires one per chip on the
 // chip's first unit and releases them all after its pool. Everything
-// derived per (technique configuration, class) — trained fuzzy
-// controllers and static operating points — is memoized on the handle
-// and built once per key.
+// derived per technique configuration — fuzzy controllers, per training
+// option set, and static operating points, per class — is memoized on
+// the handle and built once per key.
 
 // ChipHandle is one admitted chip's shared state. The immutable parts
 // (maps, stage models, FVar) are built once by AcquireChip and then read
@@ -34,7 +34,7 @@ type ChipHandle struct {
 	fvar  float64
 
 	mu      sync.Mutex
-	solvers map[tech.Config]*onceEntry[*adapt.FuzzySolver]
+	solvers map[string]*chipSolver // by name (solverKey)
 	statics map[staticKey]*onceEntry[adapt.OperatingPoint]
 }
 
@@ -91,7 +91,7 @@ func (s *Simulator) AcquireChip(seed int64) (*ChipHandle, error) {
 	h := &ChipHandle{
 		seed:    seed,
 		chip:    s.Chip(seed),
-		solvers: make(map[tech.Config]*onceEntry[*adapt.FuzzySolver]),
+		solvers: make(map[string]*chipSolver),
 		statics: make(map[staticKey]*onceEntry[adapt.OperatingPoint]),
 	}
 	// The donor holds the chip's stage-model assembly and shared PE-table
@@ -135,26 +135,102 @@ func (s *Simulator) HandleCore(h *ChipHandle, env Environment) (*adapt.Core, err
 	return h.core(env.coreConfig())
 }
 
-// HandleSolver returns the chip's trained fuzzy controllers for cpu's
-// technique configuration and their fingerprint, training (through the
-// artifact cache) on first use and memoizing per configuration
-// afterwards. The memo assumes one TrainOptions per handle lifetime — the
-// fleet service and each experiment train with one fixed option set.
-func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.TrainOptions) (*adapt.FuzzySolver, string, error) {
-	sv, err := entryFor(&h.mu, h.solvers, cpu.Config).get(func() (*adapt.FuzzySolver, error) {
-		return s.TrainFuzzyCached([]*adapt.Core{cpu}, []int64{h.seed}, opts)
-	})
-	if err != nil {
+// HandleSolver returns the chip's fuzzy controllers for cpu's technique
+// configuration and opts, and their name: the key of their solver record
+// (solverKey), which keys every unit they answer. Nothing is read or
+// trained here: a unit that misses loads the controllers, through the
+// artifact cache, before its first solve (see chipSolver), so a unit that
+// replays from the store never touches them. The handle memoizes one
+// controller set per name, so every caller of one (configuration,
+// options) pair shares a single load, and another option set gets its
+// own controllers under its own name.
+func (s *Simulator) HandleSolver(h *ChipHandle, cpu *adapt.Core, opts adapt.TrainOptions) (adapt.Solver, string, error) {
+	if err := opts.Validate(); err != nil {
 		return nil, "", err
 	}
-	return sv, sv.Fingerprint(), nil
+	name := s.solverKey(cpu.Config, []int64{h.seed}, opts)
+	if name == "" {
+		return nil, "", fmt.Errorf("core: no solver key for configuration %+v: its key material does not encode", cpu.Config)
+	}
+	cfg := cpu.Config
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	sv := h.solvers[name]
+	if sv == nil {
+		sv = &chipSolver{name: name, train: func() (*adapt.FuzzySolver, error) {
+			defer s.obs.Timer("core.fuzzy_train").Start().Stop()
+			core, err := h.core(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return s.TrainFuzzyCached([]*adapt.Core{core}, []int64{h.seed}, opts)
+		}}
+		h.solvers[name] = sv
+	}
+	return sv, name, nil
+}
+
+// chipSolver is one chip's fuzzy controllers for one technique
+// configuration and training option set, named by their solver record
+// key. Training is deterministic for a given key (a change to its output
+// bumps the solver kind's version, which moves the key), so the name
+// identifies the controllers as exactly as their weights do. load reads
+// or trains them once, on the first unit that misses. Training drives a
+// core of its own over the handle's PE-table store: Freq and Power
+// solves touch no per-core state a unit reads, so the controllers are
+// the same whichever unit loads them, and the handle keeps no unit's
+// core alive.
+type chipSolver struct {
+	name  string
+	train func() (*adapt.FuzzySolver, error)
+	entry onceEntry[*adapt.FuzzySolver]
+}
+
+// load returns the controllers, reading or training them on first use.
+func (c *chipSolver) load() (*adapt.FuzzySolver, error) { return c.entry.get(c.train) }
+
+// loaded returns the controllers for a caller that solves with c
+// directly. UnitAppRun and the Figure 13 and Table 2 units never do:
+// they load the controllers before the unit's first solve and return a
+// load error as the unit's, so none is read or trained inside a
+// controller invocation. HandleSolver has validated the options, so a
+// load that fails here is a training fault, reported as a panic.
+func (c *chipSolver) loaded() *adapt.FuzzySolver {
+	sv, err := c.load()
+	if err != nil {
+		panic(fmt.Sprintf("core: loading fuzzy controllers: %v", err))
+	}
+	return sv
+}
+
+// FreqMax implements adapt.Solver with the loaded controllers.
+func (c *chipSolver) FreqMax(cpu *adapt.Core, i int, q adapt.FreqQuery) float64 {
+	return c.loaded().FreqMax(cpu, i, q)
+}
+
+// PowerLevels implements adapt.Solver with the loaded controllers.
+func (c *chipSolver) PowerLevels(cpu *adapt.Core, i int, fCore float64, q adapt.FreqQuery) (float64, float64) {
+	return c.loaded().PowerLevels(cpu, i, fCore, q)
+}
+
+// unitSolver returns what a unit that misses solves with: a chip's fuzzy
+// controllers, loaded, or any other solver as it is.
+func unitSolver(solver adapt.Solver) (adapt.Solver, error) {
+	if c, ok := solver.(*chipSolver); ok {
+		sv, err := c.load()
+		if err != nil {
+			return nil, err
+		}
+		return sv, nil
+	}
+	return solver, nil
 }
 
 // HandleStaticPoint returns the chip's conservative static operating
 // point for cpu's configuration and the app's class, choosing it
 // (through the artifact cache) on first use. A stored point cpu could
-// not evaluate is rebuilt as corrupt. Like HandleSolver's, the memo
-// assumes one app set per handle lifetime.
+// not evaluate is rebuilt as corrupt. The memo assumes one app set per
+// handle lifetime.
 func (s *Simulator) HandleStaticPoint(h *ChipHandle, cpu *adapt.Core, class workload.Class, apps []workload.App) (adapt.OperatingPoint, error) {
 	e := entryFor(&h.mu, h.statics, staticKey{cfg: cpu.Config, class: class})
 	return e.get(func() (adapt.OperatingPoint, error) {
@@ -178,26 +254,28 @@ type FleetUnit struct {
 
 // UnitAppRun executes one fleet unit on cpu — through the apprun
 // artifact cache, at phase granularity when the unit names a phase. For
-// dynamic modes solver picks the algorithm (its weight fingerprint keys
-// the cache); Static mode requires u.Static. The returned run's CacheHit
-// reports whether this call served it from the store: a missing,
-// damaged or undecodable record, or an uncacheable unit, reads false.
+// dynamic modes solver picks the algorithm (its name keys the cache, see
+// solverName); Static mode requires u.Static. A chip's fuzzy controllers
+// (HandleSolver) are loaded only when the unit misses, before its first
+// solve. The returned run's CacheHit reports whether this call served it
+// from the store: a missing, damaged or undecodable record, or an
+// uncacheable unit, reads false.
 func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver adapt.Solver, u FleetUnit) (AppRun, error) {
-	fp := ""
+	name := ""
 	switch mode {
 	case Static:
 		if u.Static == nil {
 			return AppRun{}, fmt.Errorf("core: static fleet unit %q needs an operating point", u.App.Name)
 		}
 	case FuzzyDyn, ExhDyn:
-		fp = solverFingerprint(solver)
+		name = solverName(solver)
 	default:
 		return AppRun{}, fmt.Errorf("core: fleet unit mode %v", mode)
 	}
 	if u.Phase >= len(u.App.Phases) {
 		return AppRun{}, fmt.Errorf("core: %q has no phase %d", u.App.Name, u.Phase)
 	}
-	key := s.appRunKey(seed, cpu.Config, u.App, mode, fp, u.Static, u.Phase)
+	key := s.appRunKey(seed, cpu.Config, u.App, mode, name, u.Static, u.Phase)
 	return cached(s.store, apprunKind, key,
 		func(payload []byte, r *AppRun) error {
 			if err := decodeAppRun(payload, r); err != nil {
@@ -207,7 +285,13 @@ func (s *Simulator) UnitAppRun(seed int64, cpu *adapt.Core, mode Mode, solver ad
 			return nil
 		},
 		infallible(encodeAppRun),
-		func() (AppRun, error) { return s.runUnit(cpu, mode, solver, u) })
+		func() (AppRun, error) {
+			sv, err := unitSolver(solver)
+			if err != nil {
+				return AppRun{}, err
+			}
+			return s.runUnit(cpu, mode, sv, u)
+		})
 }
 
 // runUnit adapts the unit's phases on cpu in order and folds them into

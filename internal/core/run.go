@@ -72,14 +72,25 @@ func (s *Simulator) stagesFVar(stages []*vats.Stage) float64 {
 	return min
 }
 
+// anchorRun is runFixed through the apprun kind: the Baseline or NoVar
+// run of app at fRel on chip seed (noVarSeed for NoVar), read from the
+// store or computed and stored. vt0Eff, called only on a miss, supplies
+// each subsystem's leakage-effective Vt0. runFixed starts from a fresh
+// thermal solver, so a stored anchor is exactly what any run computes.
+func (s *Simulator) anchorRun(seed int64, env Environment, app workload.App, fRel float64, vt0Eff func() []float64) (AppRun, error) {
+	return cached(s.store, apprunKind, s.anchorKey(seed, env, app, fRel), decodeAppRun, infallible(encodeAppRun),
+		func() (AppRun, error) { return s.runFixed(app, fRel, env, vt0Eff()) })
+}
+
 // runFixed evaluates an application at a fixed frequency with nominal
 // supplies and no checker — the Baseline and NoVar environments. vt0Eff
 // supplies each subsystem's leakage-effective Vt0.
 func (s *Simulator) runFixed(app workload.App, fRel float64, env Environment, vt0Eff []float64) (AppRun, error) {
 	run := AppRun{App: app.Name, Env: env, FRel: fRel}
-	// One warm-started solver per call: successive phases of an app sit at
-	// nearby operating points, and a local solver keeps the pool goroutines
-	// that share s.th isolated from each other.
+	// One solver per call, warm-started across the app's phases only:
+	// successive phases sit at nearby operating points, and a local solver
+	// keeps the result independent of earlier calls and the pool
+	// goroutines that share s.th isolated from each other.
 	sv := thermal.NewSolver(s.th)
 	sv.Obs = s.obs
 	ins := make([]thermal.SubsystemInput, s.fp.N())
@@ -125,10 +136,15 @@ func (s *Simulator) chipVt0Effs(chip *varius.ChipMaps) []float64 {
 	return out
 }
 
+// noVarSeed is the chip seed NoVar anchors are keyed under: Chip gives
+// the no-variation chip for any negative seed.
+const noVarSeed = -1
+
 // RunNoVar runs one application on the idealized no-variation processor at
-// the nominal frequency — the normalization reference of Figures 10-12.
+// the nominal frequency — the normalization reference of Figures 10-12 —
+// through the artifact store when one is attached.
 func (s *Simulator) RunNoVar(app workload.App) (AppRun, error) {
-	return s.runFixed(app, 1.0, NoVar, s.chipVt0Effs(s.gen.NoVarChip()))
+	return s.anchorRun(noVarSeed, NoVar, app, 1.0, func() []float64 { return s.chipVt0Effs(s.gen.NoVarChip()) })
 }
 
 // StaticPoint chooses the one conservative configuration a Static chip uses

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 	"testing"
 
@@ -85,12 +83,13 @@ func TestRunDynamicRejectsNonTableConfig(t *testing.T) {
 	}
 }
 
-// TestHandleSolverMemo: goroutines racing HandleSolver on one handle for
-// two configurations train each configuration's controllers once. Every
-// caller of a configuration gets the same solver, the configurations get
-// different ones, and the returned fingerprint is the digest of the
-// solver's encoding. Under -race this checks that the memo is safe
-// without holding the handle's lock across training.
+// TestHandleSolverMemo: goroutines racing HandleSolver and the load on
+// one handle for two configurations train each configuration's
+// controllers once. Every caller of a configuration gets the same solver
+// and name, the name is the solver record key of the configuration, the
+// chip and the options, and the configurations get different
+// controllers. Under -race this checks that the memo is safe without
+// holding the handle's lock across training.
 func TestHandleSolverMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzy training")
@@ -111,9 +110,10 @@ func TestHandleSolverMemo(t *testing.T) {
 	envs := []Environment{TS, TSASV}
 	const callers = 4
 	type answer struct {
-		sv  *adapt.FuzzySolver
-		fp  string
-		err error
+		sv     adapt.Solver
+		name   string
+		loaded *adapt.FuzzySolver
+		err    error
 	}
 	got := make([][callers]answer, len(envs))
 	var wg sync.WaitGroup
@@ -122,13 +122,21 @@ func TestHandleSolverMemo(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				a := &got[ei][c]
 				cpu, err := s.HandleCore(h, env)
 				if err != nil {
-					got[ei][c].err = err
+					a.err = err
 					return
 				}
-				sv, fp, err := s.HandleSolver(h, cpu, opts)
-				got[ei][c] = answer{sv, fp, err}
+				if a.sv, a.name, a.err = s.HandleSolver(h, cpu, opts); a.err != nil {
+					return
+				}
+				sv, err := unitSolver(a.sv)
+				if err != nil {
+					a.err = err
+					return
+				}
+				a.loaded = sv.(*adapt.FuzzySolver)
 			}()
 		}
 	}
@@ -137,28 +145,87 @@ func TestHandleSolverMemo(t *testing.T) {
 	trained := 0
 	for ei, env := range envs {
 		first := got[ei][0]
-		if first.err != nil || first.sv == nil {
-			t.Fatalf("%v: solver %v, err %v", env, first.sv, first.err)
+		if first.err != nil || first.loaded == nil {
+			t.Fatalf("%v: solver %v, err %v", env, first.loaded, first.err)
 		}
 		for c, a := range got[ei] {
-			if a.err != nil || a.sv != first.sv || a.fp != first.fp {
-				t.Errorf("%v caller %d: got (%p, %q, %v), want (%p, %q)", env, c, a.sv, a.fp, a.err, first.sv, first.fp)
+			if a.err != nil || a.sv != first.sv || a.name != first.name || a.loaded != first.loaded {
+				t.Errorf("%v caller %d: got (%p, %q, %p, %v), want (%p, %q, %p)",
+					env, c, a.sv, a.name, a.loaded, a.err, first.sv, first.name, first.loaded)
 			}
 		}
-		b, err := first.sv.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if want := s.solverKey(env.coreConfig(), []int64{h.seed}, opts); first.name != want {
+			t.Errorf("%v name %q, want the solver key %q", env, first.name, want)
 		}
-		sum := sha256.Sum256(b)
-		if want := hex.EncodeToString(sum[:]); first.fp != want {
-			t.Errorf("%v fingerprint %q, want %q", env, first.fp, want)
-		}
-		trained += first.sv.ControllerCount()
+		trained += first.loaded.ControllerCount()
 	}
-	if got[0][0].sv == got[1][0].sv {
+	if got[0][0].loaded == got[1][0].loaded || got[0][0].name == got[1][0].name {
 		t.Errorf("%v and %v share one solver", envs[0], envs[1])
 	}
 	if n := reg.Counter("fuzzy.train.controllers").Value(); n != int64(trained) {
 		t.Errorf("trained %d controllers, want %d (one training per configuration)", n, trained)
+	}
+}
+
+// TestHandleSolverPerOptions: one handle asked for one configuration's
+// controllers under two training option sets names each by its own
+// solver record key and gives each the controllers a fresh training
+// under its options fits, not the first set's under the second's name.
+func TestHandleSolverPerOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzy training")
+	}
+	s := newSim(t)
+	h, err := s.AcquireChip(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.ReleaseChip(h)
+	cpu, err := s.HandleCore(h, TSASV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := adapt.DefaultTrainOptions()
+	a.Examples = 40
+	a.Fuzzy.Epochs = 1
+	b := a
+	b.Seed++
+
+	names := map[string]bool{}
+	for _, opts := range []adapt.TrainOptions{a, b} {
+		sv, name, err := s.HandleSolver(h, cpu, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := s.solverKey(cpu.Config, []int64{h.seed}, opts); name != want {
+			t.Errorf("seed %d: name %q, want the solver key %q", opts.Seed, name, want)
+		}
+		names[name] = true
+		got, err := unitSolver(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := s.BuildCore(s.Chip(h.seed), TSASV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := adapt.TrainFuzzySolver([]*adapt.Core{fresh}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := got.(*adapt.FuzzySolver).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gb) != string(wb) {
+			t.Errorf("seed %d: the handle's controllers differ from a fresh training under the same options", opts.Seed)
+		}
+	}
+	if len(names) != 2 {
+		t.Errorf("two option sets got %d names", len(names))
 	}
 }
